@@ -7,16 +7,20 @@
    order, so the sweep reads identically at any parallelism:
 
      dune exec bench/main.exe                   # full scale, all cores
-     VSWAPPER_JOBS=1 dune exec bench/main.exe   # serial reference
+     dune exec bench/main.exe -- --jobs 1       # serial reference
      VSWAPPER_BENCH_SCALE=0.25 dune exec bench/main.exe
      dune exec bench/main.exe -- fig9 fig10     # a subset
+
+   VSWAPPER_BENCH_SCALE must be a positive number; anything else exits
+   with status 2.  It is read here, in the bench driver, and passed to
+   the experiments as [~scale] — the libraries read no environment.
 
    `--micro` instead runs Bechamel microbenchmarks of the simulator's
    hot paths — one Test.make per experiment (a small-scale end-to-end
    run) plus the core data-structure operations — and prints their
    measured costs.
 
-   `--jobs N` overrides `VSWAPPER_JOBS` (and the core-count default);
+   `--jobs N` sets the pool width (default: cores - 1);
    `--jobs 1` forces the serial inline path.  Both the experiment fan-out
    and the intra-experiment shards (fig3/fig4/fig5/fig11/fig14/abl) run
    on the same shared pool — its `map` is re-entrant, so the nesting is
@@ -36,8 +40,14 @@
 
 let scale () =
   match Sys.getenv_opt "VSWAPPER_BENCH_SCALE" with
-  | Some s -> (try float_of_string s with Failure _ -> 1.0)
   | None -> 1.0
+  | Some s -> (
+      match float_of_string_opt (String.trim s) with
+      | Some v when v > 0.0 && Float.is_finite v -> v
+      | Some _ | None ->
+          Printf.eprintf
+            "VSWAPPER_BENCH_SCALE expects a positive number, got %S\n" s;
+          exit 2)
 
 (* ------------------------------------------------------------------ *)
 (* JSON output                                                         *)
@@ -131,14 +141,14 @@ let latest_bench_file ~excluding =
   | [] -> None
   | f :: _ -> Some f
 
-(* Timed schedule/cancel churn on one engine backend: a rolling window
+(* Timed schedule/cancel churn on the engine: a rolling window
    of cancellable timers (each slot's previous timer is cancelled when
    the slot is refilled, as the disk idle-flush and VCPU timeslices do),
    with periodic steps so the queue drains concurrently.  Deterministic
    op sequence; only the wall-clock varies.  Returns events per second
    (schedules + cancels + fires over elapsed time). *)
-let churn_events_per_sec backend =
-  let e = Sim.Engine.create ~backend () in
+let churn_events_per_sec () =
+  let e = Sim.Engine.create () in
   let n = 200_000 in
   let handles = Array.make 64 Sim.Engine.null in
   let t0 = Unix.gettimeofday () in
@@ -235,23 +245,15 @@ let write_json ~file ~scale r =
     r2.Experiments.Exp.tier_failover_routes r2.Experiments.Exp.media_reads
     r2.Experiments.Exp.pages_lost;
   (* Engine section: lifetime totals of the event engine's hot path, a
-     schedule+cancel churn microbench on both backends (so every summary
-     records the wheel-vs-heap throughput on this machine), and fired
-     events per experiment normalized by its wall-clock. *)
+     schedule+cancel churn microbench (so every summary records the
+     engine's throughput on this machine), and fired events per
+     experiment normalized by its wall-clock. *)
   let et = Experiments.Exp.engine_totals () in
-  let wheel_cps = churn_events_per_sec Sim.Engine.Wheel in
-  let heap_cps = churn_events_per_sec Sim.Engine.Heap in
   out
-    "  \"engine\": {\"backend\": \"%s\", \"events_fired\": %d, \
-     \"cancels_reclaimed\": %d, \"cascades\": %d,\n"
-    (Sim.Engine.backend_name (Sim.Engine.default_backend ()))
+    "  \"engine\": {\"events_fired\": %d, \"cancels_reclaimed\": %d, \
+     \"cascades\": %d, \"churn_events_per_sec\": %.0f,\n"
     et.Experiments.Exp.fired et.Experiments.Exp.cancels_reclaimed
-    et.Experiments.Exp.cascades;
-  out
-    "    \"churn\": {\"wheel_events_per_sec\": %.0f, \
-     \"heap_events_per_sec\": %.0f, \"wheel_speedup\": %.2f},\n"
-    wheel_cps heap_cps
-    (if heap_cps > 0.0 then wheel_cps /. heap_cps else 0.0);
+    et.Experiments.Exp.cascades (churn_events_per_sec ());
   let per_exp = Experiments.Exp.exp_engine_events () in
   out "    \"per_experiment\": [";
   List.iteri
@@ -372,8 +374,7 @@ let write_json ~file ~scale r =
 (* Experiment reproduction mode                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_experiments ~record ids =
-  let scale = scale () in
+let run_experiments ~record ~scale ids =
   let chosen =
     match ids with
     | [] -> Experiments.Registry.all
@@ -444,27 +445,13 @@ let engine_bench =
          done;
          Sim.Engine.run e))
 
-let heap_bench =
-  Test.make ~name:"sim: heap push/pop 1000"
+(* Schedule+cancel churn — the pattern the disk idle-flush, Preventer
+   expiries, and VCPU timeslices hammer: most timers are cancelled and
+   rearmed before they fire. *)
+let engine_churn_bench =
+  Test.make ~name:"sim: engine schedule+cancel churn 1000"
     (Staged.stage (fun () ->
-         let h = Sim.Heap.create () in
-         for i = 1 to 1000 do
-           Sim.Heap.add h ~priority:(i * 7919 mod 1000) i
-         done;
-         while Sim.Heap.pop_min h <> None do
-           ()
-         done))
-
-(* Schedule+cancel churn per backend — the pattern the disk idle-flush,
-   Preventer expiries, and VCPU timeslices hammer: most timers are
-   cancelled and rearmed before they fire. *)
-let engine_churn_bench backend =
-  Test.make
-    ~name:
-      (Printf.sprintf "sim: engine(%s) schedule+cancel churn 1000"
-         (Sim.Engine.backend_name backend))
-    (Staged.stage (fun () ->
-         let e = Sim.Engine.create ~backend () in
+         let e = Sim.Engine.create () in
          let handles = Array.make 32 Sim.Engine.null in
          for i = 0 to 999 do
            let slot = i land 31 in
@@ -608,10 +595,7 @@ let experiment_bench (e : Experiments.Exp.t) =
 let run_micro ~record () =
   let tests =
     [
-      engine_bench; heap_bench;
-      engine_churn_bench Sim.Engine.Wheel;
-      engine_churn_bench Sim.Engine.Heap;
-      mapper_bench; preventer_bench;
+      engine_bench; engine_churn_bench; mapper_bench; preventer_bench;
       itbl_bench; hashtbl_ref_bench; fault_path_bench;
       swap_alloc_bench;
     ]
@@ -709,8 +693,9 @@ let () =
         parse rest
   in
   parse args;
-  (* --jobs beats VSWAPPER_JOBS beats the core-count default; size the
-     shared pool once, before anything submits to it. *)
+  let scale = scale () in
+  (* --jobs beats the core-count default; size the shared pool once,
+     before anything submits to it. *)
   (match !jobs_flag with
   | Some n -> Parallel.Pool.set_global_jobs n
   | None -> ());
@@ -722,7 +707,7 @@ let () =
       jobs = Parallel.Pool.jobs (Parallel.Pool.global ());
     }
   in
-  if !micro then run_micro ~record () else run_experiments ~record !ids;
+  if !micro then run_micro ~record () else run_experiments ~record ~scale !ids;
   match !json with
-  | Some file -> write_json ~file ~scale:(scale ()) record
+  | Some file -> write_json ~file ~scale record
   | None -> ()

@@ -1,0 +1,63 @@
+#!/bin/sh
+# Determinism matrix for the bench driver, run by `dune runtest` from
+# the bench build directory (see bench/dune).
+#
+# Every row runs its experiments twice, at --jobs 1 and at --jobs 4,
+# strips the wall-clock lines ("completed in", the "N jobs" header)
+# plus the row's own pattern, and cmp's the two stdouts: the
+# work-sharing pool must not move a single simulated result.  A JSON
+# row writes the same --json summary on both runs, so the second run
+# records a delta_s against the first, and the strict linter parses
+# the file after each write.
+#
+# Row fields: name, scale, bench arguments, extra strip pattern
+# (grep basic regex, "" for none), json|-.
+set -eu
+
+main=./main.exe
+lint=../test/json_lint.exe
+
+row() {
+  name=$1 scale=$2 args=$3 strip=$4 json=$5
+  pattern='completed in\|jobs$'
+  if [ -n "$strip" ]; then pattern="$pattern\\|$strip"; fi
+  json_args=
+  if [ "$json" = json ]; then json_args="--json $name.json"; fi
+  for jobs in 1 4; do
+    out=$name-j$jobs
+    VSWAPPER_BENCH_SCALE=$scale $main --jobs $jobs $args $json_args > "$out.out"
+    if [ -n "$json_args" ]; then $lint "$name.json"; fi
+    grep -v "$pattern" "$out.out" > "$out.flt"
+  done
+  cmp "$name-j1.flt" "$name-j4.flt"
+}
+
+# fig9 drives the misaligned-I/O swap storm through the disk queue's
+# batching; fig3 shards its configurations onto the shared pool, so the
+# nested submission path runs too.
+row bench 0.05 "fig3 fig9 tab1" "" -
+# Fault decisions are pure hashes of (seed, sector, attempt).
+row fault 0.05 "resilience --fault-seed 3" "" -
+# Async faults, multi-queue disk and the in-flight bound, all set as
+# config fields by the experiment itself.
+row scalability 0.05 scalability "" json
+# czram + remote tiers: admission, promotion, demotion.
+row tiering 0.05 tiering "" json
+# Heap panels are measured with Gc.stat and vary with job placement.
+row memscale 0.02 memscale heap json
+# Scrubber, QoS admission and czram failover at a fixed fault seed.
+row degraded 0.05 "degradation --fault-seed 3" "" json
+# The fleet self-checks pool widths 1 and 4 inside each run; its wall
+# and heap lines vary.
+row fleet 0.05 fleet 'wall\|heap' json
+
+# A bad scale must stop the driver with status 2 and name the variable,
+# not fall back to full scale.
+for bad in abc 0 -1 nan; do
+  rc=0
+  VSWAPPER_BENCH_SCALE=$bad $main tab1 > /dev/null 2> bad-scale.err || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q VSWAPPER_BENCH_SCALE bad-scale.err; then
+    echo "VSWAPPER_BENCH_SCALE=$bad: exit $rc, expected 2 naming the variable" >&2
+    exit 1
+  fi
+done

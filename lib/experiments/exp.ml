@@ -292,16 +292,6 @@ let async_totals () =
     queue_depth_highwater = Atomic.get acc_qdepth_hw;
   }
 
-(* Shared smoke cap: VSWAPPER_SMOKE=1 tells the heavyweight sweeps
-   (fleet, memscale) to run a drastically reduced grid so the dune smoke
-   aliases stay cheap.  One env var instead of one per experiment. *)
-let smoke () =
-  match Sys.getenv_opt "VSWAPPER_SMOKE" with
-  | Some s ->
-      let s = String.trim s in
-      s <> "" && s <> "0"
-  | None -> false
-
 (* Fleet-experiment totals for the bench JSON summary.  Unlike the
    atomic counters above these are set wholesale, once, by the fleet
    experiment (both of its runs happen inside one experiment body), so

@@ -161,11 +161,6 @@ type async_totals = {
 val reset_async_totals : unit -> unit
 val async_totals : unit -> async_totals
 
-(** [smoke ()] is true when VSWAPPER_SMOKE is set to anything but ""/"0":
-    the heavyweight sweeps (fleet, memscale) cut their grids down so the
-    dune smoke aliases stay cheap.  One env var shared by all of them. *)
-val smoke : unit -> bool
-
 (** One (jobs, throughput) point of the fleet scaling table. *)
 type fleet_jobs_point = {
   fj_jobs : int;

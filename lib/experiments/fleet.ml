@@ -10,49 +10,22 @@
    the stats fingerprint) must be byte-identical — the pool width may
    only change which wall-clock instant each shard steps at.  It then
    prints the scaling table.  Wall-clock and heap lines contain the
-   words "wall" / "heap" so the fleet-smoke rule can strip them before
+   words "wall" / "heap" so the smoke matrix can strip them before
    comparing serial vs --jobs 4 stdout; everything else is
    deterministic.
 
-   Knobs: VSWAPPER_FLEET_HOSTS (default 128), VSWAPPER_OVERCOMMIT
-   (default 1.5), VSWAPPER_TRAFFIC_SEED (default 42), and the shared
-   VSWAPPER_SMOKE=1 cap (8 hosts, 6 epochs).  VSWAPPER_BENCH_SCALE
-   scales the host count. *)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 1 -> v
-      | Some _ | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0.0 -> v
-      | Some _ | None -> default)
-  | None -> default
+   The grid is [Cluster.Fleet.default_config] with the host count (and
+   the arrival rate with it) scaled by [~scale]. *)
 
 let config ~scale =
   let d = Cluster.Fleet.default_config in
   let per_host_arrivals =
     d.Cluster.Fleet.mean_arrivals /. float_of_int d.Cluster.Fleet.hosts
   in
-  let hosts = env_int "VSWAPPER_FLEET_HOSTS" d.Cluster.Fleet.hosts in
-  let hosts = if Exp.smoke () then min hosts 8 else hosts in
-  let hosts = Exp.scaled_int scale hosts ~min:2 in
-  let epochs =
-    if Exp.smoke () then min d.Cluster.Fleet.epochs 6
-    else d.Cluster.Fleet.epochs
-  in
+  let hosts = Exp.scaled_int scale d.Cluster.Fleet.hosts ~min:2 in
   {
     d with
     Cluster.Fleet.hosts;
-    epochs;
-    overcommit = env_float "VSWAPPER_OVERCOMMIT" d.Cluster.Fleet.overcommit;
-    seed = env_int "VSWAPPER_TRAFFIC_SEED" d.Cluster.Fleet.seed;
     mean_arrivals = per_host_arrivals *. float_of_int hosts;
   }
 

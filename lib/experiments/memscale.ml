@@ -16,24 +16,13 @@
    The heap panels are measured with [Gc.full_major]/[Gc.stat] on the
    running domain, so their exact values vary with allocator state and
    job placement — every such line contains the word "heap", and the
-   memscale-smoke rule filters those lines before comparing serial vs
-   parallel stdout.  The fault panels are deterministic as usual.
+   smoke matrix filters those lines before comparing serial vs parallel
+   stdout.  The fault panels are deterministic as usual.
 
-   VSWAPPER_MEMSCALE_MAX_GUESTS caps the guest-count grid, and the
-   shared VSWAPPER_SMOKE=1 cap (honored by every heavyweight sweep)
-   clamps it to [1; 2]; VSWAPPER_BENCH_SCALE scales the per-guest page
-   count, full scale being 2^20 pages. *)
+   The guest-count grid is fixed at [1; 2; 4; 8]; [~scale] scales the
+   per-guest page count, full scale being 2^20 pages. *)
 
-let guest_counts () =
-  let cap =
-    match Sys.getenv_opt "VSWAPPER_MEMSCALE_MAX_GUESTS" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-        | Some v when v >= 1 -> v
-        | Some _ | None -> 8)
-    | None -> 8
-  in
-  let cap = if Exp.smoke () then min cap 2 else cap in
-  List.filter (fun n -> n <= cap) [ 1; 2; 4; 8 ]
+let guest_counts = [ 1; 2; 4; 8 ]
 
 (* Per-guest pages, rounded to whole MiB so guest construction (which
    thinks in MiB) reproduces the count exactly. *)
@@ -110,11 +99,10 @@ let run_point ~scale n =
   }
 
 let run ~scale =
-  let counts = guest_counts () in
   (* Points run serially on the submitting domain, not via [Exp.shard]:
      the live-heap measurement must see exactly one machine at a time
      on this domain's heap. *)
-  let points = List.map (fun n -> run_point ~scale n) counts in
+  let points = List.map (fun n -> run_point ~scale n) guest_counts in
   let x = List.map (fun p -> string_of_int p.n) points in
   let series name f = [ (name, List.map f points) ] in
   let panel title cols =

@@ -41,11 +41,6 @@ let run_point ~scale kind ~actual_mb =
     }
   in
   let out = Exp.run_machine (Vmm.Machine.build cfg) in
-  (if Sys.getenv_opt "VSWAP_DEBUG" <> None then
-     Printf.eprintf "point %s mem=%d runtime=%s oomed=%b kills=%d\n%!"
-       (Exp.config_name kind) actual_mb
-       (match out.Exp.runtime_s with Some v -> string_of_float v | None -> "-")
-       out.Exp.oomed out.Exp.stats.Metrics.Stats.oom_kills);
   {
     runtime_s = out.Exp.runtime_s;
     disk_ops = out.Exp.stats.Metrics.Stats.disk_ops;

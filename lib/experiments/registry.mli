@@ -21,9 +21,8 @@ type outcome = {
 
 (** [run_all ?jobs ~scale exps] runs the experiments, fanning them out
     over the shared {!Parallel.Pool.global} pool ([Pool.default_jobs ()]
-    wide when [jobs] is omitted — the [VSWAPPER_JOBS] environment
-    variable, else [Domain.recommended_domain_count () - 1]; when [jobs]
-    is given the global pool is resized to it first).  The heavy
+    wide when [jobs] is omitted; when [jobs] is given the global pool is
+    resized to it first).  The heavy
     experiments additionally shard their per-configuration machine runs
     onto the same pool from inside their jobs — the pool's [map] is
     re-entrant, so the nesting is safe.  Outcomes come back in the order

@@ -55,8 +55,6 @@ let run_point ~scale regime n =
   let cfg =
     {
       (Vmm.Config.default ~guests:(List.init n (fun _ -> guest))) with
-      (* Every knob the sweep varies is pinned explicitly, so the
-         VSWAPPER_* env overrides baked into [default] cannot leak in. *)
       vs = Vswapper.Vsconfig.baseline;
       host_mem_mb = n * guest_mb * 2;
       host_swap_mb = n * guest_mb;

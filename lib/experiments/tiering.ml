@@ -49,8 +49,6 @@ let run_point ~scale kind tiers =
   let cfg =
     {
       (Vmm.Config.default ~guests:[ guest ]) with
-      (* Every knob is pinned explicitly, so the VSWAPPER_* env
-         overrides baked into [default] cannot leak into the sweep. *)
       vs = Exp.vs_of kind;
       host_mem_mb = guest_mb * 2;
       (* Sized to the swapped working set (guest minus resident limit)
@@ -59,9 +57,6 @@ let run_point ~scale kind tiers =
          even a 25% share bigger than the live set — every sweep point
          would behave like share 100. *)
       host_swap_mb = max 16 (guest_mb - limit_mb + 8);
-      disk = Storage.Disk.default_config;
-      hbase = Host.Hconfig.default;
-      async_faults = false;
       tiers;
     }
   in

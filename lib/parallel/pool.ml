@@ -22,10 +22,10 @@ let max_jobs = 126
 
 let clamp_jobs j = max 1 (min max_jobs j)
 
-(* Explicitly requested widths (the [?jobs] argument, [VSWAPPER_JOBS],
-   bench [--jobs]) warn the first time one is clamped.  The derived
-   fallback [recommended_domain_count () - 1] clamps silently — it hits
-   the floor on every 1-core box and is not a user request. *)
+(* Explicitly requested widths (the [?jobs] argument, bench [--jobs])
+   warn the first time one is clamped.  The derived default
+   [recommended_domain_count () - 1] clamps silently — it hits the floor
+   on every 1-core box and is not a user request. *)
 let clamp_warned = Atomic.make false
 
 let clamp_jobs_requested j =
@@ -36,14 +36,7 @@ let clamp_jobs_requested j =
       j clamped max_jobs;
   clamped
 
-let default_jobs () =
-  let fallback () = clamp_jobs (Domain.recommended_domain_count () - 1) in
-  match Sys.getenv_opt "VSWAPPER_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> clamp_jobs_requested n
-      | Some _ | None -> fallback ())
-  | None -> fallback ()
+let default_jobs () = clamp_jobs (Domain.recommended_domain_count () - 1)
 
 (* Worker loop: block for work, run it, repeat until closed and drained.
    Tasks never raise — [map] wraps each job in its own exception capture —

@@ -18,8 +18,8 @@
     matter how deep they go or how few workers exist.
 
     Most code should share one pool rather than spawning private worker
-    sets: {!global} returns the process-wide instance (sized by
-    [VSWAPPER_JOBS] at first use; resize with {!set_global_jobs}). *)
+    sets: {!global} returns the process-wide instance ({!default_jobs}
+    wide at first use; resize with {!set_global_jobs}). *)
 
 type t
 
@@ -29,9 +29,10 @@ type t
     explicitly requested width is clamped). *)
 val max_jobs : int
 
-(** [default_jobs ()] is the pool width used when [?jobs] is omitted: the
-    [VSWAPPER_JOBS] environment variable if set to a positive integer,
-    otherwise [Domain.recommended_domain_count () - 1], floored at 1. *)
+(** [default_jobs ()] is the pool width used when [?jobs] is omitted:
+    [Domain.recommended_domain_count () - 1], clamped to
+    [1 .. max_jobs].  The environment is not consulted; callers that
+    want another width pass [?jobs] or call {!set_global_jobs}. *)
 val default_jobs : unit -> int
 
 (** [create ?jobs ()] spawns [jobs - 1] worker domains ([jobs] counts the

@@ -14,10 +14,10 @@
 
     Two events queued for the same time always pop in the order they
     were added — cascades walk chains head-to-tail and re-link at the
-    tail, so the wheel is stable exactly like the binary {!Heap} with
-    its insertion sequence numbers.
+    tail, so the wheel is stable: same-time events fire in insertion
+    order.
 
-    Records are handle-addressed like the engine's slab: a handle packs
+    Records are handle-addressed: a handle packs
     (slot index, generation); releasing a record bumps its generation so
     stale handles are detected and ignored.  Steady-state operation
     allocates nothing: records recycle through the slab's freelist and

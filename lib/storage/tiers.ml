@@ -38,29 +38,6 @@ let kind_to_string = function
   | Czram -> "czram"
   | Remote -> "remote"
 
-let kind_of_string = function
-  | "disk" -> Some Disk_tier
-  | "czram" -> Some Czram
-  | "remote" -> Some Remote
-  | _ -> None
-
-(* "fast+slow" ("czram+disk", "disk+remote", ...); a single kind puts
-   everything on that tier over a disk slow tier, except the plain
-   "disk" which is the passthrough default. *)
-let pair_of_string s =
-  match String.index_opt s '+' with
-  | Some i -> (
-      let a = String.sub s 0 i in
-      let b = String.sub s (i + 1) (String.length s - i - 1) in
-      match (kind_of_string a, kind_of_string b) with
-      | Some f, Some sl -> Some (f, sl)
-      | _ -> None)
-  | None -> (
-      match kind_of_string s with
-      | Some Disk_tier -> Some (Disk_tier, Disk_tier)
-      | Some k -> Some (k, Disk_tier)
-      | None -> None)
-
 let pair_to_string cfg =
   if cfg.fast = Disk_tier && cfg.slow = Disk_tier then "disk"
   else kind_to_string cfg.fast ^ "+" ^ kind_to_string cfg.slow

@@ -40,16 +40,12 @@ type config = {
       (** interval between probes of a degraded fast tier *)
 }
 
-(** Both tiers on the disk: the passthrough default. *)
+(** Both tiers on the disk: the passthrough default, and the [tiers]
+    field of [Vmm.Config.default].  Callers pick another pair by
+    overriding [fast] / [slow] and the per-tier fields. *)
 val disk_only : config
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
-(** [pair_of_string "czram+disk"] parses a VSWAPPER_TIERS value:
-    ["fast+slow"], or a single kind (over a disk slow tier; plain
-    ["disk"] is the passthrough pair). *)
-val pair_of_string : string -> (kind * kind) option
 
 (** [pair_to_string cfg] renders the tier pair (["disk"],
     ["czram+disk"], ...). *)

@@ -39,94 +39,12 @@ let default_guest ~workload =
     misaligned_io_percent = 0;
   }
 
-(* Environment overrides, so smoke tests and sweeps can flip a stock
-   experiment into the async multi-queue regime without editing it.
-   Unset (or unparsable) variables leave the defaults untouched. *)
-let env_int name fallback =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | Some _ | None -> fallback)
-  | None -> fallback
-
-let env_flag name fallback =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> fallback
-
-let env_float name fallback =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0.0 -> v
-      | Some _ | None -> fallback)
-  | None -> fallback
-
-(* VSWAPPER_TIERS picks the tier pair ("disk", "czram+disk",
-   "disk+remote", "czram+remote"); the per-tier knobs refine it.  The
-   default is the disk-only passthrough, so every run without these
-   variables behaves exactly as before tiering existed. *)
-let env_tiers () =
-  let base = Storage.Tiers.disk_only in
-  let base =
-    match Sys.getenv_opt "VSWAPPER_TIERS" with
-    | Some s -> (
-        match Storage.Tiers.pair_of_string (String.lowercase_ascii (String.trim s)) with
-        | Some (fast, slow) -> { base with Storage.Tiers.fast; slow }
-        | None -> base)
-    | None -> base
-  in
-  {
-    base with
-    Storage.Tiers.fast_share_percent =
-      env_int "VSWAPPER_FAST_SHARE" base.Storage.Tiers.fast_share_percent;
-    czram_admit_ratio =
-      env_float "VSWAPPER_CZRAM_RATIO" base.Storage.Tiers.czram_admit_ratio;
-    remote_rtt_us =
-      env_int "VSWAPPER_REMOTE_RTT_US" base.Storage.Tiers.remote_rtt_us;
-    remote_gbps =
-      env_float "VSWAPPER_REMOTE_GBPS" base.Storage.Tiers.remote_gbps;
-  }
-
 let default ~guests =
-  let disk =
-    {
-      Storage.Disk.default_config with
-      num_queues =
-        env_int "VSWAPPER_QUEUES" Storage.Disk.default_config.num_queues;
-      per_queue_depth =
-        env_int "VSWAPPER_QDEPTH" Storage.Disk.default_config.per_queue_depth;
-    }
-  in
-  let hbase =
-    match Sys.getenv_opt "VSWAPPER_MAX_INFLIGHT" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some v when v >= 0 ->
-            { Host.Hconfig.default with max_inflight_faults = v }
-        | Some _ | None -> Host.Hconfig.default)
-    | None -> Host.Hconfig.default
-  in
-  (* Degraded-media knobs: both layers default off (rate 0), so runs
-     without these variables schedule no scrub ticks and no QoS layer. *)
-  let hbase =
-    {
-      hbase with
-      Host.Hconfig.scrub_rate_pages_s =
-        env_int "VSWAPPER_SCRUB_RATE" hbase.Host.Hconfig.scrub_rate_pages_s;
-      scrub_repair_budget =
-        env_int "VSWAPPER_SCRUB_BUDGET" hbase.Host.Hconfig.scrub_repair_budget;
-      qos_rate = env_int "VSWAPPER_QOS_RATE" hbase.Host.Hconfig.qos_rate;
-      qos_burst = env_int "VSWAPPER_QOS_BURST" hbase.Host.Hconfig.qos_burst;
-    }
-  in
   {
     host_mem_mb = 2048;
     vs = Vswapper.Vsconfig.baseline;
-    hbase;
-    disk;
+    hbase = Host.Hconfig.default;
+    disk = Storage.Disk.default_config;
     manager = None;
     host_swap_mb = 8192;
     guests;
@@ -134,8 +52,8 @@ let default ~guests =
     seed = 42;
     faults = Faults.Config.none;
     epoch_faults = false;
-    async_faults = env_flag "VSWAPPER_ASYNC" false;
-    tiers = env_tiers ();
+    async_faults = false;
+    tiers = Storage.Tiers.disk_only;
   }
 
 let name_of t =

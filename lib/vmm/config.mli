@@ -54,23 +54,14 @@ type t = {
 
 val default_guest : workload:Workload.t -> guest_spec
 
-(** [default ~guests] reads optional environment overrides so smoke
-    tests can flip a stock experiment into the async multi-queue regime:
-    [VSWAPPER_ASYNC] (bool) sets [async_faults], [VSWAPPER_QUEUES] /
-    [VSWAPPER_QDEPTH] (positive ints) set the disk's [num_queues] /
-    [per_queue_depth], [VSWAPPER_MAX_INFLIGHT] (int >= 0) sets
-    [Host.Hconfig.max_inflight_faults].  Tiering knobs:
-    [VSWAPPER_TIERS] ("disk", "czram+disk", "disk+remote",
-    "czram+remote") picks the tier pair; [VSWAPPER_FAST_SHARE]
-    (percent), [VSWAPPER_CZRAM_RATIO] (max admitted compression
-    ratio), [VSWAPPER_REMOTE_RTT_US] and [VSWAPPER_REMOTE_GBPS]
-    refine it.  Degraded-media knobs: [VSWAPPER_SCRUB_RATE] (swap
-    slots verified per simulated second; 0 = no scrubber) and
-    [VSWAPPER_SCRUB_BUDGET] (relocations per scrub pass) arm the
-    background scrubber; [VSWAPPER_QOS_RATE] (swap-in faults admitted
-    per guest per simulated second; 0 = no QoS) and
-    [VSWAPPER_QOS_BURST] (bucket depth) arm per-guest I/O admission
-    control. *)
+(** [default ~guests] is the stock machine: 2 GiB host, 8 GiB host
+    swap, baseline (no VSwapper), no balloon manager, the default disk
+    (one queue), the sync fault path, disk-only swap, no faults, no
+    scrubber and no QoS, seed 42.  It reads nothing from the
+    environment: every knob is a field of the record, so an experiment
+    selects async faults, a multi-queue disk, a tier pair, the
+    scrubber or QoS admission by overriding [async_faults], [disk],
+    [tiers] or [hbase] on the result. *)
 val default : guests:guest_spec list -> t
 
 (** [name_of_vs cfg] is the paper's name for a configuration:

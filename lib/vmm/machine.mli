@@ -35,8 +35,8 @@ val stats : t -> Metrics.Stats.t
 val host : t -> Host.Hostmm.t
 val disk : t -> Storage.Disk.t
 
-(** The background scrubber, when [Hconfig.scrub_rate_pages_s > 0]
-    (e.g. via [VSWAPPER_SCRUB_RATE]); [None] means no scrub ticks are
+(** The background scrubber, when the config's
+    [hbase.scrub_rate_pages_s > 0]; [None] means no scrub ticks are
     ever scheduled.  Armed at the workload epoch — not at [build] — so
     its verify reads do not hold the boot sequence's disk-settle wait
     open.  Exposed so draining tests can [Host.Scrub.stop] the

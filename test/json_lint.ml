@@ -1,5 +1,5 @@
 (* Lint files with the strict Metrics.Json parser; exit 1 naming the
-   first offence.  The async-smoke alias runs this over every summary
+   first offence.  The bench smoke matrix runs this over every summary
    `bench --json` emits, so an invalid byte (like the old `+2.943`
    delta) fails `dune runtest` instead of the next consumer. *)
 let () =

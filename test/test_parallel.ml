@@ -50,18 +50,6 @@ let pool_reusable_and_serial_equal () =
         (List.map Result.get_ok serial)
         (List.map Result.get_ok a))
 
-let jobs_env_override () =
-  let old = Sys.getenv_opt "VSWAPPER_JOBS" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "VSWAPPER_JOBS" (Option.value old ~default:""))
-    (fun () ->
-      Unix.putenv "VSWAPPER_JOBS" "5";
-      check Alcotest.int "override respected" 5 (Parallel.Pool.default_jobs ());
-      Unix.putenv "VSWAPPER_JOBS" "not-a-number";
-      Alcotest.(check bool) "garbage falls back to >= 1" true
-        (Parallel.Pool.default_jobs () >= 1))
-
 (* A small fig3-style machine; everything the run touches is built here,
    so concurrent copies must produce identical counters. *)
 let tiny_machine_stats () =
@@ -174,16 +162,14 @@ let global_inner_exception_isolated () =
     out
 
 let clamp_and_stats () =
-  (* Clamping is observable without spawning (a max_jobs-wide pool plus
-     the global pool would exceed the runtime's 128-domain cap). *)
-  let old = Sys.getenv_opt "VSWAPPER_JOBS" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "VSWAPPER_JOBS" (Option.value old ~default:""))
-    (fun () ->
-      Unix.putenv "VSWAPPER_JOBS" (string_of_int (Parallel.Pool.max_jobs + 100));
-      check Alcotest.int "width clamped to max_jobs" Parallel.Pool.max_jobs
-        (Parallel.Pool.default_jobs ()));
+  (* Shrink the global pool to the inline path first: a max_jobs-wide
+     pool next to a live global one would exceed the runtime's
+     128-domain cap. *)
+  Parallel.Pool.set_global_jobs 1;
+  let p = Parallel.Pool.create ~jobs:(Parallel.Pool.max_jobs + 100) () in
+  let width = Parallel.Pool.jobs p in
+  Parallel.Pool.shutdown p;
+  check Alcotest.int "width clamped to max_jobs" Parallel.Pool.max_jobs width;
   Parallel.Pool.set_global_jobs 4;
   let g = Parallel.Pool.global () in
   Parallel.Pool.reset_stats g;
@@ -243,7 +229,6 @@ let tests =
           pool_captures_exceptions;
         Alcotest.test_case "pool reusable, serial-equal" `Quick
           pool_reusable_and_serial_equal;
-        Alcotest.test_case "VSWAPPER_JOBS override" `Quick jobs_env_override;
       ] );
     ( "parallel:nesting",
       [

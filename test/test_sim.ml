@@ -1,5 +1,5 @@
 (* Unit and property tests for the simulation substrate: virtual time,
-   the deterministic PRNG, the stable binary heap, and the engine. *)
+   the deterministic PRNG, and the engine over its timing wheel. *)
 
 let check = Alcotest.check
 let qcheck = Test_util.qcheck
@@ -81,125 +81,11 @@ let rng_float_bounds =
       v >= 0.0 && v < 3.5)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let heap_basic () =
-  let h = Sim.Heap.create () in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  Sim.Heap.add h ~priority:5 "five";
-  Sim.Heap.add h ~priority:1 "one";
-  Sim.Heap.add h ~priority:3 "three";
-  check Alcotest.int "length" 3 (Sim.Heap.length h);
-  check Alcotest.(option (pair int string)) "peek" (Some (1, "one")) (Sim.Heap.peek_min h);
-  check Alcotest.(option (pair int string)) "pop1" (Some (1, "one")) (Sim.Heap.pop_min h);
-  check Alcotest.(option (pair int string)) "pop2" (Some (3, "three")) (Sim.Heap.pop_min h);
-  check Alcotest.(option (pair int string)) "pop3" (Some (5, "five")) (Sim.Heap.pop_min h);
-  check Alcotest.(option (pair int string)) "pop4" None (Sim.Heap.pop_min h)
-
-let heap_stable_at_equal_priority () =
-  let h = Sim.Heap.create () in
-  List.iteri (fun i v -> Sim.Heap.add h ~priority:(i mod 2) v) [ "a"; "b"; "c"; "d"; "e" ];
-  (* priorities: a:0 b:1 c:0 d:1 e:0 -> pops a,c,e (FIFO within 0), b,d *)
-  let pops = List.init 5 (fun _ -> snd (Option.get (Sim.Heap.pop_min h))) in
-  Alcotest.(check (list string)) "stable" [ "a"; "c"; "e"; "b"; "d" ] pops
-
-let heap_clear () =
-  let h = Sim.Heap.create () in
-  Sim.Heap.add h ~priority:1 "x";
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Sim.Heap.is_empty h);
-  check Alcotest.(option (pair int string)) "no peek" None (Sim.Heap.peek_min h)
-
-let heap_sorts =
-  QCheck.Test.make ~name:"heap: pops in sorted order" ~count:200
-    QCheck.(list small_int)
-    (fun l ->
-      let h = Sim.Heap.create () in
-      List.iter (fun p -> Sim.Heap.add h ~priority:p p) l;
-      let rec drain acc =
-        match Sim.Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare l)
-
-let heap_unboxed_accessors () =
-  let h = Sim.Heap.create () in
-  Alcotest.check_raises "top_priority on empty"
-    (Invalid_argument "Heap.top_priority: empty heap") (fun () ->
-      ignore (Sim.Heap.top_priority h));
-  Alcotest.check_raises "top on empty" (Invalid_argument "Heap.top: empty heap")
-    (fun () -> ignore (Sim.Heap.top h));
-  Alcotest.check_raises "drop_min on empty"
-    (Invalid_argument "Heap.drop_min: empty heap") (fun () -> Sim.Heap.drop_min h);
-  Sim.Heap.add h ~priority:7 "seven";
-  Sim.Heap.add h ~priority:2 "two";
-  check Alcotest.int "top_priority" 2 (Sim.Heap.top_priority h);
-  check Alcotest.string "top" "two" (Sim.Heap.top h);
-  Sim.Heap.drop_min h;
-  check Alcotest.(option (pair int string)) "drop removed the min"
-    (Some (7, "seven"))
-    (Sim.Heap.pop_min h)
-
-(* Interleave pushes and pops in a random order against a sorted-list
-   model.  Values record insertion order, so this also checks that ties
-   drain FIFO-stably — including across pops that shrink and re-sift the
-   backing arrays. *)
-let heap_interleaved_stable =
-  QCheck.Test.make
-    ~name:"heap: random push/pop interleavings drain sorted and FIFO-stable"
-    ~count:300
-    (* Some None = pop; Some p = push with priority p (small range forces
-       ties). *)
-    QCheck.(list (option (int_range 0 8)))
-    (fun ops ->
-      let h = Sim.Heap.create () in
-      let model = ref [] (* sorted (priority, insertion_seq) list *)
-      and seq = ref 0
-      and ok = ref true in
-      let insert (p, s) =
-        let rec go = function
-          | [] -> [ (p, s) ]
-          | (p', s') :: rest when p' < p || (p' = p && s' < s) ->
-              (p', s') :: go rest
-          | rest -> (p, s) :: rest
-        in
-        model := go !model
-      in
-      List.iter
-        (fun op ->
-          match op with
-          | Some p ->
-              Sim.Heap.add h ~priority:p !seq;
-              insert (p, !seq);
-              incr seq
-          | None -> (
-              match (Sim.Heap.pop_min h, !model) with
-              | None, [] -> ()
-              | Some got, expected :: rest ->
-                  if got <> expected then ok := false;
-                  model := rest
-              | Some _, [] | None, _ :: _ -> ok := false))
-        ops;
-      (* Drain whatever remains and compare against the model tail. *)
-      let rec drain acc =
-        match Sim.Heap.pop_min h with
-        | None -> List.rev acc
-        | Some pv -> drain (pv :: acc)
-      in
-      !ok && drain [] = !model)
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every engine test runs against both event-queue backends: the default
-   timing wheel and the `VSWAPPER_ENGINE=heap` binary heap.  Observable
-   semantics must be identical. *)
-
-let engine_ordering backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_ordering () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 30) (fun () -> log := 30 :: !log));
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> log := 10 :: !log));
@@ -208,8 +94,8 @@ let engine_ordering backend () =
   Alcotest.(check (list int)) "fires in order" [ 10; 20; 30 ] (List.rev !log);
   check Alcotest.int "clock at last event" 30 (Sim.Engine.now e)
 
-let engine_cascade backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_cascade () =
+  let e = Sim.Engine.create () in
   let count = ref 0 in
   let rec tick n () =
     if n > 0 then begin
@@ -222,8 +108,8 @@ let engine_cascade backend () =
   check Alcotest.int "all ticks" 10 !count;
   check Alcotest.int "clock" 55 (Sim.Engine.now e)
 
-let engine_cancel backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_cancel () =
+  let e = Sim.Engine.create () in
   let fired = ref false in
   let ev = Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := true) in
   Sim.Engine.cancel e ev;
@@ -233,15 +119,15 @@ let engine_cancel backend () =
   (* double-cancel is a no-op *)
   Sim.Engine.cancel e ev
 
-let engine_past_rejected backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_past_rejected () =
+  let e = Sim.Engine.create () in
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 50) (fun () -> ()));
   Sim.Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: 10 is in the past (now=50)")
     (fun () -> ignore (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> ())))
 
-let engine_run_until backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_run_until () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   List.iter
     (fun t -> ignore (Sim.Engine.schedule_at e (Sim.Time.us t) (fun () -> log := t :: !log)))
@@ -256,8 +142,8 @@ let engine_run_until backend () =
 (* Regression: an event scheduled exactly at the limit must fire during
    [run_until limit] (the cutoff is events *after* the limit), and the
    comparison must go through [Time.compare], not raw ints. *)
-let engine_run_until_at_limit backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_run_until_at_limit () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   List.iter
     (fun t ->
@@ -278,8 +164,8 @@ let engine_run_until_at_limit backend () =
 (* run_at/run_after events recycle through a freelist; interleave them
    with cancellable schedule_at handles to check neither corrupts the
    other. *)
-let engine_recycled_events backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_recycled_events () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   for round = 0 to 2 do
     let base = Sim.Engine.now e in
@@ -309,8 +195,8 @@ let engine_recycled_events backend () =
 (* Handles are generation-counted: cancelling after the event fired is
    a no-op (it used to corrupt the pending count), and a stale handle
    never cancels the unrelated event that recycled its slot. *)
-let engine_cancel_after_fire backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_cancel_after_fire () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   let h1 = Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := 1 :: !fired) in
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 20) (fun () -> fired := 2 :: !fired));
@@ -322,8 +208,8 @@ let engine_cancel_after_fire backend () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "both fired" [ 1; 2 ] (List.rev !fired)
 
-let engine_stale_handle_spares_slot_reuser backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_stale_handle_spares_slot_reuser () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   let h1 = Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := 1 :: !fired) in
   Sim.Engine.run e;
@@ -334,11 +220,10 @@ let engine_stale_handle_spares_slot_reuser backend () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "both fired" [ 1; 2 ] (List.rev !fired)
 
-(* Cancelled records are reclaimed on both drain paths (run/run_until
-   pops them off the top; step drops them on the way to the next live
-   event) and their slots recycle cleanly. *)
-let engine_cancelled_reclaimed_by_step backend () =
-  let e = Sim.Engine.create ~backend () in
+(* Cancelled records never fire on either drain path (run/run_until
+   and step) and their slots recycle cleanly. *)
+let engine_cancelled_reclaimed_by_step () =
+  let e = Sim.Engine.create () in
   let leaked = ref false in
   for _round = 1 to 3 do
     let h =
@@ -353,15 +238,12 @@ let engine_cancelled_reclaimed_by_step backend () =
   Alcotest.(check bool) "cancelled never fired" false !leaked;
   check Alcotest.int "queue empty" 0 (Sim.Engine.pending e)
 
-let engine_monotone_time backend =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "engine(%s): callbacks fire in non-decreasing time"
-         (Sim.Engine.backend_name backend))
+let engine_monotone_time =
+  QCheck.Test.make ~name:"engine(wheel): callbacks fire in non-decreasing time"
     ~count:200
     QCheck.(list (int_range 0 10_000))
     (fun times ->
-      let e = Sim.Engine.create ~backend () in
+      let e = Sim.Engine.create () in
       let fired = ref [] in
       List.iter
         (fun t ->
@@ -380,8 +262,8 @@ exception Boom
    consistent: the fired event's record is recycled before the callback
    runs, so nothing leaks, the clock stays where the raising event fired,
    and the remaining events still run afterwards. *)
-let engine_exception_safety backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_exception_safety () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   ignore
     (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := 1 :: !fired));
@@ -406,8 +288,8 @@ let engine_exception_safety backend () =
   Alcotest.(check int) "all survivors fired" 39 (List.length !fired);
   Alcotest.(check int) "none left" 0 (Sim.Engine.pending e)
 
-let engine_same_time_fifo backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_same_time_fifo () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   List.iter
     (fun v -> ignore (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> log := v :: !log)))
@@ -417,11 +299,10 @@ let engine_same_time_fifo backend () =
 
 (* An event scheduled for the current instant from inside a callback
    joins the tail of that instant: it fires after the events already
-   queued at the same time and before any later time — identically on
-   both backends (the heap by seq order; the wheel by draining the
-   refilled current slot as a later batch at the same tick). *)
-let engine_same_tick_reentry backend () =
-  let e = Sim.Engine.create ~backend () in
+   queued at the same time and before any later time: the wheel drains
+   the refilled current slot as a later batch at the same tick. *)
+let engine_same_tick_reentry () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   ignore
     (Sim.Engine.schedule_at e (Sim.Time.us 50) (fun () ->
@@ -435,12 +316,11 @@ let engine_same_tick_reentry backend () =
   Alcotest.(check (list int)) "reentry after the batch, before the next tick"
     [ 0; 1; 9; 2 ] (List.rev !log)
 
-(* [cancelled_pending] separates lazy cancellation (heap) from true
-   removal (wheel): the wheel must report 0 after every cancel — no dead
-   record is ever left queued — while the heap accumulates tombstones
-   that the next drain reclaims. *)
-let engine_cancelled_pending backend () =
-  let e = Sim.Engine.create ~backend () in
+(* Cancellation is true removal: every cancel recycles its record at
+   once (no tombstone waits for a drain), and [pending] counts live
+   events only. *)
+let engine_cancelled_pending () =
+  let e = Sim.Engine.create () in
   let hs =
     List.init 8 (fun i ->
         Sim.Engine.schedule_at e (Sim.Time.us (10 * (i + 1))) (fun () -> ()))
@@ -449,22 +329,18 @@ let engine_cancelled_pending backend () =
   List.iteri
     (fun i h ->
       Sim.Engine.cancel e h;
-      match backend with
-      | Sim.Engine.Wheel ->
-          check Alcotest.int "wheel: zero dead records queued" 0
-            (Sim.Engine.cancelled_pending e)
-      | Sim.Engine.Heap ->
-          check Alcotest.int "heap: tombstones accumulate" (i + 1)
-            (Sim.Engine.cancelled_pending e))
+      check Alcotest.int "record reclaimed at cancel" (i + 1)
+        (Sim.Engine.telemetry e).Sim.Engine.cancels_reclaimed;
+      check Alcotest.int "pending counts live events only" (8 - i)
+        (Sim.Engine.pending e))
     hs;
-  check Alcotest.int "pending counts live events only" 1 (Sim.Engine.pending e);
   Sim.Engine.run e;
-  check Alcotest.int "drain reclaims every tombstone" 0
-    (Sim.Engine.cancelled_pending e);
-  check Alcotest.int "queue empty" 0 (Sim.Engine.pending e)
+  check Alcotest.int "queue empty" 0 (Sim.Engine.pending e);
+  check Alcotest.int "only the live event fired" 1
+    (Sim.Engine.telemetry e).Sim.Engine.events_fired
 
-let engine_telemetry backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_telemetry () =
+  let e = Sim.Engine.create () in
   for i = 1 to 10 do
     ignore (Sim.Engine.schedule_at e (Sim.Time.us (i * 10)) (fun () -> ()))
   done;
@@ -472,9 +348,6 @@ let engine_telemetry backend () =
   Sim.Engine.cancel e h;
   Sim.Engine.run e;
   let tel = Sim.Engine.telemetry e in
-  Alcotest.(check string) "backend recorded"
-    (Sim.Engine.backend_name backend)
-    (Sim.Engine.backend_name tel.Sim.Engine.tel_backend);
   Alcotest.(check int) "fired = callbacks invoked" 10 tel.Sim.Engine.events_fired;
   Alcotest.(check int) "cancelled record reclaimed exactly once" 1
     tel.Sim.Engine.cancels_reclaimed
@@ -487,7 +360,7 @@ let engine_telemetry backend () =
    262144 by level 3.  Aligned-window placement and cascading must fire
    boundary±1 times in exact order with exact clocks. *)
 let wheel_level_boundary () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let times = [ 65; 4096; 63; 262145; 4095; 64; 262143; 4097; 262144; 1; 0 ] in
   let log = ref [] in
   List.iter
@@ -505,7 +378,7 @@ let wheel_level_boundary () =
    in time order with FIFO ties, and the far events must have cascaded
    down through the levels on the way. *)
 let wheel_deep_cascade () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let log = ref [] in
   let add t v =
     ignore (Sim.Engine.schedule_at e (Sim.Time.us t) (fun () -> log := v :: !log))
@@ -531,7 +404,7 @@ let wheel_deep_cascade () =
    still parked at level 1 must all unlink cleanly, leaving no dead
    record queued. *)
 let wheel_cancel_during_cascade () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let log = ref [] in
   (* Tick 100 lives on level 1 from wheel time 0, so reaching it forces a
      cascade; the handles below are all in flight mid-drain when event 0
@@ -556,15 +429,15 @@ let wheel_cancel_during_cascade () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "cancelled events skipped mid-batch" [ 0; 1; 5 ]
     (List.rev !log);
-  Alcotest.(check int) "no dead records queued" 0
-    (Sim.Engine.cancelled_pending e);
+  Alcotest.(check int) "every cancelled record reclaimed" 3
+    (Sim.Engine.telemetry e).Sim.Engine.cancels_reclaimed;
   Alcotest.(check int) "queue empty" 0 (Sim.Engine.pending e)
 
 (* Peeking must not advance the wheel: after [run_until] returns with a
    far-future event still queued, a fresh event far earlier than it (but
    after the engine clock) must be accepted and fire first. *)
 let wheel_peek_does_not_advance () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let log = ref [] in
   ignore
     (Sim.Engine.schedule_at e (Sim.Time.us 1_000_000) (fun () ->
@@ -577,11 +450,42 @@ let wheel_peek_does_not_advance () =
     (List.rev !log)
 
 (* The differential harness: random schedule / cancel / run_until traces
-   replayed against both backends must produce the same observable
-   outcome — firing order as (id, time) pairs, final clock, and final
-   pending count.  Far schedules (x10000) push events past the wheel
-   horizon so the overflow list is exercised too. *)
+   replayed on the engine and on a sorted-list oracle must produce the
+   same observable outcome — firing order as (id, time) pairs, pending
+   count after every op, and final clock.  Far schedules (x10000) push
+   events past the wheel horizon so the overflow list is exercised too. *)
 type trace_op = Sched of int | Sched_far of int | Cancel_nth of int | Run_for of int
+
+(* The oracle keeps every scheduled entry in a list stably sorted by
+   time, so same-time entries stay in insertion order; a cancel flags
+   its entry, and firing drops flagged entries without touching the
+   clock.  [fired] logs (id, time), newest first. *)
+type entry = { at : int; id : int; mutable cancelled : bool }
+
+type oracle = {
+  mutable now : int;
+  mutable queue : entry list;
+  mutable fired : (int * int) list;
+}
+
+let oracle_schedule o ~id d =
+  let en = { at = o.now + d; id; cancelled = false } in
+  o.queue <- List.stable_sort (fun a b -> compare a.at b.at) (o.queue @ [ en ]);
+  en
+
+let rec oracle_run_until o limit =
+  match o.queue with
+  | en :: rest when en.at <= limit ->
+      o.queue <- rest;
+      if not en.cancelled then begin
+        o.now <- en.at;
+        o.fired <- (en.id, en.at) :: o.fired
+      end;
+      oracle_run_until o limit
+  | _ -> ()
+
+let oracle_pending o =
+  List.length (List.filter (fun en -> not en.cancelled) o.queue)
 
 let engine_differential =
   let op_gen =
@@ -605,45 +509,46 @@ let engine_differential =
       ~print:(QCheck.Print.list print_op)
       QCheck.Gen.(list_size (int_range 0 60) op_gen)
   in
-  QCheck.Test.make ~name:"engine: wheel = heap on random traces" ~count:300 arb
-    (fun ops ->
-      let replay backend =
-        let e = Sim.Engine.create ~backend () in
-        let fired = ref [] in
-        let handles = ref [] in
-        let next_id = ref 0 in
-        let sched d =
-          let id = !next_id in
-          incr next_id;
-          let h =
-            Sim.Engine.schedule_after e (Sim.Time.us d) (fun () ->
-                fired := (id, Sim.Time.to_us (Sim.Engine.now e)) :: !fired)
-          in
-          handles := h :: !handles
+  QCheck.Test.make ~name:"engine: wheel = sorted-list oracle on random traces"
+    ~count:300 arb (fun ops ->
+      let e = Sim.Engine.create () in
+      let o = { now = 0; queue = []; fired = [] } in
+      let fired = ref [] in
+      let handles = ref [] and entries = ref [] in
+      let ok = ref true in
+      let sched id d =
+        let h =
+          Sim.Engine.schedule_after e (Sim.Time.us d) (fun () ->
+              fired := (id, Sim.Time.to_us (Sim.Engine.now e)) :: !fired)
         in
-        List.iter
-          (function
-            | Sched d -> sched d
-            | Sched_far d -> sched (d * 10_000)
-            | Cancel_nth k -> (
-                match List.nth_opt !handles k with
-                | Some h -> Sim.Engine.cancel e h
-                | None -> ())
-            | Run_for d ->
-                ignore
-                  (Sim.Engine.run_until e
-                     (Sim.Time.add (Sim.Engine.now e) (Sim.Time.us d))))
-          ops;
-        Sim.Engine.run e;
-        ( List.rev !fired,
-          Sim.Time.to_us (Sim.Engine.now e),
-          Sim.Engine.pending e )
+        handles := h :: !handles;
+        entries := oracle_schedule o ~id d :: !entries
       in
-      replay Sim.Engine.Wheel = replay Sim.Engine.Heap)
+      List.iteri
+        (fun id op ->
+          (match op with
+          | Sched d -> sched id d
+          | Sched_far d -> sched id (d * 10_000)
+          | Cancel_nth k -> (
+              match (List.nth_opt !handles k, List.nth_opt !entries k) with
+              | Some h, Some en ->
+                  Sim.Engine.cancel e h;
+                  en.cancelled <- true
+              | _ -> ())
+          | Run_for d ->
+              ignore
+                (Sim.Engine.run_until e
+                   (Sim.Time.add (Sim.Engine.now e) (Sim.Time.us d)));
+              oracle_run_until o (o.now + d));
+          if Sim.Engine.pending e <> oracle_pending o then ok := false)
+        ops;
+      Sim.Engine.run e;
+      oracle_run_until o max_int;
+      !ok && !fired = o.fired && Sim.Time.to_us (Sim.Engine.now e) = o.now)
 
-let engine_cases backend =
-  let tc name f = Alcotest.test_case name `Quick (f backend) in
-  ( Printf.sprintf "sim:engine(%s)" (Sim.Engine.backend_name backend),
+let engine_cases =
+  let tc name f = Alcotest.test_case name `Quick f in
+  ( "sim:engine(wheel)",
     [
       tc "ordering" engine_ordering;
       tc "cascading events" engine_cascade;
@@ -660,7 +565,7 @@ let engine_cases backend =
       tc "exception safety" engine_exception_safety;
       tc "cancelled_pending accounting" engine_cancelled_pending;
       tc "telemetry counters" engine_telemetry;
-      qcheck (engine_monotone_time backend);
+      qcheck engine_monotone_time;
     ] )
 
 let tests =
@@ -680,17 +585,7 @@ let tests =
           qcheck rng_shuffle_permutes;
           qcheck rng_float_bounds;
         ] );
-      ( "sim:heap",
-        [
-          Alcotest.test_case "basic ops" `Quick heap_basic;
-          Alcotest.test_case "stability" `Quick heap_stable_at_equal_priority;
-          Alcotest.test_case "clear" `Quick heap_clear;
-          Alcotest.test_case "unboxed accessors" `Quick heap_unboxed_accessors;
-          qcheck heap_sorts;
-          qcheck heap_interleaved_stable;
-        ] );
-      engine_cases Sim.Engine.Wheel;
-      engine_cases Sim.Engine.Heap;
+      engine_cases;
       ( "sim:wheel",
         [
           Alcotest.test_case "level-boundary scheduling" `Quick
