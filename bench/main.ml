@@ -32,11 +32,12 @@
    [0; R].  The same seed produces byte-identical sweep output at any
    `--jobs` width.
 
-   `--json [FILE]` additionally writes a machine-readable summary
-   (per-experiment wall-clock with a history of the last runs, estimated
-   speedup vs serial, pool scheduling counters, micro ns/run) to FILE,
-   default `BENCH_<yyyy-mm-dd>.json`, so future changes have a perf
-   trajectory to compare against. *)
+   `--json [FILE]` additionally writes a machine-readable summary of
+   this run to FILE, default `BENCH_<yyyy-mm-dd>.json`: per-experiment
+   wall-clock and allocation, estimated speedup vs serial, the counter
+   sections summed over every experiment's tally, pool scheduling
+   counters and micro ns/run.  It compares against nothing; the
+   committed perf record is benchmark/ledger/. *)
 
 let scale () =
   match Sys.getenv_opt "VSWAPPER_BENCH_SCALE" with
@@ -73,73 +74,90 @@ let today () =
     tm.Unix.tm_mday
 
 type bench_record = {
-  mutable experiments : (string * float * bool * float) list;
-      (* id, wall_s, ok, alloc_words *)
+  mutable outcomes : Experiments.Registry.outcome list;
   mutable total_wall_s : float;
   mutable micros : (string * float) list;  (* name, ns/run *)
   jobs : int;
 }
 
-(* How many past runs each experiment's wall-clock history keeps. *)
-let history_depth = 5
+(* The sweep's counters: every outcome's tally, merged with [Stats.add]
+   (sums, and the max of the two highwaters). *)
+let sweep_stats outcomes =
+  let sum = Metrics.Stats.create () in
+  List.iter
+    (fun (o : Experiments.Registry.outcome) -> Metrics.Stats.add sum o.stats)
+    outcomes;
+  sum
 
-(* [parse_history line] extracts the floats of a `"history": [..]`
-   field, if the line has one. *)
-let parse_history line =
-  let key = "\"history\": [" in
-  match
-    (* Find the key by scanning; String.index-based search, no regex. *)
-    let kl = String.length key and ll = String.length line in
-    let rec find i =
-      if i + kl > ll then None
-      else if String.sub line i kl = key then Some (i + kl)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> []
-  | Some start -> (
-      match String.index_from_opt line start ']' with
-      | None -> []
-      | Some stop ->
-          String.sub line start (stop - start)
-          |> String.split_on_char ','
-          |> List.filter_map (fun s -> float_of_string_opt (String.trim s)))
+let mean_batch_sectors (s : Metrics.Stats.t) =
+  if s.disk_read_batches > 0 then
+    float_of_int s.disk_batch_sectors /. float_of_int s.disk_read_batches
+  else 0.0
 
-(* Per-experiment wall-clocks (and their recorded history) of an earlier
-   summary, for delta lines and history roll-forward.  Parses only the
-   writer's own "id"/"wall_s" record format. *)
-let prev_walls file =
-  if not (Sys.file_exists file) then []
-  else begin
-    let ic = open_in file in
-    let acc = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         try
-           Scanf.sscanf line "{\"id\": %S, \"wall_s\": %f" (fun id w ->
-               acc := (id, (w, parse_history line)) :: !acc)
-         with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
-  end
+(* The summary's counter sections as (key, value) rows, the values
+   already rendered as JSON numbers. *)
+let counter_sections (s : Metrics.Stats.t) =
+  let d = string_of_int in
+  [
+    ( "disk",
+      [
+        ("read_batches", d s.disk_read_batches);
+        ("batched_reads", d s.disk_batched_reads);
+        ("coalesced_reads", d (s.disk_batched_reads - s.disk_read_batches));
+        ("mean_batch_sectors", Printf.sprintf "%.1f" (mean_batch_sectors s));
+      ] );
+    ( "faults",
+      [
+        ("injected", d (s.faults_injected_media + s.faults_injected_transient));
+        ("retried", d s.fault_retries);
+        ("degraded", d s.faults_degraded_batches);
+        ("killed", d s.fault_guest_kills);
+        ("destage_lost", d s.destage_media_errors);
+        ("destage_retried", d s.destage_transient_retries);
+      ] );
+    ( "async",
+      [
+        ("waiter_merges", d s.async_waiter_merges);
+        ("faults_deferred", d s.async_faults_deferred);
+        ("inflight_highwater", d s.async_inflight_highwater);
+      ] );
+    ( "queues",
+      [
+        ("mq_batches", d s.disk_mq_batches);
+        ("depth_highwater", d s.disk_queue_depth_highwater);
+      ] );
+    ( "tiers",
+      [
+        ("admissions", d s.tier_admissions);
+        ("rejects", d s.tier_rejects);
+        ("promotions", d s.tier_promotions);
+        ("demotions", d s.tier_demotions);
+        ("writeback_sectors", d s.tier_writeback_sectors);
+        ("fast_swapins", d s.tier_fast_swapins);
+        ("slow_swapins", d s.tier_slow_swapins);
+        ("fast_swapin_us", d s.tier_fast_swapin_us);
+        ("slow_swapin_us", d s.tier_slow_swapin_us);
+      ] );
+    ( "resilience2",
+      [
+        ("scrub_scans", d s.scrub_scans);
+        ("scrub_verify_reads", d s.scrub_verify_reads);
+        ("scrub_media_found", d s.scrub_media_found);
+        ("scrub_relocations", d s.scrub_relocations);
+        ("scrub_reloc_failed", d s.scrub_reloc_failed);
+        ("qos_throttled", d s.qos_throttled);
+        ("qos_throttle_wait_us", d s.qos_throttle_wait_us);
+        ("tier_degraded", d s.tier_degraded_events);
+        ("tier_recovered", d s.tier_recovered_events);
+        ("tier_failover_routes", d s.tier_failover_routes);
+        ("media_reads", d s.fault_media_reads);
+        ("pages_lost", d s.fault_pages_lost);
+      ] );
+  ]
 
-(* Most recent BENCH_*.json other than [excluding]; dates sort
-   lexicographically. *)
-let latest_bench_file ~excluding =
-  Sys.readdir "." |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f > 6
-         && String.sub f 0 6 = "BENCH_"
-         && Filename.check_suffix f ".json"
-         && f <> Filename.basename excluding)
-  |> List.sort compare |> List.rev
-  |> function
-  | [] -> None
-  | f :: _ -> Some f
+let json_rows rows =
+  List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows
+  |> String.concat ", "
 
 (* Timed schedule/cancel churn on the engine: a rolling window
    of cancellable timers (each slot's previous timer is cancelled when
@@ -168,16 +186,8 @@ let churn_events_per_sec () =
   if dt > 0.0 then float_of_int ops /. dt else 0.0
 
 let write_json ~file ~scale r =
-  (* Read the comparison baseline from the real file, then write to a
-     temp file and rename over it: a crash mid-write never leaves a
-     truncated summary behind. *)
-  let prev =
-    if Sys.file_exists file then prev_walls file
-    else
-      match latest_bench_file ~excluding:file with
-      | Some f -> prev_walls f
-      | None -> []
-  in
+  (* Write to a temp file and rename over it: a crash mid-write never
+     leaves a truncated summary behind. *)
   let tmp = file ^ ".tmp" in
   let oc = open_out tmp in
   let out fmt = Printf.fprintf oc fmt in
@@ -186,90 +196,48 @@ let write_json ~file ~scale r =
   out "  \"scale\": %g,\n" scale;
   out "  \"jobs\": %d,\n" r.jobs;
   let serial_s =
-    List.fold_left (fun acc (_, s, _, _) -> acc +. s) 0.0 r.experiments
+    List.fold_left
+      (fun acc (o : Experiments.Registry.outcome) -> acc +. o.wall_s)
+      0.0 r.outcomes
   in
   out "  \"total_wall_s\": %.3f,\n" r.total_wall_s;
   out "  \"serial_equivalent_s\": %.3f,\n" serial_s;
   out "  \"speedup_vs_serial\": %.3f,\n"
     (if r.total_wall_s > 0.0 then serial_s /. r.total_wall_s else 1.0);
-  let d = Experiments.Exp.disk_totals () in
-  out
-    "  \"disk\": {\"read_batches\": %d, \"batched_reads\": %d, \
-     \"coalesced_reads\": %d, \"mean_batch_sectors\": %.1f},\n"
-    d.Experiments.Exp.batches d.Experiments.Exp.reads
-    (d.Experiments.Exp.reads - d.Experiments.Exp.batches)
-    (if d.Experiments.Exp.batches > 0 then
-       float_of_int d.Experiments.Exp.batch_sectors
-       /. float_of_int d.Experiments.Exp.batches
-     else 0.0);
-  let f = Experiments.Exp.fault_totals () in
-  out
-    "  \"faults\": {\"injected\": %d, \"retried\": %d, \"degraded\": %d, \
-     \"killed\": %d, \"destage_lost\": %d, \"destage_retried\": %d},\n"
-    f.Experiments.Exp.injected f.Experiments.Exp.retried
-    f.Experiments.Exp.degraded f.Experiments.Exp.killed
-    f.Experiments.Exp.destage_lost f.Experiments.Exp.destage_retried;
-  let a = Experiments.Exp.async_totals () in
-  out
-    "  \"async\": {\"waiter_merges\": %d, \"faults_deferred\": %d, \
-     \"inflight_highwater\": %d},\n"
-    a.Experiments.Exp.waiter_merges a.Experiments.Exp.deferred
-    a.Experiments.Exp.inflight_highwater;
-  out
-    "  \"queues\": {\"mq_batches\": %d, \"depth_highwater\": %d},\n"
-    a.Experiments.Exp.mq_batches a.Experiments.Exp.queue_depth_highwater;
-  let tt = Experiments.Exp.tier_totals () in
-  out
-    "  \"tiers\": {\"admissions\": %d, \"rejects\": %d, \"promotions\": %d, \
-     \"demotions\": %d, \"writeback_sectors\": %d, \"fast_swapins\": %d, \
-     \"slow_swapins\": %d, \"fast_swapin_us\": %d, \"slow_swapin_us\": %d},\n"
-    tt.Experiments.Exp.admissions tt.Experiments.Exp.rejects
-    tt.Experiments.Exp.promotions tt.Experiments.Exp.demotions
-    tt.Experiments.Exp.writeback_sectors tt.Experiments.Exp.fast_swapins
-    tt.Experiments.Exp.slow_swapins tt.Experiments.Exp.fast_swapin_us
-    tt.Experiments.Exp.slow_swapin_us;
-  let r2 = Experiments.Exp.resilience2_totals () in
-  out
-    "  \"resilience2\": {\"scrub_scans\": %d, \"scrub_verify_reads\": %d, \
-     \"scrub_media_found\": %d, \"scrub_relocations\": %d, \
-     \"scrub_reloc_failed\": %d, \"qos_throttled\": %d, \
-     \"qos_throttle_wait_us\": %d, \"tier_degraded\": %d, \
-     \"tier_recovered\": %d, \"tier_failover_routes\": %d, \
-     \"media_reads\": %d, \"pages_lost\": %d},\n"
-    r2.Experiments.Exp.scrub_scans r2.Experiments.Exp.scrub_verify_reads
-    r2.Experiments.Exp.scrub_media_found r2.Experiments.Exp.scrub_relocations
-    r2.Experiments.Exp.scrub_reloc_failed r2.Experiments.Exp.qos_throttled
-    r2.Experiments.Exp.qos_throttle_wait_us
-    r2.Experiments.Exp.tier_degraded_events
-    r2.Experiments.Exp.tier_recovered_events
-    r2.Experiments.Exp.tier_failover_routes r2.Experiments.Exp.media_reads
-    r2.Experiments.Exp.pages_lost;
-  (* Engine section: lifetime totals of the event engine's hot path, a
+  let sum = sweep_stats r.outcomes in
+  List.iter
+    (fun (name, rows) -> out "  \"%s\": {%s},\n" name (json_rows rows))
+    (counter_sections sum);
+  (* Engine section: the event engine's hot-path counters, a
      schedule+cancel churn microbench (so every summary records the
      engine's throughput on this machine), and fired events per
      experiment normalized by its wall-clock. *)
-  let et = Experiments.Exp.engine_totals () in
-  out
-    "  \"engine\": {\"events_fired\": %d, \"cancels_reclaimed\": %d, \
-     \"cascades\": %d, \"churn_events_per_sec\": %.0f,\n"
-    et.Experiments.Exp.fired et.Experiments.Exp.cancels_reclaimed
-    et.Experiments.Exp.cascades (churn_events_per_sec ());
-  let per_exp = Experiments.Exp.exp_engine_events () in
+  out "  \"engine\": {%s,\n"
+    (json_rows
+       [
+         ("events_fired", string_of_int sum.engine_events_fired);
+         ("cancels_reclaimed", string_of_int sum.engine_cancels_reclaimed);
+         ("cascades", string_of_int sum.engine_cascades);
+         ( "churn_events_per_sec",
+           Printf.sprintf "%.0f" (churn_events_per_sec ()) );
+       ]);
+  let ran =
+    List.filter
+      (fun (o : Experiments.Registry.outcome) ->
+        o.stats.engine_events_fired > 0)
+      r.outcomes
+    |> List.stable_sort (fun (a : Experiments.Registry.outcome) b ->
+           compare a.exp.id b.exp.id)
+  in
   out "    \"per_experiment\": [";
   List.iteri
-    (fun i (id, events) ->
-      let wall =
-        match
-          List.find_opt (fun (id', _, _, _) -> id' = id) r.experiments
-        with
-        | Some (_, w, _, _) -> w
-        | None -> 0.0
-      in
+    (fun i (o : Experiments.Registry.outcome) ->
+      let events = o.stats.engine_events_fired in
       out "%s\n      {\"id\": \"%s\", \"events\": %d, \"events_per_sec\": %.0f}"
         (if i = 0 then "" else ",")
-        (json_escape id) events
-        (if wall > 0.0 then float_of_int events /. wall else 0.0))
-    per_exp;
+        (json_escape o.exp.id) events
+        (if o.wall_s > 0.0 then float_of_int events /. o.wall_s else 0.0))
+    ran;
   out "\n    ]},\n";
   (* Memory section: the writing domain's GC counters (worker-domain
      allocation shows up per experiment below, not here) and the live /
@@ -321,42 +289,19 @@ let write_json ~file ~scale r =
     ps.Parallel.Pool.helper_jobs ps.Parallel.Pool.peak_queue_depth;
   out "  \"experiments\": [";
   List.iteri
-    (fun i (id, wall_s, ok, alloc_words) ->
-      (* [history] rolls the previous file's wall_s (plus its own
-         history) forward, newest first, capped at [history_depth] past
-         runs; [delta_s] stays the one-step comparison. *)
-      let delta, history =
-        match List.assoc_opt id prev with
-        | Some (w, past) ->
-            let rec cap n = function
-              | x :: r when n > 0 -> x :: cap (n - 1) r
-              | _ -> []
-            in
-            (* %.3f, not %+.3f: a leading '+' on a positive delta is not
-               valid JSON and strict parsers reject the whole file. *)
-            ( Printf.sprintf ", \"delta_s\": %.3f" (wall_s -. w),
-              cap history_depth (w :: past) )
-        | None -> ("", [])
-      in
-      let history =
-        match history with
-        | [] -> ""
-        | hs ->
-            Printf.sprintf ", \"history\": [%s]"
-              (String.concat ", "
-                 (List.map (Printf.sprintf "%.3f") hs))
-      in
+    (fun i (o : Experiments.Registry.outcome) ->
       (* alloc_mwords: millions of words the experiment allocated on
          its domain; alloc_mwords_per_s is the rate, the number the
          fault-path allocation work moves. *)
+      let mwords = o.alloc_words /. 1e6 in
       out
-        "%s\n    {\"id\": \"%s\", \"wall_s\": %.3f%s%s, \"alloc_mwords\": \
-         %.1f, \"alloc_mwords_per_s\": %.1f, \"ok\": %b}"
+        "%s\n    {\"id\": \"%s\", \"wall_s\": %.3f, \"alloc_mwords\": %.1f, \
+         \"alloc_mwords_per_s\": %.1f, \"ok\": %b}"
         (if i = 0 then "" else ",")
-        (json_escape id) wall_s delta history (alloc_words /. 1e6)
-        (if wall_s > 0.0 then alloc_words /. 1e6 /. wall_s else 0.0)
-        ok)
-    r.experiments;
+        (json_escape o.exp.id) o.wall_s mwords
+        (if o.wall_s > 0.0 then mwords /. o.wall_s else 0.0)
+        (Result.is_ok o.output))
+    r.outcomes;
   out "\n  ],\n";
   out "  \"micros\": [";
   List.iteri
@@ -399,35 +344,26 @@ let run_experiments ~record ~scale ids =
     Experiments.Registry.run_all ~jobs:record.jobs ~scale chosen
   in
   record.total_wall_s <- Unix.gettimeofday () -. t0;
+  record.outcomes <- outcomes;
   List.iter
     (fun (o : Experiments.Registry.outcome) ->
-      let id = o.exp.Experiments.Exp.id in
-      (match o.output with
+      match o.output with
       | Ok out ->
           print_endline out;
-          Printf.printf "[%s completed in %.1fs wall]\n\n%!" id o.wall_s
+          Printf.printf "[%s completed in %.1fs wall]\n\n%!" o.exp.id o.wall_s
       | Error exn ->
-          Printf.printf "[%s FAILED after %.1fs: %s]\n\n%!" id o.wall_s
-            (Printexc.to_string exn));
-      record.experiments <-
-        record.experiments
-        @ [
-            ( id,
-              o.wall_s,
-              (match o.output with Ok _ -> true | Error _ -> false),
-              o.Experiments.Registry.alloc_words );
-          ])
+          Printf.printf "[%s FAILED after %.1fs: %s]\n\n%!" o.exp.id o.wall_s
+            (Printexc.to_string exn))
     outcomes;
-  let d = Experiments.Exp.disk_totals () in
-  if d.Experiments.Exp.batches > 0 then
+  let s = sweep_stats outcomes in
+  if s.disk_read_batches > 0 then
     Printf.printf
       "[disk queue: %d media reads served in %d batches (%d coalesced away), \
        mean span %.1f sectors]\n\n\
        %!"
-      d.Experiments.Exp.reads d.Experiments.Exp.batches
-      (d.Experiments.Exp.reads - d.Experiments.Exp.batches)
-      (float_of_int d.Experiments.Exp.batch_sectors
-      /. float_of_int d.Experiments.Exp.batches)
+      s.disk_batched_reads s.disk_read_batches
+      (s.disk_batched_reads - s.disk_read_batches)
+      (mean_batch_sectors s)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmark mode                                        *)
@@ -701,7 +637,7 @@ let () =
   | None -> ());
   let record =
     {
-      experiments = [];
+      outcomes = [];
       total_wall_s = 0.0;
       micros = [];
       jobs = Parallel.Pool.jobs (Parallel.Pool.global ());

@@ -3,12 +3,14 @@
 # the bench build directory (see bench/dune).
 #
 # Every row runs its experiments twice, at --jobs 1 and at --jobs 4,
-# strips the wall-clock lines ("completed in", the "N jobs" header)
-# plus the row's own pattern, and cmp's the two stdouts: the
-# work-sharing pool must not move a single simulated result.  A JSON
-# row writes the same --json summary on both runs, so the second run
-# records a delta_s against the first, and the strict linter parses
-# the file after each write.
+# strips the wall-clock lines ("completed in", the "N jobs" header),
+# the summary's file name and the row's own pattern, and cmp's the two
+# stdouts: the work-sharing pool must not move a single simulated
+# result.  A JSON row also writes one --json summary per width, runs
+# the strict linter over each, and appends the summary's six counter
+# sections (disk, faults, async, queues, tiers, resilience2) to the
+# stripped stdout before the cmp, so the counters must match across
+# widths too.
 #
 # Row fields: name, scale, bench arguments, extra strip pattern
 # (grep basic regex, "" for none), json|-.
@@ -19,15 +21,21 @@ lint=../test/json_lint.exe
 
 row() {
   name=$1 scale=$2 args=$3 strip=$4 json=$5
-  pattern='completed in\|jobs$'
+  # A JSON row names its summary after the width, so the "summary
+  # written to" line differs by design; the counters appended below
+  # must not.
+  pattern='completed in\|jobs$\|summary written to'
   if [ -n "$strip" ]; then pattern="$pattern\\|$strip"; fi
-  json_args=
-  if [ "$json" = json ]; then json_args="--json $name.json"; fi
   for jobs in 1 4; do
     out=$name-j$jobs
+    json_args=
+    if [ "$json" = json ]; then json_args="--json $out.json"; fi
     VSWAPPER_BENCH_SCALE=$scale $main --jobs $jobs $args $json_args > "$out.out"
-    if [ -n "$json_args" ]; then $lint "$name.json"; fi
     grep -v "$pattern" "$out.out" > "$out.flt"
+    if [ -n "$json_args" ]; then
+      $lint "$out.json"
+      grep -E '^  "(disk|faults|async|queues|tiers|resilience2)":' "$out.json" >> "$out.flt"
+    fi
   done
   cmp "$name-j1.flt" "$name-j4.flt"
 }

@@ -50,9 +50,9 @@ let run ~scale =
     rep1 = rep4
     && r1.Cluster.Fleet.fingerprint = r4.Cluster.Fleet.fingerprint
   in
-  (* Only the serial run's stats feed the cross-experiment totals — the
+  (* Only the serial run's stats feed the experiment's tally — the
      jobs=4 replay is the same simulation and would double-count. *)
-  Exp.record_disk_stats r1.Cluster.Fleet.totals;
+  Exp.record r1.Cluster.Fleet.totals;
   let thr r wall =
     if wall > 0.0 then float_of_int r.Cluster.Fleet.guest_seconds /. wall
     else 0.0

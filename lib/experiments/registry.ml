@@ -31,6 +31,7 @@ type outcome = {
   output : (string, exn) result;
   wall_s : float;
   alloc_words : float;
+  stats : Metrics.Stats.t;
 }
 
 (* Words allocated on the calling domain so far (minor + major, without
@@ -44,10 +45,11 @@ let domain_alloc_words () =
 let run_one ~scale (e : Exp.t) =
   let t0 = Unix.gettimeofday () in
   let a0 = domain_alloc_words () in
-  (* The tag scopes engine-telemetry attribution to this experiment; the
-     sharded inner loops propagate it to their pool sub-jobs. *)
+  (* Every machine run of this experiment, including the sharded inner
+     loops' pool sub-jobs, merges its counters into [stats]. *)
+  let stats = Metrics.Stats.create () in
   let output =
-    try Ok (Exp.with_exp_tag (Some e.Exp.id) (fun () -> e.Exp.run ~scale))
+    try Ok (Exp.with_tally stats (fun () -> e.Exp.run ~scale))
     with exn -> Error exn
   in
   {
@@ -55,6 +57,7 @@ let run_one ~scale (e : Exp.t) =
     output;
     wall_s = Unix.gettimeofday () -. t0;
     alloc_words = domain_alloc_words () -. a0;
+    stats;
   }
 
 let run_all ?jobs ~scale chosen =
@@ -79,5 +82,11 @@ let run_all ?jobs ~scale chosen =
     (fun e -> function
       | Ok o -> o
       | Error exn ->
-          { exp = e; output = Error exn; wall_s = 0.0; alloc_words = 0.0 })
+          {
+            exp = e;
+            output = Error exn;
+            wall_s = 0.0;
+            alloc_words = 0.0;
+            stats = Metrics.Stats.create ();
+          })
     chosen results

@@ -1,8 +1,7 @@
 (* Flat LRU arena: links live in parallel int arrays indexed by node
    id.  A detached node self-loops (prev = next = self, owner 0); each
-   list's sentinel occupies a slot above the node region, so the link
-   invariants are identical to the boxed [Lru] — insert/remove/move
-   never branch on emptiness. *)
+   list's sentinel occupies a slot above the node region, so
+   insert/remove/move never branch on emptiness. *)
 
 type arena = {
   mutable prev : int array;

@@ -1,8 +1,8 @@
 (** Flat intrusive LRU lists over a shared int-array arena.
 
-    Where {!Lru} boxes one record per node, [Flru] keeps every link in
-    three parallel [int array]s — [prev], [next], [owner] — indexed by
-    the node id itself.  The host frame table uses the frame number as
+    Every link lives in three parallel [int array]s — [prev], [next],
+    [owner] — indexed by the node id itself, so a node is not a
+    record.  The host frame table uses the frame number as
     the node id, so all the cgroup LRU lists and the frame metadata live
     in the same flat slab, and moving a frame between lists is a few int
     stores with zero allocation.

@@ -149,91 +149,6 @@ let create () =
 
 let copy t = { t with disk_ops = t.disk_ops }
 
-let diff a b =
-  {
-    disk_ops = a.disk_ops - b.disk_ops;
-    disk_sectors_read = a.disk_sectors_read - b.disk_sectors_read;
-    disk_sectors_written = a.disk_sectors_written - b.disk_sectors_written;
-    disk_seq_reads = a.disk_seq_reads - b.disk_seq_reads;
-    disk_read_batches = a.disk_read_batches - b.disk_read_batches;
-    disk_batched_reads = a.disk_batched_reads - b.disk_batched_reads;
-    disk_batch_sectors = a.disk_batch_sectors - b.disk_batch_sectors;
-    disk_mq_batches = a.disk_mq_batches - b.disk_mq_batches;
-    disk_queue_depth_highwater =
-      a.disk_queue_depth_highwater - b.disk_queue_depth_highwater;
-    swap_sectors_read = a.swap_sectors_read - b.swap_sectors_read;
-    swap_sectors_written = a.swap_sectors_written - b.swap_sectors_written;
-    host_swapins = a.host_swapins - b.host_swapins;
-    host_swapouts = a.host_swapouts - b.host_swapouts;
-    silent_swap_writes = a.silent_swap_writes - b.silent_swap_writes;
-    stale_reads = a.stale_reads - b.stale_reads;
-    false_reads = a.false_reads - b.false_reads;
-    hypervisor_code_faults =
-      a.hypervisor_code_faults - b.hypervisor_code_faults;
-    host_context_faults = a.host_context_faults - b.host_context_faults;
-    guest_context_faults = a.guest_context_faults - b.guest_context_faults;
-    pages_scanned = a.pages_scanned - b.pages_scanned;
-    guest_swapins = a.guest_swapins - b.guest_swapins;
-    guest_swapouts = a.guest_swapouts - b.guest_swapouts;
-    guest_major_faults = a.guest_major_faults - b.guest_major_faults;
-    oom_kills = a.oom_kills - b.oom_kills;
-    mapper_tracked = a.mapper_tracked - b.mapper_tracked;
-    mapper_discards = a.mapper_discards - b.mapper_discards;
-    mapper_refetches = a.mapper_refetches - b.mapper_refetches;
-    mapper_invalidations = a.mapper_invalidations - b.mapper_invalidations;
-    preventer_remaps = a.preventer_remaps - b.preventer_remaps;
-    preventer_merges = a.preventer_merges - b.preventer_merges;
-    preventer_timeouts = a.preventer_timeouts - b.preventer_timeouts;
-    preventer_rejects = a.preventer_rejects - b.preventer_rejects;
-    balloon_inflated_pages =
-      a.balloon_inflated_pages - b.balloon_inflated_pages;
-    balloon_deflated_pages =
-      a.balloon_deflated_pages - b.balloon_deflated_pages;
-    faults_injected_media = a.faults_injected_media - b.faults_injected_media;
-    faults_injected_transient =
-      a.faults_injected_transient - b.faults_injected_transient;
-    faults_degraded_batches =
-      a.faults_degraded_batches - b.faults_degraded_batches;
-    fault_retries = a.fault_retries - b.fault_retries;
-    fault_retry_exhausted = a.fault_retry_exhausted - b.fault_retry_exhausted;
-    fault_guest_kills = a.fault_guest_kills - b.fault_guest_kills;
-    destage_media_errors = a.destage_media_errors - b.destage_media_errors;
-    destage_transient_retries =
-      a.destage_transient_retries - b.destage_transient_retries;
-    swap_full_fallbacks = a.swap_full_fallbacks - b.swap_full_fallbacks;
-    emergency_steals = a.emergency_steals - b.emergency_steals;
-    async_waiter_merges = a.async_waiter_merges - b.async_waiter_merges;
-    async_faults_deferred = a.async_faults_deferred - b.async_faults_deferred;
-    async_inflight_highwater =
-      a.async_inflight_highwater - b.async_inflight_highwater;
-    engine_events_fired = a.engine_events_fired - b.engine_events_fired;
-    engine_cancels_reclaimed =
-      a.engine_cancels_reclaimed - b.engine_cancels_reclaimed;
-    engine_cascades = a.engine_cascades - b.engine_cascades;
-    tier_admissions = a.tier_admissions - b.tier_admissions;
-    tier_rejects = a.tier_rejects - b.tier_rejects;
-    tier_promotions = a.tier_promotions - b.tier_promotions;
-    tier_demotions = a.tier_demotions - b.tier_demotions;
-    tier_writeback_sectors =
-      a.tier_writeback_sectors - b.tier_writeback_sectors;
-    tier_fast_swapins = a.tier_fast_swapins - b.tier_fast_swapins;
-    tier_slow_swapins = a.tier_slow_swapins - b.tier_slow_swapins;
-    tier_fast_swapin_us = a.tier_fast_swapin_us - b.tier_fast_swapin_us;
-    tier_slow_swapin_us = a.tier_slow_swapin_us - b.tier_slow_swapin_us;
-    scrub_scans = a.scrub_scans - b.scrub_scans;
-    scrub_verify_reads = a.scrub_verify_reads - b.scrub_verify_reads;
-    scrub_media_found = a.scrub_media_found - b.scrub_media_found;
-    scrub_relocations = a.scrub_relocations - b.scrub_relocations;
-    scrub_reloc_failed = a.scrub_reloc_failed - b.scrub_reloc_failed;
-    qos_throttled = a.qos_throttled - b.qos_throttled;
-    qos_throttle_wait_us = a.qos_throttle_wait_us - b.qos_throttle_wait_us;
-    tier_degraded_events = a.tier_degraded_events - b.tier_degraded_events;
-    tier_recovered_events = a.tier_recovered_events - b.tier_recovered_events;
-    tier_failover_routes = a.tier_failover_routes - b.tier_failover_routes;
-    fault_media_reads = a.fault_media_reads - b.fault_media_reads;
-    fault_pages_lost = a.fault_pages_lost - b.fault_pages_lost;
-  }
-
 (* In-place [dst += src].  Every counter is a plain sum except the two
    highwater gauges, which merge with max: "deepest queue on any host"
    is the meaningful fleet-wide reading, and max keeps the merge

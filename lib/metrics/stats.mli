@@ -151,9 +151,6 @@ val create : unit -> t
 (** [copy t] snapshots all counters. *)
 val copy : t -> t
 
-(** [diff a b] is the field-wise [a - b]; useful for per-phase deltas. *)
-val diff : t -> t -> t
-
 (** [add dst src] accumulates [src] into [dst] in place: counters sum,
     the highwater gauges ([disk_queue_depth_highwater],
     [async_inflight_highwater]) merge with [max].  Both operations are

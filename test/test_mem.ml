@@ -1,166 +1,9 @@
-(* Tests for the intrusive LRU list, including a model-based property
-   test against a reference list implementation. *)
+(* Tests for the per-page metadata structures: the open-addressing int
+   table and the flat LRU arena, each with a model-based property test
+   against a reference implementation. *)
 
 let check = Alcotest.check
 let qcheck = Test_util.qcheck
-
-let lru_basic () =
-  let l = Mem.Lru.create () in
-  Alcotest.(check bool) "empty" true (Mem.Lru.is_empty l);
-  let a = Mem.Lru.node "a" and b = Mem.Lru.node "b" and c = Mem.Lru.node "c" in
-  Mem.Lru.push_front l a;
-  Mem.Lru.push_front l b;
-  Mem.Lru.push_back l c;
-  (* order front->back: b a c *)
-  Alcotest.(check (list string)) "order" [ "b"; "a"; "c" ] (Mem.Lru.to_list l);
-  check Alcotest.int "length" 3 (Mem.Lru.length l);
-  Alcotest.(check bool) "mem" true (Mem.Lru.mem l a);
-  check Alcotest.(option string) "peek back" (Some "c")
-    (Option.map Mem.Lru.value (Mem.Lru.peek_back l));
-  Mem.Lru.move_front l c;
-  Alcotest.(check (list string)) "after move" [ "c"; "b"; "a" ] (Mem.Lru.to_list l);
-  check Alcotest.(option string) "pop back" (Some "a")
-    (Option.map Mem.Lru.value (Mem.Lru.pop_back l));
-  Mem.Lru.remove l b;
-  Alcotest.(check (list string)) "after removals" [ "c" ] (Mem.Lru.to_list l);
-  Alcotest.(check bool) "b detached" false (Mem.Lru.in_some_list b)
-
-let lru_membership_errors () =
-  let l1 = Mem.Lru.create () and l2 = Mem.Lru.create () in
-  let n = Mem.Lru.node 1 in
-  Mem.Lru.push_front l1 n;
-  Alcotest.check_raises "double insert" (Invalid_argument "Lru: node already in a list")
-    (fun () -> Mem.Lru.push_front l2 n);
-  Alcotest.check_raises "wrong list" (Invalid_argument "Lru: node belongs to another list")
-    (fun () -> Mem.Lru.remove l2 n);
-  Mem.Lru.remove l1 n;
-  Alcotest.check_raises "not in list" (Invalid_argument "Lru: node not in any list")
-    (fun () -> Mem.Lru.remove l1 n);
-  Alcotest.(check bool) "mem false" false (Mem.Lru.mem l1 n)
-
-(* Model-based test: ops interpreted against both the Lru and a plain
-   list model keyed by node index. *)
-let lru_model =
-  QCheck.Test.make ~name:"lru: agrees with a list model" ~count:300
-    QCheck.(list (pair (int_range 0 4) (int_range 0 9)))
-    (fun ops ->
-      let l = Mem.Lru.create () in
-      let nodes = Array.init 10 Mem.Lru.node in
-      let model = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun (op, i) ->
-          let inside = List.mem i !model in
-          match op with
-          | 0 (* push_front *) ->
-              if not inside then begin
-                Mem.Lru.push_front l nodes.(i);
-                model := i :: !model
-              end
-          | 1 (* push_back *) ->
-              if not inside then begin
-                Mem.Lru.push_back l nodes.(i);
-                model := !model @ [ i ]
-              end
-          | 2 (* remove *) ->
-              if inside then begin
-                Mem.Lru.remove l nodes.(i);
-                model := List.filter (fun x -> x <> i) !model
-              end
-          | 3 (* move_front *) ->
-              if inside then begin
-                Mem.Lru.move_front l nodes.(i);
-                model := i :: List.filter (fun x -> x <> i) !model
-              end
-          | _ (* pop_back *) -> (
-              match (Mem.Lru.pop_back l, List.rev !model) with
-              | None, [] -> ()
-              | Some n, last :: _ ->
-                  if Mem.Lru.value n <> last then ok := false
-                  else
-                    model := List.filter (fun x -> x <> last) !model
-              | _ -> ok := false))
-        ops;
-      !ok && Mem.Lru.to_list l = !model)
-
-(* Directed coverage for the sentinel-node representation: the edge
-   cases are a single element (node's neighbours are both the sentinel)
-   and head/tail churn, where a broken sentinel link would surface as a
-   wrong to_list or a crash. *)
-let lru_sentinel_edges () =
-  let l = Mem.Lru.create () in
-  let a = Mem.Lru.node "a" in
-  (* Singleton: remove, re-insert, move_front (a no-op at the head). *)
-  Mem.Lru.push_front l a;
-  Mem.Lru.move_front l a;
-  Alcotest.(check (list string)) "singleton move_front" [ "a" ]
-    (Mem.Lru.to_list l);
-  Mem.Lru.remove l a;
-  Alcotest.(check bool) "empty again" true (Mem.Lru.is_empty l);
-  check Alcotest.(option string) "pop_back on empty" None
-    (Option.map Mem.Lru.value (Mem.Lru.pop_back l));
-  (* Re-use the detached node: links must have been reset. *)
-  Mem.Lru.push_back l a;
-  Alcotest.(check (list string)) "detached node reusable" [ "a" ]
-    (Mem.Lru.to_list l);
-  (* Head/tail churn around the sentinel. *)
-  let b = Mem.Lru.node "b" and c = Mem.Lru.node "c" in
-  Mem.Lru.push_front l b;
-  Mem.Lru.push_back l c;
-  (* b a c *)
-  Mem.Lru.move_front l c;
-  (* c b a *)
-  Mem.Lru.remove l b;
-  (* c a *)
-  Mem.Lru.move_front l a;
-  (* a c *)
-  check Alcotest.(option string) "tail after churn" (Some "c")
-    (Option.map Mem.Lru.value (Mem.Lru.peek_back l));
-  Alcotest.(check (list string)) "order after churn" [ "a"; "c" ]
-    (Mem.Lru.to_list l);
-  check Alcotest.int "length after churn" 2 (Mem.Lru.length l)
-
-(* remove/move_front-heavy interleavings: every step revalidates the
-   full front->back order, so a sentinel link broken by one operation is
-   caught at the next step rather than only at the end. *)
-let lru_sentinel_interleavings =
-  QCheck.Test.make
-    ~name:"lru: sentinel survives remove/move_front interleavings" ~count:300
-    QCheck.(list (pair (int_range 0 2) (int_range 0 5)))
-    (fun ops ->
-      let l = Mem.Lru.create () in
-      let nodes = Array.init 6 Mem.Lru.node in
-      let model = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun (op, i) ->
-          let inside = List.mem i !model in
-          (match op with
-          | 0 ->
-              if inside then begin
-                Mem.Lru.remove l nodes.(i);
-                model := List.filter (fun x -> x <> i) !model
-              end
-              else begin
-                Mem.Lru.push_front l nodes.(i);
-                model := i :: !model
-              end
-          | 1 ->
-              if inside then begin
-                Mem.Lru.move_front l nodes.(i);
-                model := i :: List.filter (fun x -> x <> i) !model
-              end
-          | _ -> (
-              match (Mem.Lru.pop_back l, List.rev !model) with
-              | None, [] -> ()
-              | Some n, last :: _ when Mem.Lru.value n = last ->
-                  model := List.filter (fun x -> x <> last) !model
-              | _ -> ok := false));
-          (* Invariants re-checked after *every* operation. *)
-          if Mem.Lru.to_list l <> !model then ok := false;
-          if Mem.Lru.length l <> List.length !model then ok := false)
-        ops;
-      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Itbl: open-addressing int table                                      *)
@@ -338,7 +181,6 @@ let flru_basic () =
   Mem.Flru.remove l 1;
   Alcotest.(check (list int)) "after removals" [ 3 ] (Mem.Flru.to_list l);
   Alcotest.(check bool) "1 detached" false (Mem.Flru.in_some_list a 1);
-  (* Error discipline mirrors the boxed Lru. *)
   let l2 = Mem.Flru.list a in
   Alcotest.check_raises "double insert"
     (Invalid_argument "Flru: node already in a list") (fun () ->
@@ -397,14 +239,6 @@ let flru_two_list_model =
 
 let tests =
   [
-    ( "mem:lru",
-      [
-        Alcotest.test_case "basic ops" `Quick lru_basic;
-        Alcotest.test_case "membership errors" `Quick lru_membership_errors;
-        Alcotest.test_case "sentinel edge cases" `Quick lru_sentinel_edges;
-        qcheck lru_model;
-        qcheck lru_sentinel_interleavings;
-      ] );
     ( "mem:itbl",
       [
         Alcotest.test_case "basic ops" `Quick itbl_basic;

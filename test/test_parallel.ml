@@ -203,6 +203,10 @@ let fig4_sharded_equals_serial =
       let sharded = render 4 in
       String.equal serial sharded)
 
+(* Output and counter tally of every outcome must not depend on the pool
+   width.  fig3 shards its configurations onto the pool, so its tally
+   only reads the same at jobs 4 if the tally travels with the
+   sub-jobs; tab1 runs no machine, so its tally stays all zero. *)
 let run_all_deterministic () =
   let chosen =
     List.filter_map Experiments.Registry.find [ "fig3"; "tab1" ]
@@ -213,12 +217,23 @@ let run_all_deterministic () =
            Alcotest.(check bool)
              (o.exp.Experiments.Exp.id ^ " wall time recorded")
              true (o.wall_s >= 0.0);
-           Result.get_ok o.output)
-    |> String.concat "\n"
+           (Result.get_ok o.output, Metrics.Stats.fields o.stats))
   in
   let serial = render 1 in
   let parallel = render 4 in
-  check Alcotest.string "jobs:4 output equals jobs:1" serial parallel
+  List.iter2
+    (fun (id, (out1, st1)) (out4, st4) ->
+      check Alcotest.string (id ^ ": jobs:4 output equals jobs:1") out1 out4;
+      check
+        Alcotest.(list (pair string int))
+        (id ^ ": jobs:4 tally equals jobs:1") st1 st4)
+    (List.combine [ "fig3"; "tab1" ] serial)
+    parallel;
+  let events (_, st) = List.assoc "engine_events_fired" st in
+  Alcotest.(check bool) "fig3 tallied its runs" true
+    (events (List.nth serial 0) > 0);
+  Alcotest.(check bool) "tab1 tally all zero" true
+    (List.for_all (fun (_, v) -> v = 0) (snd (List.nth serial 1)))
 
 let tests =
   [
