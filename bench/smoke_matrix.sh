@@ -3,14 +3,14 @@
 # the bench build directory (see bench/dune).
 #
 # Every row runs its experiments twice, at --jobs 1 and at --jobs 4,
-# strips the wall-clock lines ("completed in", the "N jobs" header),
-# the summary's file name and the row's own pattern, and cmp's the two
-# stdouts: the work-sharing pool must not move a single simulated
-# result.  A JSON row also writes one --json summary per width, runs
-# the strict linter over each, and appends the summary's six counter
-# sections (disk, faults, async, queues, tiers, resilience2) to the
-# stripped stdout before the cmp, so the counters must match across
-# widths too.
+# strips the "N jobs" header, the summary's file name and the row's own
+# pattern, and cmp's the two stdouts: the work-sharing pool must not
+# move a single simulated result.  A JSON row also writes one --json
+# summary per width, runs the strict linter over each, and appends the
+# whole summary but its "date" and "jobs" lines to the stripped stdout
+# before the cmp, so the counter sections, the engine counts, the
+# per-experiment events and the ok flags must match across widths too.
+# The driver exits 1 when an experiment fails, which stops the matrix.
 #
 # Row fields: name, scale, bench arguments, extra strip pattern
 # (grep basic regex, "" for none), json|-.
@@ -22,9 +22,9 @@ lint=../test/json_lint.exe
 row() {
   name=$1 scale=$2 args=$3 strip=$4 json=$5
   # A JSON row names its summary after the width, so the "summary
-  # written to" line differs by design; the counters appended below
+  # written to" line differs by design; the summary appended below
   # must not.
-  pattern='completed in\|jobs$\|summary written to'
+  pattern='jobs$\|summary written to'
   if [ -n "$strip" ]; then pattern="$pattern\\|$strip"; fi
   for jobs in 1 4; do
     out=$name-j$jobs
@@ -34,7 +34,7 @@ row() {
     grep -v "$pattern" "$out.out" > "$out.flt"
     if [ -n "$json_args" ]; then
       $lint "$out.json"
-      grep -E '^  "(disk|faults|async|queues|tiers|resilience2)":' "$out.json" >> "$out.flt"
+      grep -Ev '^  "(date|jobs)":' "$out.json" >> "$out.flt"
     fi
   done
   cmp "$name-j1.flt" "$name-j4.flt"
@@ -55,9 +55,9 @@ row tiering 0.05 tiering "" json
 row memscale 0.02 memscale heap json
 # Scrubber, QoS admission and czram failover at a fixed fault seed.
 row degraded 0.05 "degradation --fault-seed 3" "" json
-# The fleet self-checks pool widths 1 and 4 inside each run; its wall
-# and heap lines vary.
-row fleet 0.05 fleet 'wall\|heap' json
+# The fleet self-checks pool widths 1 and 4 inside each run; its heap
+# line varies.
+row fleet 0.05 fleet heap json
 
 # A bad scale must stop the driver with status 2 and name the variable,
 # not fall back to full scale.
@@ -66,6 +66,18 @@ for bad in abc 0 -1 nan; do
   VSWAPPER_BENCH_SCALE=$bad $main tab1 > /dev/null 2> bad-scale.err || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q VSWAPPER_BENCH_SCALE bad-scale.err; then
     echo "VSWAPPER_BENCH_SCALE=$bad: exit $rc, expected 2 naming the variable" >&2
+    exit 1
+  fi
+done
+
+# An unknown experiment id (a typo, or a flag the driver no longer has)
+# must stop the driver with status 2 and name the id, not run an empty
+# sweep.
+for bad in fig09 --micro; do
+  rc=0
+  $main tab1 $bad > /dev/null 2> bad-id.err || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "\"$bad\"" bad-id.err; then
+    echo "bench $bad: exit $rc, expected 2 naming the id" >&2
     exit 1
   fi
 done

@@ -60,37 +60,6 @@ type run_out = {
   marks : mark list;
 }
 
-(* Fleet-experiment totals for the bench JSON summary.  Unlike the
-   counters in the tallies below these are not sums: the fleet
-   experiment sets them wholesale, once (both of its runs happen inside
-   one experiment body), so a mutex'd option cell is enough. *)
-type fleet_jobs_point = {
-  fj_jobs : int;
-  fj_wall_s : float;
-  fj_guest_seconds_per_s : float;
-  fj_speedup : float;
-}
-
-type fleet_totals = {
-  fleet_hosts : int;
-  fleet_guests : int;
-  fleet_rejected : int;
-  fleet_pages : int;
-  fleet_epochs : int;
-  fleet_migrations : int;
-  fleet_migrations_aborted : int;
-  fleet_throttled_batches : int;
-  fleet_oom_kills : int;
-  fleet_heap_words_per_page : float;
-  fleet_per_jobs : fleet_jobs_point list;
-}
-
-let fleet_acc : fleet_totals option ref = ref None
-let fleet_mu = Mutex.create ()
-
-let set_fleet_totals t = Mutex.protect fleet_mu (fun () -> fleet_acc := Some t)
-let fleet_totals () = Mutex.protect fleet_mu (fun () -> !fleet_acc)
-
 (* Per-experiment counter tallies.  The registry installs an
    experiment's tally in a domain-local key around its job, and [shard]
    re-installs the submitting experiment's tally around every sub-job:

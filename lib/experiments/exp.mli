@@ -73,34 +73,6 @@ val with_tally : Metrics.Stats.t -> (unit -> 'a) -> 'a
     a {!Vmm.Machine} (the fleet) call it with their reduced totals. *)
 val record : Metrics.Stats.t -> unit
 
-(** One (jobs, throughput) point of the fleet scaling table. *)
-type fleet_jobs_point = {
-  fj_jobs : int;
-  fj_wall_s : float;
-  fj_guest_seconds_per_s : float;  (** simulated guest-seconds per wall second *)
-  fj_speedup : float;  (** vs the jobs=1 run of the same sweep *)
-}
-
-(** Fleet-experiment totals for the bench JSON summary, set wholesale by
-    the fleet experiment (both of its runs happen inside one experiment
-    body).  [None] until the fleet experiment has run. *)
-type fleet_totals = {
-  fleet_hosts : int;
-  fleet_guests : int;  (** VMs placed over the whole history *)
-  fleet_rejected : int;
-  fleet_pages : int;  (** pages of placed VMs *)
-  fleet_epochs : int;
-  fleet_migrations : int;  (** completed rebalance evacuations *)
-  fleet_migrations_aborted : int;
-  fleet_throttled_batches : int;  (** dirty-rate backoff delays *)
-  fleet_oom_kills : int;
-  fleet_heap_words_per_page : float;  (** live words / peak live pages *)
-  fleet_per_jobs : fleet_jobs_point list;
-}
-
-val set_fleet_totals : fleet_totals -> unit
-val fleet_totals : unit -> fleet_totals option
-
 (** Fault knobs for the resilience experiment, set once by the bench
     driver (--fault-seed / --fault-rate) before the sweep starts so
     worker domains only ever read them.  A [rate] of 0 (the default)

@@ -29,22 +29,10 @@ let ids () = List.map (fun e -> e.Exp.id) all
 type outcome = {
   exp : Exp.t;
   output : (string, exn) result;
-  wall_s : float;
-  alloc_words : float;
   stats : Metrics.Stats.t;
 }
 
-(* Words allocated on the calling domain so far (minor + major, without
-   double-counting promotions).  [run_one] executes on the same worker
-   domain end to end, so the delta across a run is that experiment's own
-   allocation — modulo shards it fanned out to sibling domains. *)
-let domain_alloc_words () =
-  let g = Gc.quick_stat () in
-  g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
-
 let run_one ~scale (e : Exp.t) =
-  let t0 = Unix.gettimeofday () in
-  let a0 = domain_alloc_words () in
   (* Every machine run of this experiment, including the sharded inner
      loops' pool sub-jobs, merges its counters into [stats]. *)
   let stats = Metrics.Stats.create () in
@@ -52,13 +40,7 @@ let run_one ~scale (e : Exp.t) =
     try Ok (Exp.with_tally stats (fun () -> e.Exp.run ~scale))
     with exn -> Error exn
   in
-  {
-    exp = e;
-    output;
-    wall_s = Unix.gettimeofday () -. t0;
-    alloc_words = domain_alloc_words () -. a0;
-    stats;
-  }
+  { exp = e; output; stats }
 
 let run_all ?jobs ~scale chosen =
   (* Each experiment builds its own engine/RNG/disk and returns a buffered
@@ -82,11 +64,5 @@ let run_all ?jobs ~scale chosen =
     (fun e -> function
       | Ok o -> o
       | Error exn ->
-          {
-            exp = e;
-            output = Error exn;
-            wall_s = 0.0;
-            alloc_words = 0.0;
-            stats = Metrics.Stats.create ();
-          })
+          { exp = e; output = Error exn; stats = Metrics.Stats.create () })
     chosen results

@@ -8,15 +8,11 @@ val find : string -> Exp.t option
 val ids : unit -> string list
 
 (** Result of one experiment run: the rendered output block (or the
-    exception the experiment raised, captured per job), its wall-clock
-    cost in seconds, the words it allocated on its worker domain
-    (minor + major without double-counting promotions; shards fanned
-    out to sibling domains are not included), and its counter tally. *)
+    exception the experiment raised, captured per job) and its counter
+    tally. *)
 type outcome = {
   exp : Exp.t;
   output : (string, exn) result;
-  wall_s : float;
-  alloc_words : float;
   stats : Metrics.Stats.t;
       (** every machine run of the experiment, shards included, merged
           with {!Metrics.Stats.add} (see {!Exp.record}); all zero for an

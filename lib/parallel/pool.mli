@@ -52,11 +52,12 @@ val jobs : t -> int
     inside a job running on the same pool (see the header). *)
 val map : t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 
-(** Cumulative execution counters of a pool, for observability (surfaced
-    as the bench JSON's ["parallel"] section).  [worker_jobs] were
-    executed by dedicated worker domains; [helper_jobs] by a submitter
-    inside {!map} — its own jobs, another caller's, or the inline serial
-    path; [peak_queue_depth] is the deepest the shared queue has been. *)
+(** Cumulative execution counters of a pool, for observability (the
+    repo benchmark reports [helper_jobs] as [pool.helper_jobs]).
+    [worker_jobs] were executed by dedicated worker domains;
+    [helper_jobs] by a submitter inside {!map} — its own jobs, another
+    caller's, or the inline serial path; [peak_queue_depth] is the
+    deepest the shared queue has been. *)
 type stats = {
   jobs : int;
   worker_jobs : int;

@@ -214,9 +214,6 @@ let run_all_deterministic () =
   let render jobs =
     Experiments.Registry.run_all ~jobs ~scale:0.05 chosen
     |> List.map (fun (o : Experiments.Registry.outcome) ->
-           Alcotest.(check bool)
-             (o.exp.Experiments.Exp.id ^ " wall time recorded")
-             true (o.wall_s >= 0.0);
            (Result.get_ok o.output, Metrics.Stats.fields o.stats))
   in
   let serial = render 1 in
