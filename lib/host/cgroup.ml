@@ -5,7 +5,7 @@ type t = {
   anon_inactive : Mem.Flru.t;
   file_active : Mem.Flru.t;
   file_inactive : Mem.Flru.t;
-  mutable limit : int option;
+  limit : int option;
   mutable resident : int;
 }
 
@@ -26,11 +26,7 @@ let list t = function
   | File_inactive -> t.file_inactive
 
 let limit t = t.limit
-let set_limit t l = t.limit <- l
 let resident t = t.resident
-
-let over_limit t =
-  match t.limit with None -> 0 | Some l -> max 0 (t.resident - l)
 
 let insert t id node =
   Mem.Flru.push_front (list t id) node;
@@ -59,7 +55,6 @@ let move t id node =
   Mem.Flru.push_front (list t id) node
 
 let tail t id = Mem.Flru.peek_back (list t id)
-let pop t id = Mem.Flru.pop_back (list t id)
 let length t id = Mem.Flru.length (list t id)
 
 let inactive_low t ~file =

@@ -22,13 +22,9 @@ type t
 val create : arena:Mem.Flru.arena -> limit_frames:int option -> t
 
 val limit : t -> int option
-val set_limit : t -> int option -> unit
 
 (** [resident t] is the number of frames currently charged to the group. *)
 val resident : t -> int
-
-(** [over_limit t] is how many frames above its limit the group is. *)
-val over_limit : t -> int
 
 (** [insert t id node] charges a frame and places it at the MRU end of
     list [id].  The node must be detached. *)
@@ -44,9 +40,6 @@ val move : t -> list_id -> int -> unit
 
 (** [tail t id] is the LRU frame of list [id], if any. *)
 val tail : t -> list_id -> int option
-
-(** [pop t id] removes and returns the LRU frame of list [id]. *)
-val pop : t -> list_id -> int option
 
 val length : t -> list_id -> int
 

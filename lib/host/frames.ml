@@ -15,10 +15,7 @@
    - [c_disk] / [c_version]: the remaining block-content fields.
    - [backing]: swap-cache slot, or -1 for none. *)
 
-type owner =
-  | Free
-  | Guest_page of { guest : int; gpa : int }
-  | Hv_page of { guest : int; idx : int }
+type owner_kind = Free | Guest_page | Hv_page
 
 let owner_bits = 40
 let owner_mask = (1 lsl owner_bits) - 1
@@ -96,26 +93,12 @@ let put_back t f =
   t.free_stack.(t.nfree) <- f;
   t.nfree <- t.nfree + 1
 
-(* Boxed views, for callers off the hot path. *)
-let owner t f =
-  let d = t.owner_data.(f) in
+let owner_kind t f =
   match flag_byte t f land otag_mask with
-  | 0x04 -> Guest_page { guest = d lsr owner_bits; gpa = d land owner_mask }
-  | 0x08 -> Hv_page { guest = d lsr owner_bits; idx = d land owner_mask }
+  | 0x04 -> Guest_page
+  | 0x08 -> Hv_page
   | _ -> Free
 
-let set_owner t f o =
-  match o with
-  | Free -> set_flag_bits t f ~mask:otag_mask tag_free
-  | Guest_page { guest; gpa } ->
-      set_flag_bits t f ~mask:otag_mask tag_guest;
-      t.owner_data.(f) <- (guest lsl owner_bits) lor gpa
-  | Hv_page { guest; idx } ->
-      set_flag_bits t f ~mask:otag_mask tag_hv;
-      t.owner_data.(f) <- (guest lsl owner_bits) lor idx
-
-(* Unboxed owner views: kind 0 = free, 1 = guest page, 2 = hv page. *)
-let owner_kind t f = (flag_byte t f land otag_mask) lsr 2
 let owner_guest t f = t.owner_data.(f) lsr owner_bits
 let owner_payload t f = t.owner_data.(f) land owner_mask
 
@@ -156,11 +139,6 @@ let referenced t f = flag_byte t f land f_referenced <> 0
 
 let set_referenced t f b =
   set_flag_bits t f ~mask:f_referenced (if b then f_referenced else 0)
-
-let swap_backing t f = if t.backing.(f) < 0 then None else Some t.backing.(f)
-
-let set_swap_backing t f b =
-  t.backing.(f) <- (match b with None -> -1 | Some s -> s)
 
 let backing_slot t f = t.backing.(f)
 let set_backing_slot t f s = t.backing.(f) <- s

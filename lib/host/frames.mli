@@ -8,11 +8,13 @@
     the LRU links live in a shared {!Mem.Flru} arena whose node ids are
     the frame numbers themselves. *)
 
-type owner =
+(** Who owns a frame.  The owning guest and the gpa or hv-page index
+    are read separately ({!owner_guest}, {!owner_payload}), so no view
+    of a frame allocates. *)
+type owner_kind =
   | Free
-  | Guest_page of { guest : int; gpa : int }
-  | Hv_page of { guest : int; idx : int }
-      (** a page of the hosted hypervisor (QEMU) serving [guest] *)
+  | Guest_page
+  | Hv_page  (** a page of the hosted hypervisor (QEMU) serving a guest *)
 
 type t
 
@@ -25,7 +27,7 @@ val arena : t -> Mem.Flru.arena
 
 (** [alloc t] takes a frame off the free list.  The caller must have
     ensured free frames exist (reclaim is the caller's job).  The frame
-    comes back with [owner = Free] still set; callers fill it in. *)
+    comes back still [Free]; callers fill in its owner. *)
 val alloc : t -> int option
 
 (** [release t f] resets [f]'s metadata and returns it to the free
@@ -38,14 +40,7 @@ val release : t -> int -> unit
     the frame has an owner (use [release] for installed frames). *)
 val put_back : t -> int -> unit
 
-val owner : t -> int -> owner
-(** Boxed view of the owner; allocates for non-free frames — hot paths
-    use {!owner_kind}/{!owner_guest}/{!owner_payload} instead. *)
-
-val set_owner : t -> int -> owner -> unit
-
-val owner_kind : t -> int -> int
-(** 0 = free, 1 = guest page, 2 = hv page; allocation-free. *)
+val owner_kind : t -> int -> owner_kind
 
 val owner_guest : t -> int -> int
 (** Owning guest id; meaningful only when [owner_kind] is non-zero. *)
@@ -55,10 +50,10 @@ val owner_payload : t -> int -> int
     [owner_kind] is non-zero. *)
 
 val set_guest_owner : t -> int -> guest:int -> gpa:int -> unit
-(** Unboxed [set_owner (Guest_page _)]. *)
+(** Makes the frame a [Guest_page] of [guest] at [gpa]. *)
 
 val set_hv_owner : t -> int -> guest:int -> idx:int -> unit
-(** Unboxed [set_owner (Hv_page _)]. *)
+(** Makes the frame [guest]'s hypervisor page [idx]. *)
 
 val content : t -> int -> Storage.Content.t
 val set_content : t -> int -> Storage.Content.t -> unit
@@ -68,14 +63,9 @@ val referenced : t -> int -> bool
 val set_referenced : t -> int -> bool -> unit
 
 (** Swap-cache backing: the still-allocated swap slot holding an
-    identical copy of this (clean, anonymous) frame, if any.  Lets
-    eviction drop the frame without rewriting it. *)
-val swap_backing : t -> int -> int option
-
-val set_swap_backing : t -> int -> int option -> unit
-
+    identical copy of this (clean, anonymous) frame, or -1 for none.
+    Lets eviction drop the frame without rewriting it. *)
 val backing_slot : t -> int -> int
-(** Unboxed {!swap_backing}: the slot, or -1 for none. *)
 
 val set_backing_slot : t -> int -> int -> unit
-(** Unboxed {!set_swap_backing}; -1 clears. *)
+(** -1 clears. *)

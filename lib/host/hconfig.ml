@@ -3,25 +3,8 @@ type t = {
   low_watermark_frames : int;
   high_watermark_frames : int;
   page_cluster : int;
-  image_readahead_pages : int;
   named_preference : bool;
-  reclaim_batch : int;
   hv_pages_per_guest : int;
-  hv_touch_per_vio : int;
-  hv_touch_per_fault : int;
-  hv_refault_us : int;
-  minor_fault_us : int;
-  major_fault_us : int;
-  cow_exit_us : int;
-  mapper_map_page_us : int;
-  emulated_write_us : int;
-  vio_overhead_us : int;
-  writeback_throttle_sectors : int;
-  writeback_throttle_us : int;
-  reclaim_page_us : float;
-  io_retry_limit : int;
-  io_retry_base_us : int;
-  io_error_budget : int;
   max_inflight_faults : int;
   scrub_rate_pages_s : int;
   scrub_repair_budget : int;
@@ -35,25 +18,8 @@ let default =
     low_watermark_frames = 64;
     high_watermark_frames = 128;
     page_cluster = 3;
-    image_readahead_pages = 32;
     named_preference = true;
-    reclaim_batch = 32;
     hv_pages_per_guest = 64;
-    hv_touch_per_vio = 2;
-    hv_touch_per_fault = 1;
-    hv_refault_us = 80;
-    minor_fault_us = 1;
-    major_fault_us = 4;
-    cow_exit_us = 2;
-    mapper_map_page_us = 12;
-    emulated_write_us = 2;
-    vio_overhead_us = 12;
-    writeback_throttle_sectors = 49_152; (* 24 MiB of pending evictions *)
-    writeback_throttle_us = 250;
-    reclaim_page_us = 0.15;
-    io_retry_limit = 4;
-    io_retry_base_us = 500;
-    io_error_budget = 256;
     max_inflight_faults = 0;
     scrub_rate_pages_s = 0;
     scrub_repair_budget = 8;

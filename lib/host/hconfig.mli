@@ -1,68 +1,48 @@
-(** Hypervisor-side tunables and cost model.
+(** Hypervisor-side tunables.
 
-    All CPU-side costs are in microseconds; they are calibrated so that
-    the simulated testbed behaves like the paper's Dell R420 (Section 5).
-    Disk costs live in {!Storage.Disk.config}. *)
+    Only what callers vary lives here: memory size and watermarks, swap
+    readahead, the reclaim preference, the hosted hypervisor's
+    footprint, and the async-fault, scrubber and QoS switches.  The CPU
+    cost model and the I/O retry policy are constants of
+    {!Hostmm}.  {!Hostmm.create} rejects a field outside its stated
+    range with [Invalid_argument] naming it. *)
 
 type t = {
-  total_frames : int;  (** host physical memory, in pages *)
-  low_watermark_frames : int;  (** direct reclaim triggers below this *)
-  high_watermark_frames : int;  (** reclaim refills free frames up to this *)
+  total_frames : int;  (** host physical memory, in pages; [>= 1] *)
+  low_watermark_frames : int;
+      (** direct reclaim triggers below this; [>= 0] *)
+  high_watermark_frames : int;
+      (** reclaim refills free frames up to this;
+          [>= low_watermark_frames] *)
   page_cluster : int;
       (** log2 of the swap readahead cluster (Linux vm.page-cluster); 3
-          means 8-page clusters *)
-  image_readahead_pages : int;
-      (** fault-time readahead window when the Mapper refetches named
-          pages from the disk image *)
+          means 8-page clusters; in [0, 16] *)
   named_preference : bool;
       (** reclaim prefers file-backed pages over anonymous ones, like
           Linux; turning this off is the D3 ablation *)
-  reclaim_batch : int;  (** pages reclaimed per direct-reclaim episode *)
   hv_pages_per_guest : int;
       (** named pages of the hosted hypervisor (QEMU) serving each guest;
-          the false-page-anonymity substrate *)
-  hv_touch_per_vio : int;  (** hv pages touched by each virtual I/O *)
-  hv_touch_per_fault : int;  (** hv pages touched by each major fault *)
-  (* CPU-side costs, microseconds. *)
-  hv_refault_us : int;
-      (** cost of refaulting an evicted hypervisor page (usually still in
-          the host's own file cache, so no disk read is charged) *)
-  minor_fault_us : int;
-  major_fault_us : int;  (** CPU part; disk latency comes on top *)
-  cow_exit_us : int;  (** write to a present named page (Mapper COW) *)
-  mapper_map_page_us : int;
-      (** per-page cost of the Mapper's mmap+ioctl install path (the
-          paper attributes VSwapper's residual slowdown to it) *)
-  emulated_write_us : int;  (** Preventer per-store emulation cost *)
-  vio_overhead_us : int;  (** exit + QEMU dispatch per virtual I/O req *)
-  writeback_throttle_sectors : int;
-      (** buffered eviction writes beyond this pace the allocator *)
-  writeback_throttle_us : int;  (** per-allocation pacing delay when over *)
-  reclaim_page_us : float;  (** CPU cost per page scanned by reclaim *)
-  (* Typed I/O error handling (robustness PR). *)
-  io_retry_limit : int;
-      (** resubmissions of a transiently failed read before giving up *)
-  io_retry_base_us : int;
-      (** backoff before the first retry; doubles per attempt *)
-  io_error_budget : int;
-      (** per-guest cap on retries; exhausted => the guest is killed *)
+          the false-page-anonymity substrate; [>= 1] *)
   max_inflight_faults : int;
       (** per-guest bound on concurrently in-flight target faults; starts
           beyond it are queued and released as completions drain.  0 means
-          unbounded (the default).  Prefetch markers never count. *)
-  (* Degraded-media survival layer (robustness PR). *)
+          unbounded (the default).  Prefetch markers never count.
+          [>= 0] *)
   scrub_rate_pages_s : int;
       (** background scrubber scan rate in allocated slots verified per
-          simulated second; 0 disables the scrubber (the default) *)
+          simulated second; 0 disables the scrubber (the default);
+          [>= 0] *)
   scrub_repair_budget : int;
       (** relocations the scrubber may perform per full pass over the
-          swap area, so repair traffic cannot starve foreground I/O *)
+          swap area, so repair traffic cannot starve foreground I/O;
+          [>= 0] *)
   qos_rate : int;
       (** per-guest token-bucket refill rate, swap-in faults per
-          simulated second; 0 disables QoS admission (the default) *)
+          simulated second; 0 disables QoS admission (the default);
+          [>= 0] *)
   qos_burst : int;
       (** token-bucket depth: faults a guest may issue back-to-back
-          before the rate limit bites *)
+          before the rate limit bites; [>= 1] when [qos_rate > 0] *)
 }
 
 (** Defaults sized for experiments that cap a guest at a few hundred MB;

@@ -5,29 +5,91 @@ module Itbl = Mem.Itbl
 
 type guest_id = int
 
-type page_state = Not_backed | Present | In_swap | In_image | Ballooned
+(* Cost model and I/O retry policy.  CPU-side costs are in microseconds,
+   calibrated so that the simulated testbed behaves like the paper's
+   Dell R420 (Section 5); disk costs live in {!Storage.Disk.config}. *)
+
+(* Fault-time readahead window when the Mapper refetches named pages
+   from the disk image. *)
+let image_readahead_pages = 32
+
+(* Pages reclaimed per direct-reclaim episode. *)
+let reclaim_batch = 32
+
+(* Hypervisor pages touched by each virtual I/O, and by each major
+   fault. *)
+let hv_touch_per_vio = 2
+let hv_touch_per_fault = 1
+
+(* Cost of refaulting an evicted hypervisor page (usually still in the
+   host's own file cache, so no disk read is charged). *)
+let hv_refault_us = 80
+let minor_fault_us = 1
+
+(* CPU part of a major fault; disk latency comes on top. *)
+let major_fault_us = 4
+
+(* Write to a present named page (Mapper COW). *)
+let cow_exit_us = 2
+
+(* Per-page cost of the Mapper's mmap+ioctl install path (the paper
+   attributes VSwapper's residual slowdown to it). *)
+let mapper_map_page_us = 12
+
+(* Preventer per-store emulation cost. *)
+let emulated_write_us = 2
+
+(* Exit + QEMU dispatch per virtual I/O request. *)
+let vio_overhead_us = 12
+
+(* Buffered eviction writes beyond 24 MiB pace the allocator, by
+   [writeback_throttle_us] per allocation. *)
+let writeback_throttle_sectors = 49_152
+let writeback_throttle_us = 250
+
+(* CPU cost per page scanned by reclaim. *)
+let reclaim_page_us = 0.15
+
+(* Resubmissions of a transiently failed read before giving up. *)
+let io_retry_limit = 4
+
+(* Backoff before the first retry; doubles per attempt. *)
+let io_retry_base_us = 500
+
+(* Per-guest cap on retries; exhausted => the guest is killed. *)
+let io_error_budget = 256
+
+type page_state = Not_backed | Ballooned | Present | In_swap | In_image
 
 (* EPT entries are packed ints — tag in the low 3 bits, payload (frame
    number, swap slot or image block) above — so a million-page guest's
    page table is one flat [int array] instead of a million boxed
-   variants, and every fault-path dispatch is a mask and a shift:
+   variants.  The tag is the index of the entry's [page_state]
+   constructor; [state] decodes it without allocating, and the
+   constructors below are the only encoders. *)
+module Ept = struct
+  let not_backed = 0
+  let ballooned = 1
+  let present frame = (frame lsl 3) lor 2
+  let in_swap slot = (slot lsl 3) lor 3
+  let in_image block = (block lsl 3) lor 4
 
-     0 = not backed   1 = ballooned       2 = present (frame)
-     3 = in swap (slot)   4 = in image (block)
+  let[@inline] state e =
+    match e land 7 with
+    | 0 -> Not_backed
+    | 1 -> Ballooned
+    | 2 -> Present
+    | 3 -> In_swap
+    | _ -> In_image
 
-   Tag values appear as literal patterns in matches below; the
-   constructors keep construction sites readable. *)
-let e_not_backed = 0
-let e_ballooned = 1
-let e_present frame = (frame lsl 3) lor 2
-let e_in_swap slot = (slot lsl 3) lor 3
-let e_in_image block = (block lsl 3) lor 4
-let e_arg e = e lsr 3
+  (* The frame, slot or block of a present, swapped or discarded page. *)
+  let arg e = e lsr 3
+end
 
 type guest = {
   gid : int;
   vdisk : Storage.Vdisk.t;
-  ept : int array;  (* packed entries; see above *)
+  ept : int array;  (* packed entries; see [Ept] *)
   cgroup : Cgroup.t;
   mapper : Mapper.t;
   preventer : Preventer.t;
@@ -88,8 +150,35 @@ let owner_key ~gid ~gpa = (gid lsl owner_gpa_bits) lor gpa
 let owner_gid key = key lsr owner_gpa_bits
 let owner_gpa key = key land owner_gpa_mask
 
+(* Reject an out-of-range config field up front, naming it, rather than
+   fail somewhere downstream (a zero [hv_pages_per_guest] would divide
+   by zero on the first virtual I/O).  [named_preference] takes either
+   value. *)
+let validate (c : Hconfig.t) =
+  let require ok field range =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Hostmm.create: Hconfig.%s must be %s" field range)
+  in
+  require (c.total_frames >= 1) "total_frames" ">= 1";
+  require (c.low_watermark_frames >= 0) "low_watermark_frames" ">= 0";
+  require
+    (c.high_watermark_frames >= c.low_watermark_frames)
+    "high_watermark_frames" ">= low_watermark_frames";
+  require (0 <= c.page_cluster && c.page_cluster <= 16) "page_cluster"
+    "in [0, 16]";
+  require (c.hv_pages_per_guest >= 1) "hv_pages_per_guest" ">= 1";
+  require (c.max_inflight_faults >= 0) "max_inflight_faults" ">= 0";
+  require (c.scrub_rate_pages_s >= 0) "scrub_rate_pages_s" ">= 0";
+  require (c.scrub_repair_budget >= 0) "scrub_repair_budget" ">= 0";
+  require (c.qos_rate >= 0) "qos_rate" ">= 0";
+  require
+    (c.qos_rate = 0 || c.qos_burst >= 1)
+    "qos_burst" ">= 1 when qos_rate > 0"
+
 let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap ~hv_base_sector
     () =
+  validate config;
   (* Swap I/O always goes through a [Tiers]; without an explicit one we
      build the disk-only passthrough, which is call-for-call identical
      to hitting the disk directly. *)
@@ -138,7 +227,7 @@ let register_guest t ~vdisk ~gpa_pages ~resident_limit =
     {
       gid;
       vdisk;
-      ept = Array.make gpa_pages e_not_backed;
+      ept = Array.make gpa_pages Ept.not_backed;
       cgroup =
         Cgroup.create ~arena:(Frames.arena t.frames)
           ~limit_frames:resident_limit;
@@ -151,7 +240,7 @@ let register_guest t ~vdisk ~gpa_pages ~resident_limit =
       timer = None;
       pending_gen = Itbl.create ~capacity:64 ();
       killed = false;
-      error_budget = t.config.io_error_budget;
+      error_budget = io_error_budget;
       inflight_faults = 0;
       pending_faults = Queue.create ();
     }
@@ -175,8 +264,6 @@ let guest t gid =
   match if gid >= 0 && gid < t.nguests then t.guests.(gid) else None with
   | Some g -> g
   | None -> invalid_arg (Printf.sprintf "Hostmm: unknown guest %d" gid)
-
-let set_resident_limit t gid limit = Cgroup.set_limit (guest t gid).cgroup limit
 
 let after t cost_us k = Sim.Engine.run_after t.engine (Sim.Time.us cost_us) k
 
@@ -241,8 +328,8 @@ let is_silent_write g content =
    this frame rather than abort. *)
 let evict_frame t frame =
   match Frames.owner_kind t.frames frame with
-  | 0 (* free *) -> assert false
-  | 2 (* hv page *) ->
+  | Frames.Free -> assert false
+  | Frames.Hv_page ->
       let gid = Frames.owner_guest t.frames frame in
       let idx = Frames.owner_payload t.frames frame in
       let g = guest t gid in
@@ -250,7 +337,7 @@ let evict_frame t frame =
       Cgroup.remove g.cgroup frame;
       Frames.release t.frames frame;
       true
-  | _ (* guest page *) ->
+  | Frames.Guest_page ->
       let gid = Frames.owner_guest t.frames frame in
       let gpa = Frames.owner_payload t.frames frame in
       let g = guest t gid in
@@ -261,7 +348,7 @@ let evict_frame t frame =
             assert (
               Storage.Vdisk.version g.vdisk block
               = Mapper.tracked_version g.mapper ~gpa);
-            g.ept.(gpa) <- e_in_image block;
+            g.ept.(gpa) <- Ept.in_image block;
             t.stats.mapper_discards <- t.stats.mapper_discards + 1;
             true
           end
@@ -279,7 +366,7 @@ let evict_frame t frame =
               Content.equal
                 (Frames.content t.frames frame)
                 (Storage.Swap_area.content t.swap bslot));
-            g.ept.(gpa) <- e_in_swap bslot;
+            g.ept.(gpa) <- Ept.in_swap bslot;
             true
           end
           else begin
@@ -294,7 +381,7 @@ let evict_frame t frame =
                 false
             | Some slot ->
                 Itbl.set t.slot_owner slot (owner_key ~gid ~gpa);
-                g.ept.(gpa) <- e_in_swap slot;
+                g.ept.(gpa) <- Ept.in_swap slot;
                 t.stats.host_swapouts <- t.stats.host_swapouts + 1;
                 t.stats.swap_sectors_written <-
                   t.stats.swap_sectors_written + page_sectors;
@@ -324,10 +411,10 @@ let refill_inactive t g ~file ~scanned =
   while
     Cgroup.inactive_low g.cgroup ~file
     && Cgroup.length g.cgroup active > 0
-    && !moved < t.config.reclaim_batch
+    && !moved < reclaim_batch
   do
     match Cgroup.tail g.cgroup active with
-    | None -> moved := t.config.reclaim_batch
+    | None -> moved := reclaim_batch
     | Some frame ->
         incr scanned;
         incr moved;
@@ -405,7 +492,7 @@ let ensure_frames t g ~need =
   (match Cgroup.limit g.cgroup with
   | Some lim when Cgroup.resident g.cgroup + need > lim ->
       let target =
-        Cgroup.resident g.cgroup + need - lim + t.config.reclaim_batch
+        Cgroup.resident g.cgroup + need - lim + reclaim_batch
       in
       let _, scanned = shrink_cgroup t g ~target in
       scanned_total := !scanned_total + scanned
@@ -427,7 +514,7 @@ let ensure_frames t g ~need =
           incr consecutive_failures
         else begin
           let freed, scanned =
-            shrink_cgroup t victim ~target:t.config.reclaim_batch
+            shrink_cgroup t victim ~target:reclaim_batch
           in
           scanned_total := !scanned_total + scanned;
           if freed = 0 then incr consecutive_failures
@@ -437,7 +524,7 @@ let ensure_frames t g ~need =
     done
   end;
   int_of_float
-    (Float.round (float_of_int !scanned_total *. t.config.reclaim_page_us))
+    (Float.round (float_of_int !scanned_total *. reclaim_page_us))
 
 (* Release the swap-cache slot backing a present frame, if any: called
    whenever the frame's content is about to change, so the stale copy in
@@ -452,30 +539,30 @@ let drop_swap_backing t frame =
   end
 
 (* Drop whatever backs [gpa] — present frame, swap slot, image mapping,
-   pending Preventer buffer — leaving the page [e_not_backed].  Used when
+   pending Preventer buffer — leaving the page not backed.  Used when
    the old content is dead (DMA overwrite, Preventer remap, balloon). *)
 let discard_backing t g ~gpa =
   if t.vs.preventer then Preventer.abandon g.preventer ~gpa;
   Itbl.remove g.pending_gen gpa;
   (let e = g.ept.(gpa) in
-   match e land 7 with
-   | 2 (* present *) ->
-       let frame = e_arg e in
+   match Ept.state e with
+   | Present ->
+       let frame = Ept.arg e in
        Mapper.untrack g.mapper ~gpa;
        drop_swap_backing t frame;
        Cgroup.remove g.cgroup frame;
        Frames.release t.frames frame
-   | 3 (* in swap *) ->
-       let slot = e_arg e in
+   | In_swap ->
+       let slot = Ept.arg e in
        if Itbl.find t.slot_owner slot ~default:(-1) = owner_key ~gid:g.gid ~gpa
        then begin
          Itbl.remove t.slot_owner slot;
          Storage.Swap_area.free t.swap slot
        end
-   | 4 (* in image *) -> Mapper.untrack g.mapper ~gpa
-   | 0 (* not backed *) -> ()
-   | _ -> invalid_arg "Hostmm.discard_backing: ballooned page");
-  g.ept.(gpa) <- e_not_backed
+   | In_image -> Mapper.untrack g.mapper ~gpa
+   | Not_backed -> ()
+   | Ballooned -> invalid_arg "Hostmm.discard_backing: ballooned page");
+  g.ept.(gpa) <- Ept.not_backed
 
 (* ------------------------------------------------------------------ *)
 (* Guest teardown and emergency reclaim                                 *)
@@ -490,14 +577,6 @@ let kill_guest t gid =
   if not g.killed then begin
     g.killed <- true;
     t.stats.fault_guest_kills <- t.stats.fault_guest_kills + 1;
-    (* Swapped-out pages die with the guest — count them before the
-       teardown loop frees their slots (the scrubber's "pages lost"
-       panel; everything still present or refetchable is not lost). *)
-    Array.iter
-      (fun e ->
-        if e land 7 = 3 then
-          t.stats.fault_pages_lost <- t.stats.fault_pages_lost + 1)
-      g.ept;
     (match g.timer with
     | Some ev ->
         Sim.Engine.cancel t.engine ev;
@@ -505,10 +584,16 @@ let kill_guest t gid =
     | None -> ());
     Array.iteri
       (fun gpa e ->
-        match e land 7 with
-        | 0 (* not backed *) -> ()
-        | 1 (* ballooned *) -> g.ept.(gpa) <- e_not_backed
-        | _ -> discard_backing t g ~gpa)
+        match Ept.state e with
+        | Not_backed -> ()
+        | Ballooned -> g.ept.(gpa) <- Ept.not_backed
+        | In_swap ->
+            (* Swapped-out pages die with the guest (the scrubber's
+               "pages lost" panel; everything still present or
+               refetchable is not lost). *)
+            t.stats.fault_pages_lost <- t.stats.fault_pages_lost + 1;
+            discard_backing t g ~gpa
+        | Present | In_image -> discard_backing t g ~gpa)
       g.ept;
     Array.iteri
       (fun idx frame ->
@@ -541,11 +626,11 @@ let emergency_reclaim t ~requester ~need =
   let frame = ref 0 in
   while Frames.nfree t.frames < need && !frame < nframes do
     (match Frames.owner_kind t.frames !frame with
-    | 0 (* free *) -> ()
-    | 2 (* hv page *) ->
+    | Frames.Free -> ()
+    | Frames.Hv_page ->
         if evict_frame t !frame then
           t.stats.emergency_steals <- t.stats.emergency_steals + 1
-    | _ (* guest page *) ->
+    | Frames.Guest_page ->
         let droppable =
           Frames.named t.frames !frame
           || Frames.backing_slot t.frames !frame >= 0
@@ -576,31 +661,33 @@ let emergency_reclaim t ~requester ~need =
   in
   kill_pass ()
 
+(* A free frame for [g], falling back to emergency reclaim when ordinary
+   reclaim left none.  That fallback may OOM-kill [g] itself, so callers
+   check [g.killed] before installing the frame. *)
+let take_frame t g =
+  match Frames.alloc t.frames with
+  | Some frame -> frame
+  | None -> (
+      emergency_reclaim t ~requester:g.gid ~need:1;
+      match Frames.alloc t.frames with
+      | Some frame -> frame
+      | None ->
+          (* Only reachable with zero usable frames in the whole
+             machine (degenerate configuration, not a fault path). *)
+          failwith "Hostmm: out of host memory (no frames configured)")
+
 (* Allocate a frame for guest page [gpa]; returns (frame, reclaim cost).
    When the disk's write buffer is saturated by eviction traffic, the
    allocating context is paced at roughly the media write rate — the
    balance_dirty_pages effect. *)
 let alloc_frame t g ~gpa ~content ~named ~active ~referenced =
   let throttle =
-    if
-      Storage.Disk.buffered_write_sectors t.disk
-      > t.config.writeback_throttle_sectors
-    then t.config.writeback_throttle_us
+    if Storage.Disk.buffered_write_sectors t.disk > writeback_throttle_sectors
+    then writeback_throttle_us
     else 0
   in
   let cost = throttle + ensure_frames t g ~need:1 in
-  let frame =
-    match Frames.alloc t.frames with
-    | Some frame -> frame
-    | None -> (
-        emergency_reclaim t ~requester:g.gid ~need:1;
-        match Frames.alloc t.frames with
-        | Some frame -> frame
-        | None ->
-            (* Only reachable with zero usable frames in the whole
-               machine (degenerate configuration, not a fault path). *)
-            failwith "Hostmm: out of host memory (no frames configured)")
-  in
+  let frame = take_frame t g in
   if g.killed then begin
     (* The emergency path above chose the requester itself as the OOM
        victim; its teardown already ran.  Installing now would resurrect
@@ -623,7 +710,7 @@ let alloc_frame t g ~gpa ~content ~named ~active ~referenced =
       | false, false -> Cgroup.Anon_inactive
     in
     Cgroup.insert g.cgroup id frame;
-    g.ept.(gpa) <- e_present frame;
+    g.ept.(gpa) <- Ept.present frame;
     (frame, cost)
   end
 
@@ -643,27 +730,20 @@ let hv_touch t g n =
     else begin
       t.stats.host_context_faults <- t.stats.host_context_faults + 1;
       t.stats.hypervisor_code_faults <- t.stats.hypervisor_code_faults + 1;
-      cost := !cost + t.config.hv_refault_us + ensure_frames t g ~need:1;
-      let frame =
-        match Frames.alloc t.frames with
-        | Some frame -> Some frame
-        | None ->
-            emergency_reclaim t ~requester:g.gid ~need:1;
-            Frames.alloc t.frames
-      in
-      match frame with
-      | None -> failwith "Hostmm: out of host memory (no frames configured)"
-      | Some frame when g.killed ->
-          (* Emergency reclaim OOM-killed this guest mid-touch: its
-             hv_frames were already torn down, so don't repopulate. *)
-          Frames.put_back t.frames frame
-      | Some frame ->
-          Frames.set_hv_owner t.frames frame ~guest:g.gid ~idx;
-          Frames.set_content t.frames frame Content.Zero;
-          Frames.set_named t.frames frame true;
-          Frames.set_referenced t.frames frame true;
-          Cgroup.insert g.cgroup Cgroup.File_inactive frame;
-          g.hv_frames.(idx) <- frame
+      cost := !cost + hv_refault_us + ensure_frames t g ~need:1;
+      let frame = take_frame t g in
+      if g.killed then
+        (* Emergency reclaim OOM-killed this guest mid-touch: its
+           hv_frames were already torn down, so don't repopulate. *)
+        Frames.put_back t.frames frame
+      else begin
+        Frames.set_hv_owner t.frames frame ~guest:g.gid ~idx;
+        Frames.set_content t.frames frame Content.Zero;
+        Frames.set_named t.frames frame true;
+        Frames.set_referenced t.frames frame true;
+        Cgroup.insert g.cgroup Cgroup.File_inactive frame;
+        g.hv_frames.(idx) <- frame
+      end
     end
   done;
   !cost
@@ -671,11 +751,6 @@ let hv_touch t g n =
 (* ------------------------------------------------------------------ *)
 (* Fault-in                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let count_fault t ~host_context =
-  if host_context then
-    t.stats.host_context_faults <- t.stats.host_context_faults + 1
-  else t.stats.guest_context_faults <- t.stats.guest_context_faults + 1
 
 (* Policy for a failed guest read.  Transient errors are resubmitted
    with exponential backoff while attempts and the guest's error budget
@@ -687,12 +762,10 @@ let count_fault t ~host_context =
 let handle_read_error t g ~swap_read ~err ~attempt ~retry ~give_up =
   match (err : Storage.Disk.error) with
   | Transient
-    when attempt < t.config.io_retry_limit
-         && g.error_budget > 0
-         && not g.killed ->
+    when attempt < io_retry_limit && g.error_budget > 0 && not g.killed ->
       g.error_budget <- g.error_budget - 1;
       t.stats.fault_retries <- t.stats.fault_retries + 1;
-      after t (t.config.io_retry_base_us lsl attempt) (fun () ->
+      after t (io_retry_base_us lsl attempt) (fun () ->
           if g.killed then give_up () else retry ~attempt:(attempt + 1))
   | Transient ->
       t.stats.fault_retry_exhausted <- t.stats.fault_retry_exhausted + 1;
@@ -706,20 +779,18 @@ let handle_read_error t g ~swap_read ~err ~attempt ~retry ~give_up =
       kill_guest t g.gid;
       after t 0 give_up
 
-(* Install an anonymous page read back from swap slot [slot], if the
-   world still looks like it did at submission time.  [owner] is a packed
-   (guest, gpa) key. *)
-let install_from_swap t ~slot ~owner ~target =
-  let gid = owner_gid owner and gpa = owner_gpa owner in
-  let g = guest t gid in
-  let still_valid =
+(* The two installers a read-around takes: put the page of [owner] (a
+   packed (guest, gpa) key) read back from swap slot or image block [id]
+   in place, if the world still looks like it did at submission time.
+   [target] marks the faulting page, which enters the active list. *)
+
+let install_from_swap t ~target slot owner =
+  let g = guest t (owner_gid owner) and gpa = owner_gpa owner in
+  if
     Storage.Swap_area.is_allocated t.swap slot
     && Itbl.find t.slot_owner slot ~default:(-1) = owner
-    &&
-    let e = g.ept.(gpa) in
-    e land 7 = 3 && e_arg e = slot
-  in
-  if still_valid then begin
+    && g.ept.(gpa) = Ept.in_swap slot
+  then begin
     let content = Storage.Swap_area.content t.swap slot in
     (* Linux keeps swapped-in pages in the swap cache (slot retained, so
        a clean re-eviction is free) until the swap area is half full
@@ -747,13 +818,12 @@ let install_from_swap t ~slot ~owner ~target =
     end
   end
 
-(* Install a Mapper-tracked page re-read from the disk image. *)
-let install_from_image t g ~gpa ~block ~target =
-  let still_valid =
-    let e = g.ept.(gpa) in
-    e land 7 = 4 && e_arg e = block
-  in
-  if still_valid && Mapper.tracked_block g.mapper ~gpa = block then begin
+let install_from_image t ~target block owner =
+  let g = guest t (owner_gid owner) and gpa = owner_gpa owner in
+  if
+    g.ept.(gpa) = Ept.in_image block
+    && Mapper.tracked_block g.mapper ~gpa = block
+  then begin
     assert (
       Mapper.tracked_version g.mapper ~gpa
       = Storage.Vdisk.version g.vdisk block);
@@ -763,6 +833,14 @@ let install_from_image t g ~gpa ~block ~target =
          ~referenced:target);
     t.stats.mapper_refetches <- t.stats.mapper_refetches + 1
   end
+
+(* Minor fault: back the unbacked page [gpa] with a fresh anonymous
+   frame holding [content], then run [k]. *)
+let minor_fault t g ~gpa ~content k =
+  let _, cost =
+    alloc_frame t g ~gpa ~content ~named:false ~active:true ~referenced:true
+  in
+  after t (minor_fault_us + cost) k
 
 (* [fault_in t g ~gpa ~host_context k]: make [gpa] present, charging all
    latencies, then run [k].  [k] itself re-checks presence (the page can
@@ -779,16 +857,11 @@ let install_from_image t g ~gpa ~block ~target =
 let rec fault_in t g ~gpa ~host_context k =
   if g.killed then after t 0 k
   else
-    match g.ept.(gpa) land 7 with
-    | 2 (* present *) -> after t 0 k
-    | 1 (* ballooned *) -> invalid_arg "Hostmm.fault_in: ballooned page"
-    | 0 (* not backed *) ->
-        let _, cost =
-          alloc_frame t g ~gpa ~content:Content.Zero ~named:false ~active:true
-            ~referenced:true
-        in
-        after t (t.config.minor_fault_us + cost) k
-    | _ (* in swap / in image *) ->
+    match Ept.state g.ept.(gpa) with
+    | Present -> after t 0 k
+    | Ballooned -> invalid_arg "Hostmm.fault_in: ballooned page"
+    | Not_backed -> minor_fault t g ~gpa ~content:Content.Zero k
+    | In_swap | In_image ->
         let key = owner_key ~gid:g.gid ~gpa in
         let widx = Itbl.find t.inflight_idx key ~default:(-1) in
         if widx >= 0 then begin
@@ -824,22 +897,23 @@ and start_fault t g ~gpa ~host_context k =
   if t.inflight_targets > t.stats.async_inflight_highwater then
     t.stats.async_inflight_highwater <- t.inflight_targets;
   (* Handling a major fault runs hypervisor code. *)
-  let hv_cost = hv_touch t g t.config.hv_touch_per_fault in
+  let hv_cost = hv_touch t g hv_touch_per_fault in
   let t0 = Sim.Time.to_us (Sim.Engine.now t.engine) in
-  let tag0 = g.ept.(gpa) land 7 in
+  let swap_fault = Ept.state g.ept.(gpa) = In_swap in
   let finish0 () =
     (match t.swapin_probe with
-    | Some probe when tag0 = 3 ->
+    | Some probe when swap_fault ->
         (* End-to-end swap-in fault latency, QoS park time included —
            what the guest's thread actually waited. *)
         probe ~gid:g.gid ~us:(Sim.Time.to_us (Sim.Engine.now t.engine) - t0)
-    | _ -> ());
+    | Some _ | None -> ());
     let ws = inflight_take t key widx in
     g.inflight_faults <- g.inflight_faults - 1;
     t.inflight_targets <- t.inflight_targets - 1;
-    (match g.ept.(gpa) land 7 with
-    | 2 (* present *) -> k ()
-    | _ -> fault_in t g ~gpa ~host_context k);
+    (match Ept.state g.ept.(gpa) with
+    | Present -> k ()
+    | Not_backed | Ballooned | In_swap | In_image ->
+        fault_in t g ~gpa ~host_context k);
     List.iter (fun w -> w ()) ws;
     (* The freed slot may admit parked starts (of this guest). *)
     drain_pending t g
@@ -855,15 +929,15 @@ and start_fault t g ~gpa ~host_context k =
     if g.killed then finish ()
     else
       let e = g.ept.(gpa) in
-      match e land 7 with
-      | 3 (* in swap *) ->
-          swapin_cluster t g ~gpa ~slot:(e_arg e) ~host_context finish
-      | 4 (* in image *) ->
-          refetch_image t g ~gpa ~block:(e_arg e) ~host_context finish
-      | _ -> finish ()
+      match Ept.state e with
+      | In_swap ->
+          swapin_cluster t g ~gpa ~slot:(Ept.arg e) ~host_context finish
+      | In_image ->
+          refetch_image t g ~gpa ~block:(Ept.arg e) ~host_context finish
+      | Not_backed | Ballooned | Present -> finish ()
   in
   match t.qos with
-  | Some qos when tag0 = 3 ->
+  | Some qos when swap_fault ->
       (* Token-bucket admission applies to swap-in faults: the traffic
          that competes for the (possibly degraded) swap backends. *)
       Qos.admit qos ~gid:g.gid issue
@@ -887,163 +961,116 @@ and drain_pending t g =
    when neighbouring slots hold unrelated pages, the prefetch wins
    nothing and every page pays a full random read. *)
 and swapin_cluster t g ~gpa ~slot ~host_context k =
-  count_fault t ~host_context;
-  let cluster = max 1 (1 lsl t.config.page_cluster) in
+  let cluster = 1 lsl t.config.page_cluster in
   let s0 = slot - (slot mod cluster) in
   let s_end = min (s0 + cluster) (Storage.Swap_area.nslots t.swap) in
-  let neighbours = ref [] in
-  for s = s_end - 1 downto s0 do
-    if s <> slot then begin
-      let owner = Itbl.find t.slot_owner s ~default:(-1) in
-      if
-        owner >= 0
-        && (not (inflight_mem t owner))
-        (* One request has one latency model: readahead never spans
-           backend tiers (constant-true in passthrough mode). *)
-        && Storage.Tiers.same_tier t.tiers slot s
-      then begin
-        let e = (guest t (owner_gid owner)).ept.(owner_gpa owner) in
-        if e land 7 = 3 && e_arg e = s then
-          neighbours := (s, owner) :: !neighbours
-      end
+  (* Prefetch at most the free-frame headroom beyond the target page. *)
+  let headroom = ref (max 0 (Frames.nfree t.frames - 1)) in
+  let ahead = ref [] in
+  for s = s0 to s_end - 1 do
+    let owner = Itbl.find t.slot_owner s ~default:(-1) in
+    if
+      s <> slot && !headroom > 0 && owner >= 0
+      && (not (inflight_mem t owner))
+      (* One request has one latency model: readahead never spans
+         backend tiers (constant-true in passthrough mode). *)
+      && Storage.Tiers.same_tier t.tiers slot s
+      && (guest t (owner_gid owner)).ept.(owner_gpa owner) = Ept.in_swap s
+    then begin
+      decr headroom;
+      ahead := (s, owner, inflight_add t owner) :: !ahead
     end
   done;
-  (* Prefetch at most the free-frame headroom beyond the target page. *)
-  let headroom = max 0 (Frames.nfree t.frames - 1) in
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-  in
-  let neighbours = take headroom !neighbours in
-  let marked =
-    List.map (fun (s, owner) -> (s, owner, inflight_add t owner)) neighbours
-  in
-  let slots = slot :: List.map (fun (s, _) -> s) neighbours in
-  let smin = List.fold_left min slot slots in
-  let smax = List.fold_left max slot slots in
-  let sector = Storage.Swap_area.sector_of_slot t.swap smin in
-  let nsectors = (smax - smin + 1) * page_sectors in
+  let ahead = List.rev !ahead in
   t.stats.swap_sectors_read <-
-    t.stats.swap_sectors_read + (List.length slots * page_sectors);
-  let finish_neighbours ~install =
-    List.iter
-      (fun (s, owner, widx) ->
-        if install then install_from_swap t ~slot:s ~owner ~target:false;
-        let waiters = inflight_take t owner widx in
-        List.iter (fun w -> w ()) waiters)
-      marked
-  in
-  let install_target () =
-    install_from_swap t ~slot ~owner:(owner_key ~gid:g.gid ~gpa) ~target:true;
-    after t t.config.major_fault_us k
-  in
-  (* Retries cover the faulting page only: the prefetched neighbours are
-     best-effort and were already released on the first failure. *)
-  let rec retry ~attempt =
-    Storage.Tiers.swap_in t.tiers ~slot
-      ~sector:(Storage.Swap_area.sector_of_slot t.swap slot)
-      ~nsectors:page_sectors ~queue:g.gid ~attempt
-      (fun (reply : Storage.Disk.reply) ->
-        match reply.result with
-        | Ok () -> install_target ()
-        | Error err ->
-            handle_read_error t g ~swap_read:true ~err ~attempt ~retry
-              ~give_up:k)
-  in
-  Storage.Tiers.swap_in t.tiers ~slot ~sector ~nsectors ~queue:g.gid ~attempt:0
-    (fun (reply : Storage.Disk.reply) ->
-      match reply.result with
-      | Ok () ->
-          install_from_swap t ~slot
-            ~owner:(owner_key ~gid:g.gid ~gpa)
-            ~target:true;
-          finish_neighbours ~install:true;
-          after t t.config.major_fault_us k
-      | Error err ->
-          finish_neighbours ~install:false;
-          if nsectors = page_sectors then
-            (* The cluster was just the target page; the error is its. *)
-            handle_read_error t g ~swap_read:true ~err ~attempt:0 ~retry
-              ~give_up:k
-          else
-            (* The failing sector may belong to a prefetched neighbour;
-               narrow to the target page before charging the guest a
-               retry. *)
-            retry ~attempt:0)
+    t.stats.swap_sectors_read + ((1 + List.length ahead) * page_sectors);
+  read_around t g ~gpa ~id:slot ~ahead ~swap_read:true ~page_us:0
+    ~sector_of:(Storage.Swap_area.sector_of_slot t.swap)
+    ~submit:(fun ~sector ~nsectors ~attempt on_reply ->
+      Storage.Tiers.swap_in t.tiers ~slot ~sector ~nsectors ~queue:g.gid
+        ~attempt on_reply)
+    ~install:install_from_swap ~host_context k
 
 (* Fault on a Mapper-discarded page: re-read from the disk image, with
    readahead over the consecutive run of tracked blocks — which stays
    sequential forever, the Mapper's answer to decayed sequentiality. *)
 and refetch_image t g ~gpa ~block ~host_context k =
-  count_fault t ~host_context;
-  let disk_id = Storage.Vdisk.id g.vdisk in
   let window =
-    Mapper.readahead_window g.mapper ~disk:disk_id ~block
-      ~max:t.config.image_readahead_pages
+    Mapper.readahead_window g.mapper ~disk:(Storage.Vdisk.id g.vdisk) ~block
+      ~max:image_readahead_pages
   in
   let headroom = ref (max 0 (Frames.nfree t.frames - 1)) in
-  let installs = ref [] in
+  let ahead = ref [] in
   List.iter
     (fun (b, gpas) ->
       List.iter
         (fun p ->
-          if p <> gpa && !headroom > 0 then begin
-            let e = g.ept.(p) in
-            if
-              e land 7 = 4
-              && e_arg e = b
-              && not (inflight_mem t (owner_key ~gid:g.gid ~gpa:p))
-            then begin
-              decr headroom;
-              let widx = inflight_add t (owner_key ~gid:g.gid ~gpa:p) in
-              installs := (b, p, widx) :: !installs
-            end
+          let owner = owner_key ~gid:g.gid ~gpa:p in
+          if
+            p <> gpa && !headroom > 0
+            && g.ept.(p) = Ept.in_image b
+            && not (inflight_mem t owner)
+          then begin
+            decr headroom;
+            ahead := (b, owner, inflight_add t owner) :: !ahead
           end)
         gpas)
     window;
-  let installs = List.rev !installs in
-  let last_block =
-    List.fold_left (fun acc (b, _, _) -> max acc b) block installs
-  in
-  let nblocks = last_block - block + 1 in
-  let sector = Storage.Vdisk.sector_of_block g.vdisk block in
-  let finish_readahead ~install =
+  read_around t g ~gpa ~id:block ~ahead:(List.rev !ahead) ~swap_read:false
+    ~page_us:mapper_map_page_us
+    ~sector_of:(Storage.Vdisk.sector_of_block g.vdisk)
+    ~submit:(fun ~sector ~nsectors ~attempt on_reply ->
+      Storage.Disk.submit t.disk ~sector ~nsectors ~kind:Storage.Disk.Read
+        ~queue:g.gid ~attempt on_reply)
+    ~install:install_from_image ~host_context k
+
+(* The read both major faults share.  One request covers the target [id]
+   (a swap slot or image block, at [sector_of id]) and every readahead
+   page in [ahead]: (id, owner key, waiter index) triples, already
+   marked in flight.  On success it installs the target, then each
+   readahead page, releasing that page's waiters, and charges
+   [major_fault_us] plus [page_us] per page.  On an error the readahead
+   is released uninstalled — it was best-effort — and a request wider
+   than the target narrows to the target page before charging the guest
+   a retry, since the failing sector may be a neighbour's. *)
+and read_around t g ~gpa ~id ~ahead ~swap_read ~page_us ~sector_of ~submit
+    ~install ~host_context k =
+  if host_context then
+    t.stats.host_context_faults <- t.stats.host_context_faults + 1
+  else t.stats.guest_context_faults <- t.stats.guest_context_faults + 1;
+  let owner = owner_key ~gid:g.gid ~gpa in
+  let first = List.fold_left (fun acc (i, _, _) -> min acc i) id ahead in
+  let last = List.fold_left (fun acc (i, _, _) -> max acc i) id ahead in
+  let nsectors = (last - first + 1) * page_sectors in
+  let release ~installed =
     List.iter
-      (fun (b, p, widx) ->
-        if install then install_from_image t g ~gpa:p ~block:b ~target:false;
-        let waiters = inflight_take t (owner_key ~gid:g.gid ~gpa:p) widx in
-        List.iter (fun w -> w ()) waiters)
-      installs
+      (fun (i, o, widx) ->
+        if installed then install t ~target:false i o;
+        List.iter (fun w -> w ()) (inflight_take t o widx))
+      ahead
   in
-  (* Retries re-read the faulting block only; readahead is best-effort
-     and was released on the first failure. *)
   let rec retry ~attempt =
-    Storage.Disk.submit t.disk ~sector ~nsectors:page_sectors
-      ~kind:Storage.Disk.Read ~queue:g.gid ~attempt
+    submit ~sector:(sector_of id) ~nsectors:page_sectors ~attempt
       (fun (reply : Storage.Disk.reply) ->
         match reply.result with
         | Ok () ->
-            install_from_image t g ~gpa ~block ~target:true;
-            after t (t.config.major_fault_us + t.config.mapper_map_page_us) k
+            install t ~target:true id owner;
+            after t (major_fault_us + page_us) k
         | Error err ->
-            handle_read_error t g ~swap_read:false ~err ~attempt ~retry
-              ~give_up:k)
+            handle_read_error t g ~swap_read ~err ~attempt ~retry ~give_up:k)
   in
-  Storage.Disk.submit t.disk ~sector ~nsectors:(nblocks * page_sectors)
-    ~kind:Storage.Disk.Read ~queue:g.gid
+  submit ~sector:(sector_of first) ~nsectors ~attempt:0
     (fun (reply : Storage.Disk.reply) ->
       match reply.result with
       | Ok () ->
-          install_from_image t g ~gpa ~block ~target:true;
-          finish_readahead ~install:true;
-          let map_cost =
-            (1 + List.length installs) * t.config.mapper_map_page_us
-          in
-          after t (t.config.major_fault_us + map_cost) k
+          install t ~target:true id owner;
+          release ~installed:true;
+          after t (major_fault_us + ((1 + List.length ahead) * page_us)) k
       | Error err ->
-          finish_readahead ~install:false;
-          if nblocks = 1 then
-            handle_read_error t g ~swap_read:false ~err ~attempt:0 ~retry
+          release ~installed:false;
+          if nsectors = page_sectors then
+            (* The request was just the target page; the error is its. *)
+            handle_read_error t g ~swap_read ~err ~attempt:0 ~retry
               ~give_up:k
           else retry ~attempt:0)
 
@@ -1051,57 +1078,47 @@ and refetch_image t g ~gpa ~block ~host_context k =
 (* Guest-context accesses                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply a CPU store to a present page: private-mapping COW semantics
-   break the Mapper association and retype the page anonymous. *)
-let apply_write_present t g ~gpa ~full ~gen =
-  let e = g.ept.(gpa) in
-  if e land 7 <> 2 then assert false
-  else begin
-    let frame = e_arg e in
-    let base = Frames.content t.frames frame in
-    let c = if full then Content.Anon gen else Content.combine base gen in
-    let cost =
-      if Frames.named t.frames frame then begin
-        Mapper.untrack g.mapper ~gpa;
-        Frames.set_named t.frames frame false;
-        Cgroup.move g.cgroup Cgroup.Anon_active frame;
-        t.config.cow_exit_us
-      end
-      else 0
-    in
-    drop_swap_backing t frame;
-    Frames.set_content t.frames frame c;
-    Frames.set_referenced t.frames frame true;
-    cost
+(* Private-mapping COW semantics: a store to a present named page breaks
+   its Mapper association and retypes it anonymous.  Returns the cost of
+   the exit this takes (none for an anonymous page). *)
+let cow_break t g ~gpa frame =
+  if Frames.named t.frames frame then begin
+    Mapper.untrack g.mapper ~gpa;
+    Frames.set_named t.frames frame false;
+    Cgroup.move g.cgroup Cgroup.Anon_active frame;
+    cow_exit_us
   end
+  else 0
+
+(* Store [content] to the present page [gpa] in [frame]; returns the
+   COW-break cost. *)
+let store_present t g ~gpa frame content =
+  let cost = cow_break t g ~gpa frame in
+  drop_swap_backing t frame;
+  Frames.set_content t.frames frame content;
+  Frames.set_referenced t.frames frame true;
+  cost
 
 (* Merge a (possibly expired/abandoned) Preventer buffer with the page's
    old content: fault the old bytes in, then overlay generation [gen]. *)
 let rec apply_merge t g ~gpa ~gen ~host_context k =
   let e = g.ept.(gpa) in
-  match e land 7 with
-  | 2 (* present *) ->
-      let frame = e_arg e in
-      let base = Frames.content t.frames frame in
-      if Frames.named t.frames frame then begin
-        Mapper.untrack g.mapper ~gpa;
-        Frames.set_named t.frames frame false;
-        Cgroup.move g.cgroup Cgroup.Anon_active frame
-      end;
-      drop_swap_backing t frame;
-      Frames.set_content t.frames frame (Content.combine base gen);
-      Frames.set_referenced t.frames frame true;
+  match Ept.state e with
+  | Present ->
+      let frame = Ept.arg e in
+      let merged = Content.combine (Frames.content t.frames frame) gen in
+      ignore (store_present t g ~gpa frame merged);
       after t 0 k
-  | 3 (* in swap *) | 4 (* in image *) ->
+  | In_swap | In_image ->
       fault_in t g ~gpa ~host_context (fun () ->
           apply_merge t g ~gpa ~gen ~host_context k)
-  | 0 (* not backed *) ->
+  | Not_backed ->
       ignore
         (alloc_frame t g ~gpa
            ~content:(Content.combine Content.Zero gen)
            ~named:false ~active:true ~referenced:true);
       after t 0 k
-  | _ (* ballooned *) -> after t 0 k
+  | Ballooned -> after t 0 k
 
 (* Fetch-or-mint the pending write generation for [gpa]; generations are
    nonzero, so 0 reads as absent. *)
@@ -1135,26 +1152,32 @@ let rec arm_timer t g =
                  gone;
                arm_timer t g))
 
+(* The Preventer's remap: a whole-page overwrite of a swapped or
+   discarded page drops the old backing unread and installs [content]
+   in a fresh frame, charging the emulation instead of a fault. *)
+let remap t g ~gpa ~content k =
+  discard_backing t g ~gpa;
+  let _, cost =
+    alloc_frame t g ~gpa ~content ~named:false ~active:true ~referenced:true
+  in
+  after t (emulated_write_us + cost) k
+
 let touch_read t ~guest:gid ~gpa k =
   let g = guest t gid in
   let rec attempt () =
     if g.killed then after t 0 (fun () -> k Content.Zero)
     else
       let e = g.ept.(gpa) in
-      match e land 7 with
-      | 2 (* present *) ->
-          let frame = e_arg e in
+      match Ept.state e with
+      | Present ->
+          let frame = Ept.arg e in
           Frames.set_referenced t.frames frame true;
           let c = Frames.content t.frames frame in
           after t 0 (fun () -> k c)
-      | 1 (* ballooned *) -> invalid_arg "Hostmm.touch_read: ballooned page"
-      | 0 (* not backed *) ->
-          let _, cost =
-            alloc_frame t g ~gpa ~content:Content.Zero ~named:false
-              ~active:true ~referenced:true
-          in
-          after t (t.config.minor_fault_us + cost) (fun () -> k Content.Zero)
-      | _ (* in swap / in image *) ->
+      | Ballooned -> invalid_arg "Hostmm.touch_read: ballooned page"
+      | Not_backed ->
+          minor_fault t g ~gpa ~content:Content.Zero (fun () -> k Content.Zero)
+      | In_swap | In_image ->
           if t.vs.preventer && Preventer.is_buffered g.preventer ~gpa then begin
             (* Guest reads a page under write emulation.  Whole-page reads
                are never fully covered by a partial buffer, so this is the
@@ -1165,8 +1188,7 @@ let touch_read t ~guest:gid ~gpa k =
             with
             | Preventer.Served_from_buffer ->
                 let gen = pending_gen_of g gpa in
-                after t t.config.emulated_write_us (fun () ->
-                    k (Content.Anon gen))
+                after t emulated_write_us (fun () -> k (Content.Anon gen))
             | Preventer.Suspend ->
                 Preventer.abandon g.preventer ~gpa;
                 t.stats.preventer_merges <- t.stats.preventer_merges + 1;
@@ -1185,37 +1207,33 @@ let touch_write t ~guest:gid ~gpa ~offset ~len ~gen ~intent_full_page k =
   let rec attempt () =
     if g.killed then after t 0 k
     else
-      match g.ept.(gpa) land 7 with
-      | 2 (* present *) ->
-          let cost = apply_write_present t g ~gpa ~full ~gen in
-          after t cost k
-      | 1 (* ballooned *) -> invalid_arg "Hostmm.touch_write: ballooned page"
-      | 0 (* not backed *) ->
-          let content =
-            if full then Content.Anon gen else Content.combine Content.Zero gen
+      let e = g.ept.(gpa) in
+      match Ept.state e with
+      | Present ->
+          let frame = Ept.arg e in
+          let c =
+            if full then Content.Anon gen
+            else Content.combine (Frames.content t.frames frame) gen
           in
-          let _, cost =
-            alloc_frame t g ~gpa ~content ~named:false ~active:true
-              ~referenced:true
-          in
-          after t (t.config.minor_fault_us + cost) k
-      | _ (* in swap / in image *) ->
+          after t (store_present t g ~gpa frame c) k
+      | Ballooned -> invalid_arg "Hostmm.touch_write: ballooned page"
+      | Not_backed ->
+          minor_fault t g ~gpa k
+            ~content:
+              (if full then Content.Anon gen
+               else Content.combine Content.Zero gen)
+      | In_swap | In_image ->
           if t.vs.preventer then
             match
               Preventer.on_write g.preventer ~now:(Sim.Engine.now t.engine)
                 ~gpa ~offset ~len
             with
             | Preventer.Completed ->
-                discard_backing t g ~gpa;
-                let _, cost =
-                  alloc_frame t g ~gpa ~content:(Content.Anon gen) ~named:false
-                    ~active:true ~referenced:true
-                in
-                after t (t.config.emulated_write_us + cost) k
+                remap t g ~gpa ~content:(Content.Anon gen) k
             | Preventer.Buffered { first_write } ->
                 Itbl.set g.pending_gen gpa gen;
                 if first_write then arm_timer t g;
-                after t t.config.emulated_write_us k
+                after t emulated_write_us k
             | Preventer.Needs_merge ->
                 Itbl.remove g.pending_gen gpa;
                 apply_merge t g ~gpa ~gen ~host_context:false k
@@ -1237,41 +1255,17 @@ let rep_write t ~guest:gid ~gpa ~content k =
     if g.killed then after t 0 k
     else
       let e = g.ept.(gpa) in
-      match e land 7 with
-      | 2 (* present *) ->
-          let frame = e_arg e in
-          let cost =
-            if Frames.named t.frames frame then begin
-              Mapper.untrack g.mapper ~gpa;
-              Frames.set_named t.frames frame false;
-              Cgroup.move g.cgroup Cgroup.Anon_active frame;
-              t.config.cow_exit_us
-            end
-            else 0
-          in
-          drop_swap_backing t frame;
-          Frames.set_content t.frames frame content;
-          Frames.set_referenced t.frames frame true;
-          after t cost k
-      | 1 (* ballooned *) -> invalid_arg "Hostmm.rep_write: ballooned page"
-      | 0 (* not backed *) ->
-          let _, cost =
-            alloc_frame t g ~gpa ~content ~named:false ~active:true
-              ~referenced:true
-          in
-          after t (t.config.minor_fault_us + cost) k
-      | _ (* in swap / in image *) ->
+      match Ept.state e with
+      | Present -> after t (store_present t g ~gpa (Ept.arg e) content) k
+      | Ballooned -> invalid_arg "Hostmm.rep_write: ballooned page"
+      | Not_backed -> minor_fault t g ~gpa ~content k
+      | In_swap | In_image ->
           if t.vs.preventer then begin
             (* REP-prefixed whole-page store: recognized outright; the old
                content is never read (paper Section 4.2, last paragraph). *)
             Preventer.on_rep_write g.preventer ~gpa;
             Itbl.remove g.pending_gen gpa;
-            discard_backing t g ~gpa;
-            let _, cost =
-              alloc_frame t g ~gpa ~content ~named:false ~active:true
-                ~referenced:true
-            in
-            after t (t.config.emulated_write_us + cost) k
+            remap t g ~gpa ~content k
           end
           else begin
             if not !false_read_counted then begin
@@ -1294,131 +1288,120 @@ let install_file_page t g ~gpa ~block =
   let content = Storage.Vdisk.content g.vdisk block in
   let cost = ref 0 in
   (let e = g.ept.(gpa) in
-   match e land 7 with
-   | 2 (* present *) ->
-       let frame = e_arg e in
+   match Ept.state e with
+   | Present ->
+       let frame = Ept.arg e in
        drop_swap_backing t frame;
        Frames.set_content t.frames frame content;
        if not (Frames.named t.frames frame) then begin
          Frames.set_named t.frames frame true;
          Cgroup.move g.cgroup Cgroup.File_inactive frame
        end
-   | 1 (* ballooned *) -> ()
-   | _ (* not backed / in swap / in image *) ->
+   | Ballooned -> ()
+   | Not_backed | In_swap | In_image ->
        discard_backing t g ~gpa;
        let _, c =
          alloc_frame t g ~gpa ~content ~named:true ~active:false
            ~referenced:false
        in
        cost := c);
-  if g.ept.(gpa) land 7 = 2 then
+  if Ept.state g.ept.(gpa) = Present then
     Mapper.track g.mapper ~gpa ~disk:(Storage.Vdisk.id g.vdisk) ~block
       ~version:v;
-  !cost + t.config.mapper_map_page_us
+  !cost + mapper_map_page_us
 
 (* Baseline DMA landing: overwrite the (pinned) destination page. *)
 let force_dma_install t g ~gpa ~block =
   let content = Storage.Vdisk.content g.vdisk block in
   let e = g.ept.(gpa) in
-  match e land 7 with
-  | 2 (* present *) ->
-      let frame = e_arg e in
+  match Ept.state e with
+  | Present ->
+      let frame = Ept.arg e in
       drop_swap_backing t frame;
       Frames.set_content t.frames frame content;
       Frames.set_referenced t.frames frame true
-  | 1 (* ballooned *) -> ()
-  | _ (* not backed / in swap / in image *) ->
+  | Ballooned -> ()
+  | Not_backed | In_swap | In_image ->
       discard_backing t g ~gpa;
       ignore
         (alloc_frame t g ~gpa ~content ~named:false ~active:false
            ~referenced:true)
+
+(* Make a virtual I/O's guest buffers resident: touch the present ones,
+   zero-fill the unbacked ones, and collect the swapped or discarded
+   ones, which must be faulted in before the I/O may proceed.  Returns
+   the zero-fill cost and the pages to fault, last first. *)
+let pin_buffers t g ~op gpas =
+  let cost = ref 0 and faults = ref [] in
+  Array.iter
+    (fun gpa ->
+      let e = g.ept.(gpa) in
+      match Ept.state e with
+      | Present -> Frames.set_referenced t.frames (Ept.arg e) true
+      | Not_backed ->
+          let _, c =
+            alloc_frame t g ~gpa ~content:Content.Zero ~named:false
+              ~active:false ~referenced:true
+          in
+          cost := !cost + minor_fault_us + c
+      | In_swap | In_image -> faults := gpa :: !faults
+      | Ballooned -> invalid_arg ("Hostmm." ^ op ^ ": ballooned page"))
+    gpas;
+  (!cost, !faults)
+
+(* Fault [gpas] in from hypervisor context, then run [k]. *)
+let fault_all t g gpas k =
+  let done_one = join t (List.length gpas) k in
+  List.iter (fun gpa -> fault_in t g ~gpa ~host_context:true done_one) gpas
+
+(* Read [nsectors] of [g]'s image at [sector] into its buffers,
+   resubmitting on transient errors, then run [landed] — or just [k], if
+   the guest died while the read was on the disk. *)
+let read_image t g ~sector ~nsectors ~landed k =
+  let rec submit ~attempt =
+    Storage.Disk.submit t.disk ~sector ~nsectors ~kind:Storage.Disk.Read
+      ~queue:g.gid ~attempt (fun (reply : Storage.Disk.reply) ->
+        match reply.result with
+        | Ok () when g.killed -> after t 0 k
+        | Ok () -> landed ()
+        | Error err ->
+            handle_read_error t g ~swap_read:false ~err ~attempt ~retry:submit
+              ~give_up:k)
+  in
+  submit ~attempt:0
 
 let vio_read t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
   let g = guest t gid in
   let n = Array.length gpas in
   if n = 0 || g.killed then after t 0 k
   else begin
-    let base_cost =
-      t.config.vio_overhead_us + hv_touch t g t.config.hv_touch_per_vio
-    in
+    let base_cost = vio_overhead_us + hv_touch t g hv_touch_per_vio in
     let sector = Storage.Vdisk.sector_of_block g.vdisk block0 in
-    let mapper_path = t.vs.mapper && t.vs.report_4k_sectors && aligned in
-    if mapper_path then begin
+    let nsectors = n * page_sectors in
+    if t.vs.mapper && t.vs.report_4k_sectors && aligned then begin
       (* mmap path: destinations are simply remapped; no fault-in. *)
       Array.iter (fun gpa -> discard_backing t g ~gpa) gpas;
-      let rec submit ~attempt =
-        Storage.Disk.submit t.disk ~sector ~nsectors:(n * page_sectors)
-          ~kind:Storage.Disk.Read ~queue:g.gid ~attempt
-          (fun (reply : Storage.Disk.reply) ->
-            match reply.result with
-            | Ok () when g.killed -> after t 0 k
-            | Ok () ->
-                let cost = ref base_cost in
-                Array.iteri
-                  (fun i gpa ->
-                    cost :=
-                      !cost + install_file_page t g ~gpa ~block:(block0 + i))
-                  gpas;
-                after t !cost k
-            | Error err ->
-                handle_read_error t g ~swap_read:false ~err ~attempt
-                  ~retry:(fun ~attempt -> submit ~attempt)
-                  ~give_up:k)
-      in
-      submit ~attempt:0
+      read_image t g ~sector ~nsectors k ~landed:(fun () ->
+          let cost = ref base_cost in
+          Array.iteri
+            (fun i gpa ->
+              cost := !cost + install_file_page t g ~gpa ~block:(block0 + i))
+            gpas;
+          after t !cost k)
     end
     else begin
       (* Baseline: the destination buffers must be resident before the
-         device can DMA into them — the stale-read pathology. *)
-      let cost = ref base_cost in
-      let submit () =
-        let rec go ~attempt =
-          Storage.Disk.submit t.disk ~sector ~nsectors:(n * page_sectors)
-            ~kind:Storage.Disk.Read ~queue:g.gid ~attempt
-            (fun (reply : Storage.Disk.reply) ->
-              match reply.result with
-              | Ok () when g.killed -> after t 0 k
-              | Ok () ->
-                  Array.iteri
-                    (fun i gpa ->
-                      force_dma_install t g ~gpa ~block:(block0 + i))
-                    gpas;
-                  after t !cost k
-              | Error err ->
-                  handle_read_error t g ~swap_read:false ~err ~attempt
-                    ~retry:(fun ~attempt -> go ~attempt)
-                    ~give_up:k)
-        in
-        go ~attempt:0
-      in
-      let faults = ref [] in
-      Array.iter
-        (fun gpa ->
-          let e = g.ept.(gpa) in
-          match e land 7 with
-          | 2 (* present *) -> Frames.set_referenced t.frames (e_arg e) true
-          | 0 (* not backed *) ->
-              let _, c =
-                alloc_frame t g ~gpa ~content:Content.Zero ~named:false
-                  ~active:false ~referenced:true
-              in
-              cost := !cost + t.config.minor_fault_us + c
-          | 3 (* in swap *) ->
-              t.stats.stale_reads <- t.stats.stale_reads + 1;
-              faults := gpa :: !faults
-          | 4 (* in image *) ->
-              (* A misaligned request while the Mapper is active: the
-                 discarded page must be faulted back in just to be
-                 DMA-overwritten — still a stale read. *)
-              t.stats.stale_reads <- t.stats.stale_reads + 1;
-              faults := gpa :: !faults
-          | _ (* ballooned *) ->
-              invalid_arg "Hostmm.vio_read: ballooned page")
-        gpas;
-      let done_one = join t (List.length !faults) submit in
-      List.iter
-        (fun gpa -> fault_in t g ~gpa ~host_context:true done_one)
-        !faults
+         device can DMA into them — the stale-read pathology.  Under the
+         Mapper, a misaligned request faults its discarded pages back in
+         just to overwrite them: still stale reads. *)
+      let cost, faults = pin_buffers t g ~op:"vio_read" gpas in
+      t.stats.stale_reads <- t.stats.stale_reads + List.length faults;
+      fault_all t g faults (fun () ->
+          read_image t g ~sector ~nsectors k ~landed:(fun () ->
+              Array.iteri
+                (fun i gpa -> force_dma_install t g ~gpa ~block:(block0 + i))
+                gpas;
+              after t (base_cost + cost) k))
     end
   end
 
@@ -1428,33 +1411,28 @@ let vio_read t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
    pinned for the duration of the I/O. *)
 let source_content t g gpa =
   let e = g.ept.(gpa) in
-  match e land 7 with
-  | 2 (* present *) -> Frames.content t.frames (e_arg e)
-  | 3 (* in swap *) -> Storage.Swap_area.content t.swap (e_arg e)
-  | 4 (* in image *) -> Storage.Vdisk.content g.vdisk (e_arg e)
-  | _ (* not backed / ballooned *) -> Content.Zero
+  match Ept.state e with
+  | Present -> Frames.content t.frames (Ept.arg e)
+  | In_swap -> Storage.Swap_area.content t.swap (Ept.arg e)
+  | In_image -> Storage.Vdisk.content g.vdisk (Ept.arg e)
+  | Not_backed | Ballooned -> Content.Zero
 
 (* Preserve-and-untrack one page whose backing block is about to be
    overwritten: the Mapper's data-consistency protocol (Section 4.1).
    A discarded page must be faulted back in before the block changes. *)
 let rec preserve_victim t g ~gpa k =
   let e = g.ept.(gpa) in
-  match e land 7 with
-  | 2 (* present *) ->
-      let frame = e_arg e in
-      Mapper.untrack g.mapper ~gpa;
-      if Frames.named t.frames frame then begin
-        Frames.set_named t.frames frame false;
-        Cgroup.move g.cgroup Cgroup.Anon_active frame
-      end;
+  match Ept.state e with
+  | Present ->
+      ignore (cow_break t g ~gpa (Ept.arg e));
       after t 0 k
-  | 4 (* in image *) ->
+  | In_image ->
       fault_in t g ~gpa ~host_context:true (fun () ->
           preserve_victim t g ~gpa k)
-  | 3 (* in swap *) ->
+  | In_swap ->
       (* Tracked pages are never in swap; the mapping must be gone. *)
       after t 0 k
-  | _ (* not backed / ballooned *) ->
+  | Not_backed | Ballooned ->
       Mapper.untrack g.mapper ~gpa;
       after t 0 k
 
@@ -1463,9 +1441,7 @@ let vio_write t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
   let n = Array.length gpas in
   if n = 0 || g.killed then after t 0 k
   else begin
-    let base_cost =
-      t.config.vio_overhead_us + hv_touch t g t.config.hv_touch_per_vio
-    in
+    let base_cost = vio_overhead_us + hv_touch t g hv_touch_per_vio in
     let disk_id = Storage.Vdisk.id g.vdisk in
     let sector = Storage.Vdisk.sector_of_block g.vdisk block0 in
     let track_path = t.vs.mapper && t.vs.report_4k_sectors && aligned in
@@ -1481,15 +1457,16 @@ let vio_write t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
             if track_path then begin
               (* Write-then-map: the page now mirrors the block. *)
               let e = g.ept.(gpa) in
-              if e land 7 = 2 then begin
-                let frame = e_arg e in
-                Mapper.track g.mapper ~gpa ~disk:disk_id ~block ~version;
-                if not (Frames.named t.frames frame) then begin
-                  Frames.set_named t.frames frame true;
-                  Cgroup.move g.cgroup Cgroup.File_inactive frame
-                end;
-                Frames.set_referenced t.frames frame true
-              end
+              match Ept.state e with
+              | Present ->
+                  let frame = Ept.arg e in
+                  Mapper.track g.mapper ~gpa ~disk:disk_id ~block ~version;
+                  if not (Frames.named t.frames frame) then begin
+                    Frames.set_named t.frames frame true;
+                    Cgroup.move g.cgroup Cgroup.File_inactive frame
+                  end;
+                  Frames.set_referenced t.frames frame true
+              | Not_backed | Ballooned | In_swap | In_image -> ()
             end)
           gpas;
         Storage.Disk.submit t.disk ~sector ~nsectors:(n * page_sectors)
@@ -1515,21 +1492,8 @@ let vio_write t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
       end
     in
     (* Phase 1: make all source pages readable. *)
-    let faults = ref [] in
-    Array.iter
-      (fun gpa ->
-        let e = g.ept.(gpa) in
-        match e land 7 with
-        | 2 (* present *) -> Frames.set_referenced t.frames (e_arg e) true
-        | 0 (* not backed *) ->
-            ignore
-              (alloc_frame t g ~gpa ~content:Content.Zero ~named:false
-                 ~active:false ~referenced:true)
-        | 3 (* in swap *) | 4 (* in image *) -> faults := gpa :: !faults
-        | _ (* ballooned *) -> invalid_arg "Hostmm.vio_write: ballooned page")
-      gpas;
-    let done_one = join t (List.length !faults) phase2 in
-    List.iter (fun gpa -> fault_in t g ~gpa ~host_context:true done_one) !faults
+    let _, faults = pin_buffers t g ~op:"vio_write" gpas in
+    fault_all t g faults phase2
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1538,16 +1502,16 @@ let vio_write t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
 
 let balloon_steal t ~guest:gid ~gpa =
   let g = guest t gid in
-  if g.ept.(gpa) = e_ballooned then
+  if g.ept.(gpa) = Ept.ballooned then
     invalid_arg "Hostmm.balloon_steal: already ballooned"
   else discard_backing t g ~gpa;
-  g.ept.(gpa) <- e_ballooned;
+  g.ept.(gpa) <- Ept.ballooned;
   t.stats.balloon_inflated_pages <- t.stats.balloon_inflated_pages + 1
 
 let balloon_return t ~guest:gid ~gpa =
   let g = guest t gid in
-  if g.ept.(gpa) = e_ballooned then begin
-    g.ept.(gpa) <- e_not_backed;
+  if g.ept.(gpa) = Ept.ballooned then begin
+    g.ept.(gpa) <- Ept.not_backed;
     t.stats.balloon_deflated_pages <- t.stats.balloon_deflated_pages + 1
   end
   else invalid_arg "Hostmm.balloon_return: page is not ballooned"
@@ -1561,19 +1525,13 @@ let total_frames t = Frames.nframes t.frames
 let resident t gid = Cgroup.resident (guest t gid).cgroup
 let mapper_tracked t gid = Mapper.tracked (guest t gid).mapper
 let gpa_pages t gid = Array.length (guest t gid).ept
-
-let page_state t ~guest:gid ~gpa =
-  match (guest t gid).ept.(gpa) land 7 with
-  | 0 -> Not_backed
-  | 2 -> Present
-  | 3 -> In_swap
-  | 4 -> In_image
-  | _ -> Ballooned
+let page_state t ~guest:gid ~gpa = Ept.state (guest t gid).ept.(gpa)
 
 let frame_content t ~guest:gid ~gpa =
-  let g = guest t gid in
-  let e = g.ept.(gpa) in
-  if e land 7 = 2 then Some (Frames.content t.frames (e_arg e)) else None
+  let e = (guest t gid).ept.(gpa) in
+  match Ept.state e with
+  | Present -> Some (Frames.content t.frames (Ept.arg e))
+  | Not_backed | Ballooned | In_swap | In_image -> None
 
 let vdisk t gid = (guest t gid).vdisk
 
@@ -1590,20 +1548,20 @@ type page_view =
 let page_view t ~guest:gid ~gpa =
   let g = guest t gid in
   let e = g.ept.(gpa) in
-  match e land 7 with
-  | 2 ->
+  match Ept.state e with
+  | Present ->
       V_present
         {
-          content = Frames.content t.frames (e_arg e);
-          named = Frames.named t.frames (e_arg e);
+          content = Frames.content t.frames (Ept.arg e);
+          named = Frames.named t.frames (Ept.arg e);
           backing_block =
             Option.map
               (fun (b : Mapper.backing) -> b.block)
               (Mapper.lookup g.mapper ~gpa);
         }
-  | 3 -> V_in_swap { slot = e_arg e }
-  | 4 -> V_in_image { block = e_arg e }
-  | _ -> V_unbacked
+  | In_swap -> V_in_swap { slot = Ept.arg e }
+  | In_image -> V_in_image { block = Ept.arg e }
+  | Not_backed | Ballooned -> V_unbacked
 
 let swap_slot_sector t slot = Storage.Swap_area.sector_of_slot t.swap slot
 let disk t = t.disk
@@ -1639,21 +1597,16 @@ let relocate_slot t slot =
       | Some nslot ->
           let e = g.ept.(gpa) in
           let rewired =
-            if e land 7 = 3 && e_arg e = slot then begin
-              g.ept.(gpa) <- e_in_swap nslot;
-              true
-            end
-            else if e land 7 = 2 then begin
-              (* Swap-cache resident: the frame keeps a clean copy; only
-                 the backing pointer moves. *)
-              let frame = e_arg e in
-              if Frames.backing_slot t.frames frame = slot then begin
-                Frames.set_backing_slot t.frames frame nslot;
+            match Ept.state e with
+            | In_swap when Ept.arg e = slot ->
+                g.ept.(gpa) <- Ept.in_swap nslot;
                 true
-              end
-              else false
-            end
-            else false
+            | Present when Frames.backing_slot t.frames (Ept.arg e) = slot ->
+                (* Swap-cache resident: the frame keeps a clean copy; only
+                   the backing pointer moves. *)
+                Frames.set_backing_slot t.frames (Ept.arg e) nslot;
+                true
+            | Not_backed | Ballooned | Present | In_swap | In_image -> false
           in
           if not rewired then begin
             (* Owner table and EPT disagree — the slot is being torn
@@ -1679,34 +1632,34 @@ let check_invariants t =
     | Some g ->
         Array.iteri
           (fun gpa e ->
-            match e land 7 with
-            | 0 (* not backed *) | 1 (* ballooned *) -> ()
-            | 2 (* present *) -> (
-                let frame = e_arg e in
+            match Ept.state e with
+            | Not_backed | Ballooned -> ()
+            | Present ->
+                let frame = Ept.arg e in
                 if
                   not
-                    (Frames.owner_kind t.frames frame = 1
+                    (Frames.owner_kind t.frames frame = Frames.Guest_page
                     && Frames.owner_guest t.frames frame = gid
                     && Frames.owner_payload t.frames frame = gpa)
                 then
                   fail "guest %d gpa %d: frame %d owner mismatch" gid gpa frame;
-                (match Frames.swap_backing t.frames frame with
-                | None -> ()
-                | Some slot ->
-                    if not (Storage.Swap_area.is_allocated t.swap slot) then
-                      fail "guest %d gpa %d: backing slot %d free" gid gpa slot;
-                    if
-                      Itbl.find t.slot_owner slot ~default:(-1)
-                      <> owner_key ~gid ~gpa
-                    then
-                      fail "guest %d gpa %d: backing slot %d owner" gid gpa slot;
-                    if
-                      not
-                        (Content.equal
-                           (Frames.content t.frames frame)
-                           (Storage.Swap_area.content t.swap slot))
-                    then fail "guest %d gpa %d: backing content diverged" gid gpa);
-                if Frames.named t.frames frame then
+                let slot = Frames.backing_slot t.frames frame in
+                if slot >= 0 then begin
+                  if not (Storage.Swap_area.is_allocated t.swap slot) then
+                    fail "guest %d gpa %d: backing slot %d free" gid gpa slot;
+                  if
+                    Itbl.find t.slot_owner slot ~default:(-1)
+                    <> owner_key ~gid ~gpa
+                  then
+                    fail "guest %d gpa %d: backing slot %d owner" gid gpa slot;
+                  if
+                    not
+                      (Content.equal
+                         (Frames.content t.frames frame)
+                         (Storage.Swap_area.content t.swap slot))
+                  then fail "guest %d gpa %d: backing content diverged" gid gpa
+                end;
+                if Frames.named t.frames frame then begin
                   match Mapper.lookup g.mapper ~gpa with
                   | None -> fail "guest %d gpa %d: named but untracked" gid gpa
                   | Some b ->
@@ -1718,9 +1671,10 @@ let check_invariants t =
                              (Frames.content t.frames frame)
                              (Storage.Vdisk.content g.vdisk b.block))
                       then
-                        fail "guest %d gpa %d: tracked content diverged" gid gpa)
-            | 3 (* in swap *) ->
-                let slot = e_arg e in
+                        fail "guest %d gpa %d: tracked content diverged" gid gpa
+                end
+            | In_swap ->
+                let slot = Ept.arg e in
                 if not (Storage.Swap_area.is_allocated t.swap slot) then
                   fail "guest %d gpa %d: swap slot %d not allocated" gid gpa
                     slot;
@@ -1730,12 +1684,13 @@ let check_invariants t =
                 then
                   fail "guest %d gpa %d: swap slot %d owner mismatch" gid gpa
                     slot
-            | _ (* in image *) -> (
-                let block = e_arg e in
+            | In_image -> (
+                let block = Ept.arg e in
                 match Mapper.lookup g.mapper ~gpa with
                 | Some b when b.block = block ->
                     if Storage.Vdisk.version g.vdisk block <> b.version then
                       fail "guest %d gpa %d: in-image version stale" gid gpa
-                | _ -> fail "guest %d gpa %d: in-image but untracked" gid gpa))
+                | Some _ | None ->
+                    fail "guest %d gpa %d: in-image but untracked" gid gpa))
           g.ept
   done

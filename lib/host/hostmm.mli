@@ -19,19 +19,22 @@
 type t
 type guest_id = int
 
-(** EPT-level state of a guest page, exposed for tests and examples. *)
+(** EPT-level state of a guest page, exposed for tests and examples.
+    The constructor order is the packed entries' tag order. *)
 type page_state =
   | Not_backed  (** never touched; faults in as a zero page *)
+  | Ballooned  (** surrendered to the host by the guest's balloon *)
   | Present  (** mapped to a host frame *)
   | In_swap  (** reclaimed into the host swap area *)
   | In_image  (** Mapper-discarded; backed by a virtual-disk block *)
-  | Ballooned  (** surrendered by the guest's balloon driver *)
 
 (** [tiers] routes swap traffic (swap-out writes, swap-in reads); when
     omitted, a disk-only passthrough {!Storage.Tiers} is built
     internally, which is call-for-call identical to hitting [disk]
     directly.  Virtual-disk image I/O always goes straight to [disk] —
-    only anonymous pages live on swap tiers. *)
+    only anonymous pages live on swap tiers.  Raises [Invalid_argument]
+    naming the field when a [config] field is outside the range
+    {!Hconfig.t} states for it. *)
 val create :
   engine:Sim.Engine.t ->
   disk:Storage.Disk.t ->
@@ -54,8 +57,6 @@ val register_guest :
   gpa_pages:int ->
   resident_limit:int option ->
   guest_id
-
-val set_resident_limit : t -> guest_id -> int option -> unit
 
 (** {2 Failure containment} *)
 

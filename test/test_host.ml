@@ -164,6 +164,46 @@ let writes_to_present_pages_are_cheap () =
   check Alcotest.int "no further faults" faults
     rig.stats.Metrics.Stats.guest_context_faults
 
+(* An out-of-range config field fails at [create], naming the field,
+   instead of surfacing later (hv_pages_per_guest = 0 would raise
+   Division_by_zero on the first virtual I/O). *)
+let bad_config_fails_loudly () =
+  let create config =
+    let engine = Sim.Engine.create () in
+    let stats = Metrics.Stats.create () in
+    let disk = Storage.Disk.create ~engine ~stats Storage.Disk.default_config in
+    let swap = Storage.Swap_area.create ~base_sector:1_000_000 ~nslots:64 in
+    ignore
+      (H.create ~engine ~disk ~stats ~config
+         ~vsconfig:Vswapper.Vsconfig.baseline ~swap ~hv_base_sector:0 ())
+  in
+  let d = Host.Hconfig.default in
+  List.iter create
+    [ d; Host.Hconfig.workstation_flavour d; Host.Hconfig.with_memory_mb d 16 ];
+  List.iter
+    (fun (field, config) ->
+      match create config with
+      | () -> Alcotest.failf "%s: out-of-range value accepted" field
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s" msg field)
+            true
+            (Test_util.contains msg field))
+    [
+      ("total_frames", { d with total_frames = 0 });
+      ("low_watermark_frames", { d with low_watermark_frames = -1 });
+      ("high_watermark_frames",
+       { d with high_watermark_frames = d.low_watermark_frames - 1 });
+      ("page_cluster", { d with page_cluster = 17 });
+      ("page_cluster", { d with page_cluster = -1 });
+      ("hv_pages_per_guest", { d with hv_pages_per_guest = 0 });
+      ("max_inflight_faults", { d with max_inflight_faults = -1 });
+      ("scrub_rate_pages_s", { d with scrub_rate_pages_s = -1 });
+      ("scrub_repair_budget", { d with scrub_repair_budget = -1 });
+      ("qos_rate", { d with qos_rate = -1 });
+      ("qos_burst", { d with qos_rate = 10; qos_burst = 0 });
+    ]
+
 let misaligned_vio_bypasses_mapper () =
   let rig = mk_rig ~vs:Vswapper.Vsconfig.mapper_only () in
   let done_ = ref false in
@@ -699,6 +739,8 @@ let media_error_kills_immediately () =
     (H.guest_killed rig.host rig.gid);
   check Alcotest.int "no retries for media errors" 0
     rig.stats.Metrics.Stats.fault_retries;
+  check Alcotest.int "one swap read hit the media error" 1
+    rig.stats.Metrics.Stats.fault_media_reads;
   H.check_invariants rig.host
 
 let kill_guest_is_idempotent_and_complete () =
@@ -716,6 +758,164 @@ let kill_guest_is_idempotent_and_complete () =
   check Alcotest.int "nothing resident" 0 (H.resident rig.host rig.gid);
   Alcotest.(check bool) "reads inert" true
     (C.equal (sync_read rig ~gpa:3) C.Zero);
+  H.check_invariants rig.host
+
+(* ------------------------------------------------------------------ *)
+(* Read-around: one request serves the target and its readahead        *)
+(* ------------------------------------------------------------------ *)
+
+(* The media reads the disk performs while [f] runs, as (sector,
+   nsectors), first to last. *)
+let media_reads rig f =
+  let reads = ref [] in
+  Storage.Disk.set_trace rig.disk
+    (Some
+       (fun kind ~head:_ ~sector ~nsectors ->
+         if kind = Storage.Disk.Read then
+           reads := (sector, nsectors) :: !reads));
+  f ();
+  Storage.Disk.set_trace rig.disk None;
+  List.rev !reads
+
+let slot_of rig gpa =
+  match H.page_view rig.host ~guest:rig.gid ~gpa with
+  | H.V_in_swap { slot } -> Some slot
+  | _ -> None
+
+let is_present rig gpa = H.page_state rig.host ~guest:rig.gid ~gpa = H.Present
+
+let swap_readahead_installs_cluster () =
+  let rig = mk_rig () in
+  fill_anon rig ~first:0 ~n:300;
+  Test_util.drain rig.engine;
+  let slot =
+    match slot_of rig 0 with
+    | Some s -> s
+    | None -> Alcotest.fail "setup: gpa 0 not in swap"
+  in
+  let cluster = 1 lsl Host.Hconfig.default.page_cluster in
+  let s0 = slot - (slot mod cluster) in
+  let neighbours =
+    List.filter_map
+      (fun gpa ->
+        match slot_of rig gpa with
+        | Some s when gpa <> 0 && s0 <= s && s < s0 + cluster -> Some (gpa, s)
+        | _ -> None)
+      (List.init (H.gpa_pages rig.host rig.gid) Fun.id)
+  in
+  Alcotest.(check bool) "setup: the cluster holds neighbours" true
+    (neighbours <> []);
+  let slots = slot :: List.map snd neighbours in
+  let first = List.fold_left min slot slots
+  and last = List.fold_left max slot slots in
+  let swapins0 = rig.stats.Metrics.Stats.host_swapins in
+  let reads = media_reads rig (fun () -> ignore (sync_read rig ~gpa:0)) in
+  check
+    Alcotest.(list (pair int int))
+    "one read spans the cluster"
+    [ (H.swap_slot_sector rig.host first,
+       (last - first + 1) * Storage.Geom.sectors_per_page) ]
+    reads;
+  check Alcotest.int "swapins count the target and each neighbour"
+    (swapins0 + 1 + List.length neighbours)
+    rig.stats.Metrics.Stats.host_swapins;
+  List.iter
+    (fun (gpa, _) ->
+      Alcotest.(check bool) "neighbour installed" true (is_present rig gpa))
+    neighbours;
+  H.check_invariants rig.host
+
+(* Read image blocks [0, n) into gpas [0, n) under the Mapper, push them
+   out with anonymous pressure until all are discarded to the image,
+   then balloon the filler away so the refetch installs without
+   reclaiming its own readahead. *)
+let discard_to_image rig ~n =
+  sync_vio_read rig ~block0:0 ~gpas:(Array.init n Fun.id);
+  fill_anon rig ~first:100 ~n:300;
+  Test_util.drain rig.engine;
+  for gpa = 0 to n - 1 do
+    if H.page_state rig.host ~guest:rig.gid ~gpa <> H.In_image then
+      Alcotest.failf "setup: gpa %d not discarded to the image" gpa
+  done;
+  for gpa = 100 to 399 do
+    H.balloon_steal rig.host ~guest:rig.gid ~gpa
+  done
+
+let image_readahead_installs_window () =
+  let rig = mk_rig ~vs:Vswapper.Vsconfig.mapper_only () in
+  discard_to_image rig ~n:16;
+  let refetches0 = rig.stats.Metrics.Stats.mapper_refetches in
+  let reads = media_reads rig (fun () -> ignore (sync_read rig ~gpa:0)) in
+  check
+    Alcotest.(list (pair int int))
+    "one read spans the Mapper window"
+    [ (Storage.Vdisk.sector_of_block rig.vdisk 0,
+       16 * Storage.Geom.sectors_per_page) ]
+    reads;
+  check Alcotest.int "each install is a refetch" (refetches0 + 16)
+    rig.stats.Metrics.Stats.mapper_refetches;
+  for gpa = 1 to 15 do
+    Alcotest.(check bool) "window page installed" true (is_present rig gpa)
+  done;
+  H.check_invariants rig.host
+
+(* A transient error on a multi-page image refetch: the window pages
+   are released uninstalled, and the read narrows to the target page,
+   which alone is charged retries. *)
+let image_refetch_transient_error_narrows () =
+  let rig = mk_rig ~vs:Vswapper.Vsconfig.mapper_only () in
+  discard_to_image rig ~n:16;
+  let page = Storage.Geom.sectors_per_page in
+  let sector = Storage.Vdisk.sector_of_block rig.vdisk 0 in
+  let fails plan ~nsectors =
+    Faults.Plan.read_error plan ~sector ~nsectors ~attempt:0 <> None
+  in
+  (* The first seed whose error lands in the window but off the target
+     page, so the narrowed read succeeds first time. *)
+  let rec pick seed =
+    let plan = fault_plan ~transient:0.01 seed in
+    if fails plan ~nsectors:(16 * page) && not (fails plan ~nsectors:page)
+    then plan
+    else pick (seed + 1)
+  in
+  Storage.Disk.set_faults rig.disk (pick 0);
+  let retries0 = rig.stats.Metrics.Stats.fault_retries in
+  let refetches0 = rig.stats.Metrics.Stats.mapper_refetches in
+  let reads = media_reads rig (fun () -> ignore (sync_read rig ~gpa:0)) in
+  Storage.Disk.set_faults rig.disk Faults.Plan.none;
+  check
+    Alcotest.(list (pair int int))
+    "the window read, then the target page alone"
+    [ (sector, 16 * page); (sector, page) ]
+    reads;
+  check Alcotest.int "the window's error is not a retry" retries0
+    rig.stats.Metrics.Stats.fault_retries;
+  check Alcotest.int "only the target installed" (refetches0 + 1)
+    rig.stats.Metrics.Stats.mapper_refetches;
+  Alcotest.(check bool) "target installed" true (is_present rig 0);
+  for gpa = 1 to 15 do
+    Alcotest.(check bool) "window page left in the image" true
+      (H.page_state rig.host ~guest:rig.gid ~gpa = H.In_image)
+  done;
+  for gpa = 0 to 15 do
+    Alcotest.(check bool) "reads back the image block" true
+      (C.equal (sync_read rig ~gpa) (Storage.Vdisk.content rig.vdisk gpa))
+  done;
+  H.check_invariants rig.host
+
+(* A media error on an image refetch kills the guest; the media-read
+   counter is scoped to swap reads, so it does not move. *)
+let image_refetch_media_error_kills () =
+  let rig = mk_rig ~vs:Vswapper.Vsconfig.mapper_only () in
+  discard_to_image rig ~n:16;
+  Storage.Disk.set_faults rig.disk (fault_plan ~media:1.0 11);
+  ignore (sync_read rig ~gpa:0);
+  Alcotest.(check bool) "guest abandoned" true
+    (H.guest_killed rig.host rig.gid);
+  check Alcotest.int "no retries for media errors" 0
+    rig.stats.Metrics.Stats.fault_retries;
+  check Alcotest.int "not a swap media read" 0
+    rig.stats.Metrics.Stats.fault_media_reads;
   H.check_invariants rig.host
 
 (* ------------------------------------------------------------------ *)
@@ -982,6 +1182,7 @@ let tests =
         Alcotest.test_case "resident limit" `Quick resident_limit_enforced;
         Alcotest.test_case "full touch_write" `Quick full_touch_write_is_a_plain_overwrite;
         Alcotest.test_case "present writes cheap" `Quick writes_to_present_pages_are_cheap;
+        Alcotest.test_case "bad config fails loudly" `Quick bad_config_fails_loudly;
       ] );
     ( "host:alignment",
       [
@@ -1034,6 +1235,17 @@ let tests =
           media_error_kills_immediately;
         Alcotest.test_case "kill idempotent" `Quick
           kill_guest_is_idempotent_and_complete;
+      ] );
+    ( "host:read-around",
+      [
+        Alcotest.test_case "swap cluster readahead" `Quick
+          swap_readahead_installs_cluster;
+        Alcotest.test_case "image window readahead" `Quick
+          image_readahead_installs_window;
+        Alcotest.test_case "image transient error narrows" `Quick
+          image_refetch_transient_error_narrows;
+        Alcotest.test_case "image media error kills" `Quick
+          image_refetch_media_error_kills;
       ] );
     ( "host:async-faults",
       [
