@@ -17,6 +17,7 @@
 set -eu
 
 main=./main.exe
+sim=../bin/vswapper_sim.exe
 lint=../test/json_lint.exe
 
 row() {
@@ -66,6 +67,17 @@ for bad in abc 0 -1 nan; do
   VSWAPPER_BENCH_SCALE=$bad $main tab1 > /dev/null 2> bad-scale.err || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q VSWAPPER_BENCH_SCALE bad-scale.err; then
     echo "VSWAPPER_BENCH_SCALE=$bad: exit $rc, expected 2 naming the variable" >&2
+    exit 1
+  fi
+done
+
+# The same for the CLI's --scale: a command-line error (cmdliner's
+# status 124) naming the option, not a run at the 16 MB floor.
+for bad in 0 -1 nan; do
+  rc=0
+  $sim run tab1 --scale=$bad > /dev/null 2> bad-cli-scale.err || rc=$?
+  if [ "$rc" -ne 124 ] || ! grep -q -- "--scale" bad-cli-scale.err; then
+    echo "vswapper_sim --scale=$bad: exit $rc, expected 124 naming --scale" >&2
     exit 1
   fi
 done

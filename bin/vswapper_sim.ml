@@ -21,8 +21,19 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 let scale_arg =
-  let doc = "Scale factor for memory/file sizes and workload lengths." in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
+  let doc =
+    "Scale factor for memory/file sizes and workload lengths; a positive, \
+     finite number."
+  in
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x && x > 0.0 -> Ok x
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "%S is not a positive, finite number" s))
+    | Error _ as e -> e
+  in
+  let scale = Arg.conv (parse, Arg.conv_printer Arg.float) in
+  Arg.(value & opt scale 1.0 & info [ "scale" ] ~docv:"S" ~doc)
 
 let run_cmd =
   let doc = "Run one experiment by id (e.g. fig9, tab2)." in

@@ -2,32 +2,31 @@ module H = Host.Hostmm
 
 type config = {
   hosts : int;
-  host_mem_mb : int;
-  host_swap_mb : int;
   overcommit : float;
-  epoch_s : int;
   epochs : int;
   seed : int;
   mean_arrivals : float;
-  base_load : float;
-  rebalance_swapin_rate : float;
-  link : Migration.Migrate.link;
 }
 
 let default_config =
   {
     hosts = 128;
-    host_mem_mb = 96;
-    host_swap_mb = 256;
     overcommit = 1.5;
-    epoch_s = 20;
     epochs = 12;
     seed = 42;
     mean_arrivals = 2.5 *. 128.0;
-    base_load = 0.3;
-    rebalance_swapin_rate = 50.0;
-    link = Migration.Migrate.gbe;
   }
+
+let host_mem_mb = 96
+let host_swap_mb = 256 (* host swap area per host *)
+let epoch_s = 20
+let base_load = 0.3 (* fraction of a VM's pages touched per epoch at load 1 *)
+
+(* Host swap-ins per simulated second above which the controller
+   evacuates a VM from the host. *)
+let rebalance_swapin_rate = 50.0
+
+let link = Migration.Migrate.gbe (* evacuation network link *)
 
 (* ------------------------------------------------------------------ *)
 (* Shard-local state                                                   *)
@@ -113,7 +112,7 @@ type result = {
 
 let hv_region_mb = 64
 
-let build_shard (cfg : config) hid =
+let build_shard hid =
   let engine = Sim.Engine.create () in
   let stats = Metrics.Stats.create () in
   let disk =
@@ -126,13 +125,13 @@ let build_shard (cfg : config) hid =
   let swap_base =
     Storage.Geom.sectors_of_pages (Storage.Geom.pages_of_mb hv_region_mb)
   in
-  let nslots = Storage.Geom.pages_of_mb cfg.host_swap_mb in
+  let nslots = Storage.Geom.pages_of_mb host_swap_mb in
   let swap = Storage.Swap_area.create ~base_sector:swap_base ~nslots in
   let image_cursor =
     swap_base + Storage.Geom.sectors_of_pages nslots
   in
   let hconfig =
-    Host.Hconfig.with_memory_mb Host.Hconfig.default cfg.host_mem_mb
+    Host.Hconfig.with_memory_mb Host.Hconfig.default host_mem_mb
   in
   let host =
     H.create ~engine ~disk ~stats ~config:hconfig
@@ -227,14 +226,27 @@ let mix h v =
   let h = (h lxor (h lsr 30)) * 0xBF58476D1CE4E5B in
   (h lxor (h lsr 27)) * 0x94D049BB133111E land max_int
 
-let run ?pool (cfg : config) =
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
-  let hosts = max 1 cfg.hosts in
-  let bound_mb =
-    int_of_float (float_of_int cfg.host_mem_mb *. cfg.overcommit)
+let validate cfg =
+  let require ok field range =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Fleet.run: Fleet.config.%s must be %s" field range)
   in
-  let epoch_us = cfg.epoch_s * 1_000_000 in
-  let shards = Array.init hosts (build_shard cfg) in
+  require (cfg.hosts >= 1) "hosts" ">= 1";
+  require
+    (Float.is_finite cfg.overcommit && cfg.overcommit > 0.0)
+    "overcommit" "finite and > 0";
+  require (cfg.epochs >= 0) "epochs" ">= 0";
+  require
+    (Float.is_finite cfg.mean_arrivals && cfg.mean_arrivals >= 0.0)
+    "mean_arrivals" "finite and >= 0"
+
+let run ?pool (cfg : config) =
+  validate cfg;
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
+  let bound_mb = int_of_float (float_of_int host_mem_mb *. cfg.overcommit) in
+  let epoch_us = epoch_s * 1_000_000 in
+  let shards = Array.init cfg.hosts build_shard in
   let traffic =
     Traffic.create ~seed:cfg.seed ~mean_arrivals:cfg.mean_arrivals ()
   in
@@ -358,7 +370,7 @@ let run ?pool (cfg : config) =
     List.iter
       (fun (spec : Traffic.vm_spec) ->
         let rec fit i =
-          if i >= hosts then None
+          if i >= cfg.hosts then None
           else if shards.(i).committed_mb + spec.mem_mb <= bound_mb then
             Some shards.(i)
           else fit (i + 1)
@@ -409,8 +421,8 @@ let run ?pool (cfg : config) =
         swapouts_epoch := !swapouts_epoch + (so - shard.swapouts_prev);
         shard.swapins_prev <- si;
         shard.swapouts_prev <- so;
-        let rate = float_of_int d_si /. float_of_int cfg.epoch_s in
-        if e > 0 && rate > cfg.rebalance_swapin_rate then begin
+        let rate = float_of_int d_si /. float_of_int epoch_s in
+        if e > 0 && rate > rebalance_swapin_rate then begin
           (* Largest populated VM that is not migrating and will still
              be around to benefit (2+ epochs of life left). *)
           let candidate =
@@ -460,7 +472,7 @@ let run ?pool (cfg : config) =
                      the source disk is struggling. *)
                   Sim.Engine.run_at shard.engine t_start (fun () ->
                       Migration.Migrate.migrate_host ~engine:shard.engine
-                        ~host:shard.host ~guest:vm.gid cfg.link
+                        ~host:shard.host ~guest:vm.gid link
                         Migration.Migrate.Full_copy (fun o ->
                           m.outcome <- Some o))
         end)
@@ -481,7 +493,7 @@ let run ?pool (cfg : config) =
             if not vm.migrating then begin
               let full =
                 max 32
-                  (int_of_float (float_of_int vm.pages *. cfg.base_load))
+                  (int_of_float (float_of_int vm.pages *. base_load))
               in
               (* A populating VM (fresh arrival, or re-landing after an
                  evacuation) writes its whole working set in about one
@@ -493,7 +505,7 @@ let run ?pool (cfg : config) =
                 else
                   max 32
                     (int_of_float
-                       (float_of_int vm.pages *. cfg.base_load *. load))
+                       (float_of_int vm.pages *. base_load *. load))
               in
               vm.quota <- min (vm.quota + grant) (vm.pages + (2 * full));
               vm.gap_us <- max 20 (min 50_000 (epoch_us / grant));
@@ -502,7 +514,7 @@ let run ?pool (cfg : config) =
           shard.vms)
       shards;
     if !live_pages > !peak_live_pages then peak_live_pages := !live_pages;
-    guest_seconds := !guest_seconds + (!live * cfg.epoch_s);
+    guest_seconds := !guest_seconds + (!live * epoch_s);
     (* 6. Step every shard to the epoch boundary, in parallel. *)
     Parallel.Pool.iter_all pool thunks;
     rows :=

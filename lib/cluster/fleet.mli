@@ -20,27 +20,33 @@
     changes which wall-clock instant each shard steps at — stats,
     report and fingerprint are byte-identical at any pool width. *)
 
+(** What callers vary: the fleet's size, overcommit, length, traffic
+    seed and arrival rate.  The host shape, the epoch length, the
+    per-VM load and the evacuation policy are constants of this module.
+    {!run} rejects a field outside its stated range with
+    [Invalid_argument] naming it. *)
 type config = {
-  hosts : int;
-  host_mem_mb : int;  (** physical memory per host *)
-  host_swap_mb : int;  (** host swap area per host *)
+  hosts : int;  (** [>= 1] *)
   overcommit : float;
-      (** placement bound: committed MB <= host_mem_mb * overcommit *)
-  epoch_s : int;  (** simulated seconds per epoch *)
-  epochs : int;
+      (** placement bound: committed MB <= host_mem_mb * overcommit;
+          finite and [> 0] *)
+  epochs : int;  (** [>= 0] *)
   seed : int;  (** traffic seed *)
-  mean_arrivals : float;  (** expected tenant arrivals per epoch at load 1 *)
-  base_load : float;
-      (** fraction of a VM's pages touched per epoch at load 1 *)
-  rebalance_swapin_rate : float;
-      (** host swap-ins per simulated second above which the controller
-          evacuates a VM from the host *)
-  link : Migration.Migrate.link;  (** evacuation network link *)
+  mean_arrivals : float;
+      (** expected tenant arrivals per epoch at load 1; finite and
+          [>= 0] *)
 }
 
-(** 128 hosts x 96 MB, 1.5x overcommit, 12 epochs of 20 simulated
-    seconds, ~2.5 arrivals per host-epoch at load 1. *)
+(** 128 hosts, 1.5x overcommit, 12 epochs, ~2.5 arrivals per host-epoch
+    at load 1. *)
 val default_config : config
+
+(** Physical memory per host, MB (96); each host also has 256 MB of
+    swap. *)
+val host_mem_mb : int
+
+(** Simulated seconds per epoch (20). *)
+val epoch_s : int
 
 (** One barrier row, in epoch order. *)
 type epoch_row = {
@@ -88,7 +94,8 @@ type result = {
 
 (** [run ?pool config] simulates the fleet, stepping shards on [pool]
     (default {!Parallel.Pool.global}).  The result is independent of
-    the pool width. *)
+    the pool width.  Raises [Invalid_argument] naming the first
+    [config] field out of range. *)
 val run : ?pool:Parallel.Pool.t -> config -> result
 
 (** [report r] renders the deterministic summary: per-epoch panel,

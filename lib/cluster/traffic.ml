@@ -1,14 +1,11 @@
 type vm_spec = { tenant : int; mem_mb : int; lifetime_epochs : int }
 
-type t = {
-  seed : int;
-  period : int;
-  mean_arrivals : float;
-  mutable next_tenant : int;
-}
+type t = { seed : int; mean_arrivals : float; mutable next_tenant : int }
 
-let create ?(period = 12) ~seed ~mean_arrivals () =
-  { seed; period = max 1 period; mean_arrivals; next_tenant = 0 }
+(* The diurnal cycle length, in epochs. *)
+let period = 12
+
+let create ~seed ~mean_arrivals () = { seed; mean_arrivals; next_tenant = 0 }
 
 (* One RNG per (seed, epoch, salt): every stochastic choice is a pure
    function of its coordinates, never of call order across epochs. *)
@@ -17,9 +14,7 @@ let epoch_rng t ~epoch ~salt =
     ((t.seed * 0x9E3779B1) lxor ((epoch + 1) * 0x85EBCA77) lxor salt)
 
 let load t ~epoch =
-  let phase =
-    float_of_int (epoch mod t.period) /. float_of_int t.period
-  in
+  let phase = float_of_int (epoch mod period) /. float_of_int period in
   (* Trough at the start of the "day", peak mid-day: 0.35 .. 1.0. *)
   let diurnal =
     0.35 +. (0.65 *. 0.5 *. (1.0 -. cos (2.0 *. Float.pi *. phase)))

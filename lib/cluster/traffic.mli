@@ -15,9 +15,9 @@ type vm_spec = {
 type t
 
 (** [create ~seed ~mean_arrivals ()] builds a generator whose expected
-    arrivals per epoch is [mean_arrivals * load].  [period] (default 12)
-    is the diurnal cycle length in epochs. *)
-val create : ?period:int -> seed:int -> mean_arrivals:float -> unit -> t
+    arrivals per epoch is [mean_arrivals * load], over a diurnal cycle
+    of 12 epochs. *)
+val create : seed:int -> mean_arrivals:float -> unit -> t
 
 (** [load t ~epoch] is the traffic intensity for [epoch]: a diurnal
     curve in [0.35, 1.0], multiplied by an occasional seeded spike and

@@ -117,10 +117,6 @@ let tracked_block t ~gpa =
   let slot = Mem.Itbl.find t.by_gpa gpa ~default:(-1) in
   if slot < 0 then -1 else t.b_block.(slot)
 
-let tracked_disk t ~gpa =
-  let slot = Mem.Itbl.find t.by_gpa gpa ~default:(-1) in
-  if slot < 0 then -1 else t.b_disk.(slot)
-
 let tracked_version t ~gpa =
   let slot = Mem.Itbl.find t.by_gpa gpa ~default:(-1) in
   if slot < 0 then -1 else t.b_version.(slot)

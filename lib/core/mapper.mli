@@ -46,9 +46,6 @@ val lookup : t -> gpa:int -> backing option
     untracked.  Allocation-free. *)
 val tracked_block : t -> gpa:int -> int
 
-(** [tracked_disk t ~gpa] is the backing disk of [gpa], or -1. *)
-val tracked_disk : t -> gpa:int -> int
-
 (** [tracked_version t ~gpa] is the backing version of [gpa], or -1. *)
 val tracked_version : t -> gpa:int -> int
 

@@ -3,7 +3,6 @@ type t = {
   preventer : bool;
   preventer_window : Sim.Time.t;
   preventer_max_buffers : int;
-  report_4k_sectors : bool;
 }
 
 let defaults =
@@ -12,7 +11,6 @@ let defaults =
     preventer = false;
     preventer_window = Sim.Time.ms 1;
     preventer_max_buffers = 32;
-    report_4k_sectors = true;
   }
 
 let baseline = defaults
@@ -20,7 +18,5 @@ let mapper_only = { defaults with mapper = true }
 let vswapper = { defaults with mapper = true; preventer = true }
 
 let pp fmt t =
-  Format.fprintf fmt
-    "{mapper=%b; preventer=%b; window=%a; max_buffers=%d; 4k=%b}" t.mapper
-    t.preventer Sim.Time.pp t.preventer_window t.preventer_max_buffers
-    t.report_4k_sectors
+  Format.fprintf fmt "{mapper=%b; preventer=%b; window=%a; max_buffers=%d}"
+    t.mapper t.preventer Sim.Time.pp t.preventer_window t.preventer_max_buffers

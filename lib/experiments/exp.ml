@@ -116,8 +116,6 @@ let run_machine ?(get_marks = fun () -> []) machine =
     marks = get_marks ();
   }
 
-let opt_s r = r.runtime_s
-
 (* Fan a per-configuration loop out over the shared global pool.  [map]
    on the global pool is re-entrant — the calling domain helps execute
    queued jobs instead of blocking — so experiments sharded here may

@@ -82,9 +82,6 @@ val set_fault_knobs : ?seed:int -> ?rate:float -> unit -> unit
 val fault_seed_knob : unit -> int
 val fault_rate_knob : unit -> float
 
-(** [opt_s r] is the runtime as an option-float cell for series tables. *)
-val opt_s : run_out -> float option
-
 (** [shard f xs] fans [f] over [xs] on the shared {!Parallel.Pool.global}
     pool and returns the results in the order of [xs].  Safe to call from
     inside an experiment already running as a pool job (the pool's [map]

@@ -62,9 +62,9 @@ let run ~scale =
       Printf.sprintf
         "config: %d hosts x %d MB (overcommit %.2fx), %d epochs x %ds, \
          traffic seed %d"
-        cfg.Cluster.Fleet.hosts cfg.Cluster.Fleet.host_mem_mb
+        cfg.Cluster.Fleet.hosts Cluster.Fleet.host_mem_mb
         cfg.Cluster.Fleet.overcommit cfg.Cluster.Fleet.epochs
-        cfg.Cluster.Fleet.epoch_s cfg.Cluster.Fleet.seed;
+        Cluster.Fleet.epoch_s cfg.Cluster.Fleet.seed;
       "";
       rep1;
       "";

@@ -1,41 +1,8 @@
-type t = {
-  mem_pages : int;
-  kernel_pages : int;
-  min_free_pages : int;
-  high_free_pages : int;
-  reclaim_batch : int;
-  readahead_min : int;
-  readahead_max : int;
-  swap_cluster : int;
-  oom_min_free : int;
-  oom_stress_limit : int;
-  swap_blocks : int;
-  balloon_poll : Sim.Time.t;
-  balloon_chunk : int;
-  misaligned_io_percent : int;
-  syscall_us : int;
-  memcpy_us : int;
-  guest_fault_us : int;
-}
+type t = { mem_pages : int; swap_blocks : int; misaligned_io_percent : int }
 
 let default ~mem_mb =
-  let mem_pages = Storage.Geom.pages_of_mb mem_mb in
   {
-    mem_pages;
-    kernel_pages = min (Storage.Geom.pages_of_mb 24) (mem_pages / 8);
-    min_free_pages = max 64 (mem_pages / 100);
-    high_free_pages = max 128 (mem_pages * 3 / 100);
-    reclaim_batch = 32;
-    readahead_min = 4;
-    readahead_max = 32;
-    swap_cluster = 8;
-    oom_min_free = 16;
-    oom_stress_limit = 60;
+    mem_pages = Storage.Geom.pages_of_mb mem_mb;
     swap_blocks = Storage.Geom.pages_of_mb 1024;
-    balloon_poll = Sim.Time.ms 100;
-    balloon_chunk = Storage.Geom.pages_of_mb 16;
     misaligned_io_percent = 0;
-    syscall_us = 2;
-    memcpy_us = 1;
-    guest_fault_us = 2;
   }

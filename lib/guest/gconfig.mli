@@ -1,31 +1,20 @@
-(** Guest operating-system tunables and cost model. *)
+(** What callers vary about a guest: its size, its swap partition and
+    its disk alignment.  The kernel tunables and the CPU cost model are
+    constants of {!Guestos}, and the kernel and free-page watermarks
+    are derived from [mem_pages] there.  {!Guestos.create} rejects a
+    field outside its stated range with [Invalid_argument] naming it. *)
 
 type t = {
-  mem_pages : int;  (** guest-physical memory the guest believes it has *)
-  kernel_pages : int;  (** pinned kernel text/data, unevictable *)
-  min_free_pages : int;  (** direct reclaim below this many free pages *)
-  high_free_pages : int;  (** reclaim refills to this level *)
-  reclaim_batch : int;
-  readahead_min : int;  (** initial file readahead window, pages *)
-  readahead_max : int;  (** max window; Linux default 128 KiB = 32 pages *)
-  swap_cluster : int;  (** guest swap-in readahead, pages *)
-  oom_min_free : int;  (** below this and nothing reclaimable => OOM kill *)
-  oom_stress_limit : int;
-      (** consecutive reclaim passes that end still starved before the
-          low-memory killer fires (over-ballooning, paper Section 2.4) *)
-  swap_blocks : int;  (** size of the guest swap partition, blocks *)
-  balloon_poll : Sim.Time.t;  (** balloon driver poll period *)
-  balloon_chunk : int;  (** pages inflated/deflated per poll *)
+  mem_pages : int;
+      (** guest-physical memory the guest believes it has; [>= 1] *)
+  swap_blocks : int;  (** size of the guest swap partition, blocks; [>= 1] *)
   misaligned_io_percent : int;
       (** percentage of guest disk requests that are not 4 KiB aligned
           (0 for Linux with 4K sectors; Windows without a reformatted
-          disk issues sporadic 512-byte accesses, paper Section 5.4) *)
-  (* CPU-side costs, microseconds. *)
-  syscall_us : int;
-  memcpy_us : int;  (** copying one page cache page to the user buffer *)
-  guest_fault_us : int;  (** guest-side fault handling CPU cost *)
+          disk issues sporadic 512-byte accesses, paper Section 5.4);
+          in [0, 100] *)
 }
 
-(** [default ~mem_mb] sizes a guest with [mem_mb] MiB of believed memory,
-    a kernel working set of ~24 MiB and a 1 GiB swap partition. *)
+(** [default ~mem_mb] sizes a guest with [mem_mb] MiB of believed memory
+    and a 1 GiB swap partition. *)
 val default : mem_mb:int -> t

@@ -27,6 +27,8 @@ type t = {
   gid : int;
   stats : Metrics.Stats.t;
   cfg : Gconfig.t;
+  min_free_pages : int;  (* direct reclaim below this many free pages *)
+  high_free_pages : int;  (* reclaim refills to this level *)
   kinds : kind array;
   referenced : Bytes.t;
   arena : Mem.Flru.arena;  (* node id = gpa *)
@@ -61,7 +63,39 @@ type t = {
   rng : Sim.Rng.t;
 }
 
+(* Kernel tunables, after Linux's defaults. *)
+let reclaim_batch = 32
+let readahead_min = 4 (* initial file readahead window, pages *)
+let readahead_max = 32 (* max window; Linux default 128 KiB = 32 pages *)
+let swap_cluster = 8 (* guest swap-in readahead, pages *)
+let oom_min_free = 16 (* below this and nothing reclaimable => OOM kill *)
+
+(* Consecutive reclaim passes that end still starved before the
+   low-memory killer fires (over-ballooning, paper Section 2.4). *)
+let oom_stress_limit = 60
+
+let balloon_poll = Sim.Time.ms 100 (* balloon driver poll period *)
+let balloon_chunk = Storage.Geom.pages_of_mb 16 (* pages moved per poll *)
+
+(* CPU-side costs, microseconds. *)
+let syscall_us = 2
+let memcpy_us = 1 (* copying one page cache page to the user buffer *)
+let guest_fault_us = 2 (* guest-side fault handling CPU cost *)
+
+let validate (c : Gconfig.t) =
+  let require ok field range =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Guestos.create: Gconfig.%s must be %s" field range)
+  in
+  require (c.mem_pages >= 1) "mem_pages" ">= 1";
+  require (c.swap_blocks >= 1) "swap_blocks" ">= 1";
+  require
+    (0 <= c.misaligned_io_percent && c.misaligned_io_percent <= 100)
+    "misaligned_io_percent" "in [0, 100]"
+
 let create ~engine ~host ~gid ~stats ~config =
+  validate config;
   let n = config.Gconfig.mem_pages in
   let arena = Mem.Flru.arena ~nodes:n () in
   {
@@ -70,6 +104,8 @@ let create ~engine ~host ~gid ~stats ~config =
     gid;
     stats;
     cfg = config;
+    min_free_pages = max 64 (n / 100);
+    high_free_pages = max 128 (n * 3 / 100);
     kinds = Array.make n K_free;
     referenced = Bytes.make n '\000';
     arena;
@@ -85,7 +121,8 @@ let create ~engine ~host ~gid ~stats ~config =
     fs_cursor = config.Gconfig.swap_blocks;
     next_rid = 0;
     next_fid = 0;
-    kernel_gpas = Array.make config.Gconfig.kernel_pages (-1);
+    (* pinned kernel text/data, unevictable *)
+    kernel_gpas = Array.make (min (Storage.Geom.pages_of_mb 24) (n / 8)) (-1);
     kernel_rr = 0;
     balloon_pages = [];
     nballoon = 0;
@@ -150,7 +187,7 @@ let drop_cache_page t gpa block =
   free_gpa t gpa
 
 let maybe_oom t =
-  if t.nfree < t.cfg.oom_min_free && not t.oomed_ then begin
+  if t.nfree < oom_min_free && not t.oomed_ then begin
     t.oomed_ <- true;
     t.stats.oom_kills <- t.stats.oom_kills + 1;
     t.on_oom ()
@@ -239,10 +276,10 @@ let refill_inactive t ~file =
   while
     Cgroup.inactive_low t.lru ~file
     && Cgroup.length t.lru active > 0
-    && !moved < t.cfg.reclaim_batch
+    && !moved < reclaim_batch
   do
     match Cgroup.tail t.lru active with
-    | None -> moved := t.cfg.reclaim_batch
+    | None -> moved := reclaim_batch
     | Some gpa ->
         incr moved;
         clear_ref t gpa;
@@ -257,7 +294,7 @@ let shrink t ~target ?(on_done = fun ~freed:_ ~scanned:_ -> ()) k =
     k ()
   in
   let rec loop () =
-    if !freed >= target || t.nfree >= t.cfg.high_free_pages then finish ()
+    if !freed >= target || t.nfree >= t.high_free_pages then finish ()
     else begin
       refill_inactive t ~file:true;
       refill_inactive t ~file:false;
@@ -304,14 +341,14 @@ let reclaim t k =
   if t.reclaiming then t.reclaim_waiters <- k :: t.reclaim_waiters
   else begin
     t.reclaiming <- true;
-    let target = max t.cfg.reclaim_batch (t.cfg.high_free_pages - t.nfree) in
+    let target = max reclaim_batch (t.high_free_pages - t.nfree) in
     let on_done ~freed ~scanned =
       (* Reclaim futility: scanning mountains of referenced pages for a
          handful of frees means the working set exceeds usable memory —
          a ballooned guest in this state OOM-kills (Section 2.4). *)
       if t.nballoon > 0 && scanned > 8 * max 1 freed && scanned > 64 then begin
         t.futility_stress <- t.futility_stress + 1;
-        if t.futility_stress > t.cfg.oom_stress_limit / 2 && not t.oomed_ then begin
+        if t.futility_stress > oom_stress_limit / 2 && not t.oomed_ then begin
           t.oomed_ <- true;
           t.stats.oom_kills <- t.stats.oom_kills + 1;
           t.on_oom ()
@@ -324,9 +361,9 @@ let reclaim t k =
         (* Sustained starvation triggers the low-memory killer: reclaim
            keeps running but cannot lift free pages off the floor — the
            over-ballooning failure mode of Section 2.4. *)
-        if t.nfree < t.cfg.min_free_pages / 2 then begin
+        if t.nfree < t.min_free_pages / 2 then begin
           t.reclaim_stress <- t.reclaim_stress + 1;
-          if t.reclaim_stress > t.cfg.oom_stress_limit then begin
+          if t.reclaim_stress > oom_stress_limit then begin
             t.reclaim_stress <- 0;
             if not t.oomed_ then begin
               t.oomed_ <- true;
@@ -344,7 +381,7 @@ let reclaim t k =
 
 (* Allocate one guest page, reclaiming if the free list runs low. *)
 let rec gpa_alloc t k =
-  if t.nfree > t.cfg.min_free_pages then
+  if t.nfree > t.min_free_pages then
     match pop_free t with Some gpa -> k gpa | None -> assert false
   else
     reclaim t (fun () ->
@@ -423,10 +460,8 @@ let create_file t ~blocks =
   let f = { fid = t.next_fid; start_block = t.fs_cursor; nblocks = blocks } in
   t.next_fid <- t.next_fid + 1;
   t.fs_cursor <- t.fs_cursor + blocks;
-  Hashtbl.replace t.ra f.fid { expected = -1; window = t.cfg.readahead_min };
+  Hashtbl.replace t.ra f.fid { expected = -1; window = readahead_min };
   f
-
-let file_blocks f = f.nblocks
 
 let ra_of t f = Hashtbl.find t.ra f.fid
 
@@ -442,7 +477,7 @@ let read_file t f ~idx k =
   let finish_hit gpa =
     set_ref t gpa;
     Hostmm.touch_read t.host ~guest:t.gid ~gpa (fun _content ->
-        after t (t.cfg.syscall_us + t.cfg.memcpy_us) k)
+        after t (syscall_us + memcpy_us) k)
   in
   match Hashtbl.find_opt t.cache block with
   | Some gpa -> wait_block t block (fun () -> finish_hit gpa)
@@ -450,8 +485,8 @@ let read_file t f ~idx k =
       (* Miss: read a readahead window of consecutive uncached blocks. *)
       let ra = ra_of t f in
       if block = ra.expected then
-        ra.window <- min (ra.window * 2) t.cfg.readahead_max
-      else ra.window <- t.cfg.readahead_min;
+        ra.window <- min (ra.window * 2) readahead_max
+      else ra.window <- readahead_min;
       let max_count =
         let rec scan j =
           if
@@ -504,7 +539,7 @@ let write_file t f ~idx k =
     set_ref t gpa;
     Hashtbl.replace t.dirty gpa ();
     Hostmm.rep_write t.host ~guest:t.gid ~gpa ~content:(Content.fresh_anon ())
-      (fun () -> after t t.cfg.syscall_us k)
+      (fun () -> after t syscall_us k)
   in
   match Hashtbl.find_opt t.cache block with
   | Some gpa -> wait_block t block (fun () -> overwrite gpa)
@@ -525,7 +560,7 @@ let fsync_file t f k =
     | Some _ | None -> ()
   done;
   let rec go = function
-    | [] -> after t t.cfg.syscall_us k
+    | [] -> after t syscall_us k
     | (block, gpa) :: rest ->
         Hostmm.vio_write t.host ~aligned:(draw_aligned t) ~guest:t.gid
           ~block0:block ~gpas:[| gpa |] (fun () ->
@@ -555,14 +590,14 @@ let map_anon t r ~idx k =
       set_ref t gpa;
       Cgroup.insert t.lru Cgroup.Anon_active gpa;
       Hostmm.rep_write t.host ~guest:t.gid ~gpa ~content:Content.Zero (fun () ->
-          after t t.cfg.guest_fault_us (fun () -> k gpa)))
+          after t guest_fault_us (fun () -> k gpa)))
 
 (* Guest-level swap-in with a small cluster readahead over consecutive
    swap slots. *)
 let swap_in t r ~idx ~slot k =
   t.stats.guest_major_faults <- t.stats.guest_major_faults + 1;
   let rec run_len j =
-    if j >= t.cfg.swap_cluster then j
+    if j >= swap_cluster then j
     else
       let s = slot + j in
       if
@@ -604,7 +639,7 @@ let swap_in t r ~idx ~slot k =
                 (* Slot was released mid-read; return the spare page. *)
                 free_gpa t gpas.(j)
           done;
-          after t t.cfg.guest_fault_us (fun () ->
+          after t guest_fault_us (fun () ->
               if r.live && r.slots.(idx) = S_mapped gpas.(0) then k gpas.(0)
               else
                 (* Lost a race; retry the touch path. *)
@@ -711,7 +746,7 @@ let balloon_target t = t.balloon_target_
 let balloon_size t = t.nballoon
 
 let inflate_step t k =
-  let want = min t.cfg.balloon_chunk (t.balloon_target_ - t.nballoon) in
+  let want = min balloon_chunk (t.balloon_target_ - t.nballoon) in
   let rec go i =
     if i >= want || t.oomed_ then k ()
     else
@@ -725,7 +760,7 @@ let inflate_step t k =
   go 0
 
 let deflate_step t =
-  let want = min t.cfg.balloon_chunk (t.nballoon - t.balloon_target_) in
+  let want = min balloon_chunk (t.nballoon - t.balloon_target_) in
   for _ = 1 to want do
     match t.balloon_pages with
     | [] -> ()
@@ -750,7 +785,7 @@ let rec balloon_loop t () =
   end
 
 and schedule_balloon t =
-  (Sim.Engine.run_after t.engine t.cfg.balloon_poll (balloon_loop t))
+  (Sim.Engine.run_after t.engine balloon_poll (balloon_loop t))
 
 (* Light periodic kernel activity: the guest kernel touches a few of its
    own pages (timers, daemons).  Under host pressure these generate

@@ -23,6 +23,12 @@ type file
 (** An anonymous memory region (heap/stack of a process). *)
 type region
 
+(** [create ~engine ~host ~gid ~stats ~config] builds guest [gid] on
+    [host] with every page free; {!boot} then touches its kernel.  The
+    kernel takes [min (24 MiB) (mem_pages / 8)] pages; reclaim starts
+    below [max 64 (mem_pages / 100)] free pages and refills to
+    [max 128 (3 * mem_pages / 100)].  Raises [Invalid_argument] naming
+    the first [config] field out of range. *)
 val create :
   engine:Sim.Engine.t ->
   host:Host.Hostmm.t ->
@@ -48,8 +54,6 @@ val warm_all_memory : t -> (unit -> unit) -> unit
 (** [create_file t ~blocks] lays out a file of [blocks] 4 KiB blocks
     contiguously on the virtual disk. *)
 val create_file : t -> blocks:int -> file
-
-val file_blocks : file -> int
 
 (** [read_file t f ~idx k] reads block [idx] of [f] through the page
     cache (sequential patterns trigger readahead). *)

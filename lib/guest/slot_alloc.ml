@@ -41,5 +41,4 @@ let is_allocated t s =
   check t s;
   Bytes.get t.used s <> '\000'
 
-let in_use t = t.in_use
 let nslots t = t.nslots

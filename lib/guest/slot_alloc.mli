@@ -8,5 +8,4 @@ val create : nslots:int -> t
 val alloc : t -> int option
 val free : t -> int -> unit
 val is_allocated : t -> int -> bool
-val in_use : t -> int
 val nslots : t -> int

@@ -7,7 +7,7 @@ type guest_id = int
 
 (* Cost model and I/O retry policy.  CPU-side costs are in microseconds,
    calibrated so that the simulated testbed behaves like the paper's
-   Dell R420 (Section 5); disk costs live in {!Storage.Disk.config}. *)
+   Dell R420 (Section 5); disk costs are constants of {!Storage.Disk}. *)
 
 (* Fault-time readahead window when the Mapper refetches named pages
    from the disk image. *)
@@ -1378,7 +1378,7 @@ let vio_read t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
     let base_cost = vio_overhead_us + hv_touch t g hv_touch_per_vio in
     let sector = Storage.Vdisk.sector_of_block g.vdisk block0 in
     let nsectors = n * page_sectors in
-    if t.vs.mapper && t.vs.report_4k_sectors && aligned then begin
+    if t.vs.mapper && aligned then begin
       (* mmap path: destinations are simply remapped; no fault-in. *)
       Array.iter (fun gpa -> discard_backing t g ~gpa) gpas;
       read_image t g ~sector ~nsectors k ~landed:(fun () ->
@@ -1444,7 +1444,7 @@ let vio_write t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
     let base_cost = vio_overhead_us + hv_touch t g hv_touch_per_vio in
     let disk_id = Storage.Vdisk.id g.vdisk in
     let sector = Storage.Vdisk.sector_of_block g.vdisk block0 in
-    let track_path = t.vs.mapper && t.vs.report_4k_sectors && aligned in
+    let track_path = t.vs.mapper && aligned in
     (* Phase 3+4: bump versions, re-map sources, submit the write. *)
     let phase3 () =
       if g.killed then after t 0 k
@@ -1521,7 +1521,6 @@ let balloon_return t ~guest:gid ~gpa =
 (* ------------------------------------------------------------------ *)
 
 let free_frames t = Frames.nfree t.frames
-let total_frames t = Frames.nframes t.frames
 let resident t gid = Cgroup.resident (guest t gid).cgroup
 let mapper_tracked t gid = Mapper.tracked (guest t gid).mapper
 let gpa_pages t gid = Array.length (guest t gid).ept

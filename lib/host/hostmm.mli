@@ -152,7 +152,6 @@ val balloon_return : t -> guest:guest_id -> gpa:int -> unit
 (** {2 Introspection} *)
 
 val free_frames : t -> int
-val total_frames : t -> int
 val resident : t -> guest_id -> int
 val mapper_tracked : t -> guest_id -> int
 

@@ -21,8 +21,11 @@ let init_detached a lo hi =
     a.owner.(i) <- 0
   done
 
-let arena ?(extra_lists = 8) ~nodes () =
-  let nslots = nodes + max 1 extra_lists in
+(* Sentinel headroom reserved up front; the region grows on demand. *)
+let extra_lists = 8
+
+let arena ~nodes () =
+  let nslots = nodes + extra_lists in
   let a =
     {
       prev = Array.make nslots 0;

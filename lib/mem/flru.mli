@@ -14,10 +14,10 @@
 type arena
 type t
 
-val arena : ?extra_lists:int -> nodes:int -> unit -> arena
+val arena : nodes:int -> unit -> arena
 (** [arena ~nodes ()] builds an arena whose node ids are
-    [0 .. nodes - 1], all initially detached.  [extra_lists] reserves
-    sentinel headroom (the sentinel region also grows on demand). *)
+    [0 .. nodes - 1], all initially detached, with sentinel headroom for
+    eight lists (the sentinel region also grows on demand). *)
 
 val list : arena -> t
 (** A new empty list drawing nodes from [arena]. *)

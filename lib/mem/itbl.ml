@@ -139,11 +139,6 @@ let iter f t =
     if k <> empty then f k vals.(i)
   done
 
-let fold f t init =
-  let acc = ref init in
-  iter (fun k v -> acc := f k v !acc) t;
-  !acc
-
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty;
   t.size <- 0

@@ -49,7 +49,6 @@ val iter : (int -> int -> unit) -> t -> unit
 (** Iterates in slot order.  The order is a deterministic function of
     the operation history but otherwise unspecified. *)
 
-val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val clear : t -> unit
 
 val home_slot : t -> int -> int

@@ -70,12 +70,18 @@ let classify ~host ~gid ~vdisk strategy plan ~gpa =
             :: plan.reads;
           plan.copy_pages <- plan.copy_pages + 1)
 
+(* Read-back pacing: reads per batch, the first transient retry's
+   backoff (doubling per attempt) and how many batches a parked read
+   may stall before the migration gives up. *)
+let batch = 64
+let retry_base_us = 500
+let max_stalled_batches = 8
+
 (* Machine-free transfer core: everything it needs (engine, disk, tiers,
    vdisk, address-space size) is resolved from the host memory manager,
    so the fleet rebalancer can evacuate a guest from a bare
    [Engine]+[Hostmm] shard with no [Vmm.Machine] wrapping it. *)
-let migrate_host ?(retry_limit = 4) ?(retry_base_us = 500) ?(batch = 64)
-    ?(max_stalled_batches = 8) ~engine ~host ~guest:gid link strategy k =
+let migrate_host ?(retry_limit = 4) ~engine ~host ~guest:gid link strategy k =
   let disk = H.disk host in
   let tiers = H.tiers host in
   let vdisk = H.vdisk host gid in
@@ -117,7 +123,6 @@ let migrate_host ?(retry_limit = 4) ?(retry_base_us = 500) ?(batch = 64)
      deterministic. *)
   let reads = Array.of_list (List.sort compare plan.reads) in
   let n_reads = Array.length reads in
-  let batch = max 1 batch in
   let attempts = Array.make (max 1 n_reads) 0 in
   let stalls = Array.make (max 1 n_reads) 0 in
   let retries_total = ref 0 in
@@ -259,14 +264,12 @@ let migrate_host ?(retry_limit = 4) ?(retry_base_us = 500) ?(batch = 64)
                      throttled_batches = !throttled_batches;
                    })))
 
-let migrate ?retry_limit ?retry_base_us ?batch ?max_stalled_batches ~machine
-    ~guest link strategy k =
+let migrate ?retry_limit ~machine ~guest link strategy k =
   let engine = Vmm.Machine.engine machine in
   let host = Vmm.Machine.host machine in
   let os = Vmm.Machine.os machine guest in
   let gid = Guest.Guestos.gid os in
-  migrate_host ?retry_limit ?retry_base_us ?batch ?max_stalled_batches ~engine
-    ~host ~guest:gid link strategy k
+  migrate_host ?retry_limit ~engine ~host ~guest:gid link strategy k
 
 let pp_report fmt r =
   Format.fprintf fmt

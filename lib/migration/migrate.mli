@@ -59,16 +59,16 @@ type outcome = Completed of report | Aborted of abort
     is treated as paused for the duration; its memory state is not
     modified.
 
-    Source read-back I/O is issued in bounded batches of [batch] reads
-    and follows the typed-error discipline from {!Faults}: a
-    [Transient] failure is retried up to [retry_limit] times with
-    exponential backoff starting at [retry_base_us] microseconds.  When
-    a read's in-batch retry budget runs dry it is parked and reissued
-    with a later batch instead of aborting, and a batch that saw any
-    transient error doubles an inter-batch delay (reset by the next
-    clean batch) — the copy rate adapts to a source tier degrading
-    mid-iteration, slowing down rather than giving up.  Only a page
-    parked more than [max_stalled_batches] times, or a [Media] failure
+    Source read-back I/O is issued in bounded batches of 64 reads and
+    follows the typed-error discipline from {!Faults}: a [Transient]
+    failure is retried up to [retry_limit] (default 4) times with
+    exponential backoff starting at 500 microseconds.  When a read's
+    in-batch retry budget runs dry it is parked and reissued with a
+    later batch instead of aborting, and a batch that saw any transient
+    error doubles an inter-batch delay (reset by the next clean batch) —
+    the copy rate adapts to a source tier degrading mid-iteration,
+    slowing down rather than giving up.  Only a page parked more than 8
+    times, or a [Media] failure
     (permanent for its sector no matter the pacing — the source cannot
     fabricate a page its disk has lost), aborts the migration, after
     all outstanding reads drain, reporting [Aborted] with the first
@@ -79,9 +79,6 @@ type outcome = Completed of report | Aborted of abort
     retry/throttle/abort discipline as raw disk errors. *)
 val migrate :
   ?retry_limit:int ->
-  ?retry_base_us:int ->
-  ?batch:int ->
-  ?max_stalled_batches:int ->
   machine:Vmm.Machine.t ->
   guest:int ->
   link ->
@@ -97,9 +94,6 @@ val migrate :
     [host].  Same semantics, same defaults. *)
 val migrate_host :
   ?retry_limit:int ->
-  ?retry_base_us:int ->
-  ?batch:int ->
-  ?max_stalled_batches:int ->
   engine:Sim.Engine.t ->
   host:Host.Hostmm.t ->
   guest:Host.Hostmm.guest_id ->

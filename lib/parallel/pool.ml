@@ -39,7 +39,7 @@ let clamp_jobs_requested j =
 let default_jobs () = clamp_jobs (Domain.recommended_domain_count () - 1)
 
 (* Worker loop: block for work, run it, repeat until closed and drained.
-   Tasks never raise — [map] wraps each job in its own exception capture —
+   Tasks never raise — [map] and [iter_all] capture each job's exception —
    so a worker only exits via [shutdown]. *)
 let rec worker t =
   Mutex.lock t.mutex;
@@ -100,27 +100,22 @@ let reset_stats t =
   Atomic.set t.helped 0;
   Atomic.set t.peak 0
 
-(* Re-entrant map.  The caller enqueues its jobs, then *helps*: it pops
-   and executes queued jobs — its own or any other caller's — until its
-   own jobs are all done, and blocks only when the queue is empty while
-   jobs of its own are still in flight on other domains.  Because a
-   submitter keeps popping for as long as any job of its own is
-   un-started, every queued job always has at least one non-blocked
-   domain (its submitter, or a dedicated worker) that will pop it, so
-   nested submissions cannot deadlock the fixed worker set: a worker
-   whose job calls [map] executes the nested jobs itself instead of
-   sleeping on an occupied pool. *)
-let map (t : t) f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let results = Array.make n None in
+(* The one fan-out core: run [job 0] .. [job (n - 1)] to completion
+   ([job] never raises).  At width 1 the submitter runs them inline, in
+   index order.  Otherwise it enqueues them and *helps*: it pops and
+   executes queued jobs — its own or any other caller's — until its own
+   are all done, blocking only when the queue is empty while jobs of its
+   own run on other domains.  A submitter keeps popping while any job of
+   its own is un-started, so every queued job has a non-blocked domain
+   that will pop it and nested submissions cannot deadlock the fixed
+   worker set.  It stops as soon as its own jobs are done, so its
+   latency covers them plus at most one foreign job.  Each job's writes
+   precede its [done_mutex] unlock, so the caller sees them all. *)
+let run_jobs (t : t) n (job : int -> unit) =
   if t.jobs <= 1 || n <= 1 then begin
-    (* Serial reference path: same code the workers run, same order the
-       results come back in; the submitter executed them, so they count
-       as helper jobs. *)
-    Array.iteri
-      (fun i x -> results.(i) <- Some (try Ok (f x) with e -> Error e))
-      arr;
+    for i = 0 to n - 1 do
+      job i
+    done;
     ignore (Atomic.fetch_and_add t.helped n)
   end
   else begin
@@ -128,33 +123,20 @@ let map (t : t) f xs =
     let done_cond = Condition.create () in
     let remaining = ref n in
     Mutex.lock t.mutex;
-    Array.iteri
-      (fun i x ->
-        Queue.add
-          (fun () ->
-            let r = try Ok (f x) with e -> Error e in
-            Mutex.lock done_mutex;
-            results.(i) <- Some r;
-            decr remaining;
-            if !remaining = 0 then Condition.signal done_cond;
-            Mutex.unlock done_mutex)
-          t.tasks)
-      arr;
+    for i = 0 to n - 1 do
+      Queue.add
+        (fun () ->
+          job i;
+          Mutex.lock done_mutex;
+          decr remaining;
+          if !remaining = 0 then Condition.signal done_cond;
+          Mutex.unlock done_mutex)
+        t.tasks
+    done;
     let depth = Queue.length t.tasks in
     if depth > Atomic.get t.peak then Atomic.set t.peak depth;
     Condition.broadcast t.nonempty;
     Mutex.unlock t.mutex;
-    (* Help until this call's own jobs are done.  The queue is shared
-       FIFO, so helping can execute another caller's job — that is what
-       makes nesting safe: our un-started jobs can only sit behind work
-       someone submitted earlier, and that submitter is likewise helping,
-       not sleeping.  We stop as soon as [remaining] hits 0 (any leftover
-       queue is other callers' business — their submitters and the
-       workers drain it), so a caller's latency covers its own jobs plus
-       at most the foreign job it is currently executing, not the whole
-       backlog.  We block only when the queue is empty while stragglers
-       of ours are in flight: whoever holds them is executing, not
-       sleeping, so waiting cannot deadlock. *)
     let rec help () =
       Mutex.lock done_mutex;
       let mine_done = !remaining = 0 in
@@ -177,76 +159,27 @@ let map (t : t) f xs =
       end
     in
     help ()
-  end;
+  end
+
+let map t f xs =
+  let arr = Array.of_list xs in
+  let results = Array.make (Array.length arr) None in
+  run_jobs t (Array.length arr) (fun i ->
+      results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e));
   Array.to_list (Array.map Option.get results)
 
 (* Barrier fan-out over preallocated thunks — the epoch hot path of the
-   fleet simulator.  Same help-while-waiting discipline as [map], but
-   the caller owns the thunk array (reused every epoch), so beyond the
-   queue nodes themselves nothing is allocated per call: no list
-   conversion, no per-job result boxing.  Exceptions are captured
-   (first one wins, under [done_mutex] so the choice is well-defined)
-   and re-raised after the barrier — every thunk still runs, keeping
-   shard state consistent before the caller sees the failure. *)
-let iter_all (t : t) (thunks : (unit -> unit) array) =
-  let n = Array.length thunks in
-  if n = 0 then ()
-  else if t.jobs <= 1 || n = 1 then begin
-    Array.iter (fun f -> f ()) thunks;
-    ignore (Atomic.fetch_and_add t.helped n)
-  end
-  else begin
-    let done_mutex = Mutex.create () in
-    let done_cond = Condition.create () in
-    let remaining = ref n in
-    let first_exn = ref None in
-    let finish exn =
-      Mutex.lock done_mutex;
-      (match (exn, !first_exn) with
-      | Some e, None -> first_exn := Some e
-      | _ -> ());
-      decr remaining;
-      if !remaining = 0 then Condition.signal done_cond;
-      Mutex.unlock done_mutex
-    in
-    Mutex.lock t.mutex;
-    Array.iter
-      (fun f ->
-        Queue.add
-          (fun () ->
-            match f () with
-            | () -> finish None
-            | exception e -> finish (Some e))
-          t.tasks)
-      thunks;
-    let depth = Queue.length t.tasks in
-    if depth > Atomic.get t.peak then Atomic.set t.peak depth;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex;
-    let rec help () =
-      Mutex.lock done_mutex;
-      let mine_done = !remaining = 0 in
-      Mutex.unlock done_mutex;
-      if not mine_done then begin
-        Mutex.lock t.mutex;
-        match Queue.take_opt t.tasks with
-        | Some task ->
-            Mutex.unlock t.mutex;
-            Atomic.incr t.helped;
-            task ();
-            help ()
-        | None ->
-            Mutex.unlock t.mutex;
-            Mutex.lock done_mutex;
-            while !remaining > 0 do
-              Condition.wait done_cond done_mutex
-            done;
-            Mutex.unlock done_mutex
-      end
-    in
-    help ();
-    match !first_exn with Some e -> raise e | None -> ()
-  end
+   fleet simulator.  The caller owns the thunk array (reused every
+   epoch), so beyond the queue nodes and one failure slot per thunk
+   nothing is allocated per call: no list conversion, no per-job result
+   boxing.  Every thunk runs; the lowest-index failure is re-raised
+   after the barrier, so which exception a caller sees does not depend
+   on the pool width or on completion order. *)
+let iter_all t (thunks : (unit -> unit) array) =
+  let failures = Array.make (Array.length thunks) None in
+  run_jobs t (Array.length thunks) (fun i ->
+      try thunks.(i) () with e -> failures.(i) <- Some e);
+  Array.iter (function Some e -> raise e | None -> ()) failures
 
 let shutdown t =
   Mutex.lock t.mutex;

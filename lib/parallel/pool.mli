@@ -71,9 +71,10 @@ type stats = {
     conversion: the caller owns (and reuses) the thunk array, so the
     steady-state epoch loop allocates only queue nodes.  The submitter
     helps execute queued work exactly as in [map], so nested use is
-    safe.  If thunks raise, every thunk still runs and the first
-    exception (in completion order) is re-raised after the barrier.
-    With [jobs t <= 1] the thunks run inline, in array order. *)
+    safe.  If thunks raise, every thunk still runs and, after the
+    barrier, the exception of the first failing thunk in array order is
+    re-raised — the same one at every pool width.  With [jobs t <= 1]
+    the thunks run inline, in array order. *)
 val iter_all : t -> (unit -> unit) array -> unit
 
 val stats : t -> stats

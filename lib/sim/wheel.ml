@@ -29,7 +29,6 @@ type 'a record = {
 let bits = 6
 let slots_per_level = 1 lsl bits
 let nlevels = 4
-let horizon = 1 lsl (bits * nlevels)
 let slot_mask = slots_per_level - 1
 let gen_bits = 31
 let gen_mask = (1 lsl gen_bits) - 1
@@ -117,7 +116,6 @@ let create () =
   }
 
 let length t = t.size
-let is_empty t = t.size = 0
 let fired t = t.n_fired
 let cancelled t = t.n_cancelled
 let cascades t = t.n_cascades

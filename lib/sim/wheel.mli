@@ -26,13 +26,12 @@
 type 'a t
 
 (** Geometry, exposed for boundary tests: [bits] index bits per level
-    (slots = [2^bits]), [nlevels] levels, [horizon = 2^(bits*nlevels)]
-    ticks covered before the overflow list takes over. *)
+    (slots = [2^bits]) and [nlevels] levels, covering [2^(bits*nlevels)]
+    ticks before the overflow list takes over. *)
 
 val bits : int
 val slots_per_level : int
 val nlevels : int
-val horizon : int
 
 val create : unit -> 'a t
 
@@ -60,7 +59,6 @@ val next_time : 'a t -> int
 val pop : 'a t -> 'a
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** {2 Telemetry} *)
 

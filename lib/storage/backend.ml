@@ -12,7 +12,6 @@ type reply = Disk.reply = {
 
 type t = {
   name : string;
-  capacity_sectors : int;
   read :
     sector:int ->
     nsectors:int ->
@@ -27,7 +26,6 @@ type t = {
 }
 
 let name t = t.name
-let capacity_sectors t = t.capacity_sectors
 let read t = t.read
 let write t = t.write
 let admit t ~sector = t.admit ~sector
@@ -41,7 +39,6 @@ let used_bytes t = t.used_bytes ()
 let of_disk disk =
   {
     name = "disk";
-    capacity_sectors = (Disk.config disk).Disk.capacity_sectors;
     read =
       (fun ~sector ~nsectors ~queue ~attempt k ->
         Disk.submit disk ~sector ~nsectors ~kind:Disk.Read ~queue ~attempt k);
@@ -90,7 +87,6 @@ let czram ?(faults = Faults.Plan.none) ~engine ~seed ~admit_ratio ~pool_bytes
   in
   {
     name = "czram";
-    capacity_sectors = max_int;
     read =
       (fun ~sector ~nsectors ~queue:_ ~attempt:_ k ->
         let now = Sim.Time.to_us (Sim.Engine.now engine) in
@@ -149,7 +145,6 @@ let remote ?(faults = Faults.Plan.none) ~engine ~rtt_us ~bytes_per_us () =
   in
   {
     name = "remote";
-    capacity_sectors = max_int;
     read =
       (fun ~sector ~nsectors ~queue:_ ~attempt k ->
         let now = Sim.Time.to_us (Sim.Engine.now engine) in

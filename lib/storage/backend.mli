@@ -24,10 +24,6 @@ type t
 
 val name : t -> string
 
-(** Addressable size; [max_int] for the RAM-backed tiers, which are
-    capacity-limited by admission (pool bytes / tier share) instead. *)
-val capacity_sectors : t -> int
-
 (** [read t ~sector ~nsectors ~queue ~attempt k] fetches sectors and
     calls [k] at the virtual completion time.  [queue] is meaningful
     for the disk backend (submission-queue steering); [attempt] keys

@@ -5,18 +5,7 @@ type error = Faults.Error.t = Media | Transient
 type reply = { result : (unit, error) Stdlib.result; service : Sim.Time.t }
 
 type config = {
-  min_seek_us : int;
-  max_seek_us : int;
-  full_stroke_sectors : int;
-  capacity_sectors : int;
-  half_rotation_us : int;
-  us_per_sector : float;
-  request_overhead_us : int;
-  write_ack_us : int;
-  write_buffer_sectors : int;
-  max_flush_sectors : int;
   max_batch_sectors : int;
-  idle_flush_delay_us : int;
   num_queues : int;
   per_queue_depth : int;
   destage_queues : int;
@@ -24,22 +13,24 @@ type config = {
 
 let default_config =
   {
-    min_seek_us = 600;
-    max_seek_us = 15_000;
-    full_stroke_sectors = 3_906_250_000; (* ~2 TB in 512 B sectors *)
-    capacity_sectors = 3_906_250_000;
-    half_rotation_us = 4_170;
-    us_per_sector = 3.66;
-    request_overhead_us = 40;
-    write_ack_us = 25;
-    write_buffer_sectors = 65_536; (* 32 MiB *)
-    max_flush_sectors = 8_192; (* 4 MiB destaging chunks *)
     max_batch_sectors = 8_192; (* 4 MiB read batches *)
-    idle_flush_delay_us = 3_000;
     num_queues = 1;
     per_queue_depth = 1;
     destage_queues = 1;
   }
+
+(* The paper's testbed drive: a 7200 RPM, ~2 TB Constellation. *)
+let min_seek_us = 600 (* track-to-track seek *)
+let max_seek_us = 15_000 (* full-stroke seek *)
+let full_stroke_sectors = 3_906_250_000 (* distance over which seek saturates *)
+let capacity_sectors = 3_906_250_000 (* ~2 TB in 512 B sectors *)
+let half_rotation_us = 4_170 (* average rotational delay, 7200 RPM *)
+let us_per_sector = 3.66 (* media transfer rate, 140 MB/s *)
+let request_overhead_us = 40 (* controller + virtualization-exit cost *)
+let write_ack_us = 25 (* latency of a buffered-write acknowledgment *)
+let write_buffer_sectors = 65_536 (* 32 MiB cap before writes push back *)
+let max_flush_sectors = 8_192 (* 4 MiB chunks bound read-behind-flush waits *)
+let idle_flush_delay_us = 3_000 (* idle time before background destaging *)
 
 type request = {
   sector : int;
@@ -90,16 +81,24 @@ type t = {
 }
 
 let create ~engine ~stats ?(faults = Faults.Plan.none) config =
-  let nq = max 1 config.num_queues in
+  let require ok field range =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Disk.create: Disk.config.%s must be %s" field range)
+  in
+  require (config.max_batch_sectors >= 1) "max_batch_sectors" ">= 1";
+  require (config.num_queues >= 1) "num_queues" ">= 1";
+  require (config.per_queue_depth >= 1) "per_queue_depth" ">= 1";
+  require
+    (1 <= config.destage_queues && config.destage_queues <= config.num_queues)
+    "destage_queues" "in [1, num_queues]";
   {
     engine;
     stats;
-    config = { config with num_queues = nq;
-               per_queue_depth = max 1 config.per_queue_depth;
-               destage_queues = max 1 (min nq config.destage_queues) };
+    config;
     faults;
     queues =
-      Array.init nq (fun qid ->
+      Array.init config.num_queues (fun qid ->
           {
             qid;
             reads = [];
@@ -119,16 +118,15 @@ let create ~engine ~stats ?(faults = Faults.Plan.none) config =
     trace = None;
   }
 
-let seek_time t distance =
+let seek_time distance =
   if distance = 0 then 0
   else
-    let c = t.config in
     let frac =
-      sqrt (float_of_int distance /. float_of_int c.full_stroke_sectors)
+      sqrt (float_of_int distance /. float_of_int full_stroke_sectors)
     in
     let frac = Float.min 1.0 frac in
-    c.min_seek_us
-    + int_of_float (frac *. float_of_int (c.max_seek_us - c.min_seek_us))
+    min_seek_us
+    + int_of_float (frac *. float_of_int (max_seek_us - min_seek_us))
 
 (* A short forward gap is crossed by letting the platter spin past it
    (cost: the gap's transfer time), not by a seek + rotational wait. *)
@@ -138,22 +136,21 @@ let forward_skip_sectors = 4_096 (* ~2 MiB, a couple of tracks *)
    attempts; the buffered copy is then dropped (counted as lost). *)
 let destage_retry_limit = 6
 
-let service_time_from t ~head ~sector ~nsectors =
-  let c = t.config in
+let service_time_from ~head ~sector ~nsectors =
   let gap = sector - head in
   let positioning =
     if gap = 0 then 0
     else if gap > 0 && gap <= forward_skip_sectors then
-      int_of_float (Float.round (float_of_int gap *. c.us_per_sector))
-    else seek_time t (abs gap) + c.half_rotation_us
+      int_of_float (Float.round (float_of_int gap *. us_per_sector))
+    else seek_time (abs gap) + half_rotation_us
   in
   let transfer =
-    int_of_float (Float.round (float_of_int nsectors *. c.us_per_sector))
+    int_of_float (Float.round (float_of_int nsectors *. us_per_sector))
   in
-  Sim.Time.us (c.request_overhead_us + positioning + transfer)
+  Sim.Time.us (request_overhead_us + positioning + transfer)
 
 let service_time t ~sector ~nsectors =
-  service_time_from t ~head:t.queues.(0).head ~sector ~nsectors
+  service_time_from ~head:t.queues.(0).head ~sector ~nsectors
 
 (* Insert a dirty run, merging with overlapping/adjacent runs; the buffer
    occupancy is maintained incrementally (placed minus merged-away). *)
@@ -213,7 +210,7 @@ let pop_flush_chunk t ~head =
       | Some (_, ((rs, rl) as run)) ->
           let re = rs + rl in
           let start = if head > rs && head < re then head else rs in
-          let chunk = min (re - start) t.config.max_flush_sectors in
+          let chunk = min (re - start) max_flush_sectors in
           let left = start - rs in
           let right = re - (start + chunk) in
           t.write_runs <-
@@ -368,7 +365,7 @@ and pump_reads t q =
         pump_reads t q
 
 and pump0 t q =
-  let over_cap = t.write_buf_sectors > t.config.write_buffer_sectors in
+  let over_cap = t.write_buf_sectors > write_buffer_sectors in
   if over_cap then begin
     if (not q.flushing) && q.in_service = 0 then flush_chunk t q
   end
@@ -394,7 +391,7 @@ and flush_chunk t q =
       let epoch = t.flush_epoch in
       t.flush_epoch <- epoch + 1;
       account_flush t ~head:q.head ~sector nsectors;
-      let dt = service_time_from t ~head:q.head ~sector ~nsectors in
+      let dt = service_time_from ~head:q.head ~sector ~nsectors in
       q.head <- sector + nsectors;
       (Sim.Engine.run_after t.engine dt (fun () ->
              q.flushing <- false;
@@ -462,7 +459,7 @@ and arm_idle_timer t =
   if t.idle_timer = Sim.Engine.null then
     t.idle_timer <-
       (Sim.Engine.schedule_after t.engine
-           (Sim.Time.us t.config.idle_flush_delay_us)
+           (Sim.Time.us idle_flush_delay_us)
            (fun () ->
              t.idle_timer <- Sim.Engine.null;
              (* Destage in the background only if idle right now; with
@@ -477,7 +474,7 @@ and start_batch t q = function
       enter_service t q;
       (* Served from the write buffer at RAM speed; the content never
          touched the media, so no media/transient fault can fire. *)
-      let dt = Sim.Time.us t.config.write_ack_us in
+      let dt = Sim.Time.us write_ack_us in
       (Sim.Engine.run_after t.engine dt (fun () ->
              (* The slot is released only after the completion callback:
                 reads it submits are gathered by the trailing pump (one
@@ -491,7 +488,7 @@ and start_batch t q = function
       account_batch t q ~span_start ~span_end
         ~nrequests:(List.length members);
       let dt =
-        service_time_from t ~head:q.head ~sector:span_start
+        service_time_from ~head:q.head ~sector:span_start
           ~nsectors:(span_end - span_start)
       in
       let dt =
@@ -530,18 +527,18 @@ and start_batch t q = function
              q.in_service <- q.in_service - 1;
              pump t q))
 
-let check_bounds t ~who ~sector ~nsectors =
+let check_bounds ~who ~sector ~nsectors =
   if nsectors <= 0 then
     invalid_arg (Printf.sprintf "Disk.%s: nsectors must be positive" who);
   if sector < 0 then
     invalid_arg (Printf.sprintf "Disk.%s: negative sector %d" who sector);
-  if sector + nsectors > t.config.capacity_sectors then
+  if sector + nsectors > capacity_sectors then
     invalid_arg
       (Printf.sprintf "Disk.%s: [%d, %d) past capacity %d" who sector
-         (sector + nsectors) t.config.capacity_sectors)
+         (sector + nsectors) capacity_sectors)
 
 let submit t ~sector ~nsectors ~kind ?(queue = 0) ?(attempt = 0) completion =
-  check_bounds t ~who:"submit" ~sector ~nsectors;
+  check_bounds ~who:"submit" ~sector ~nsectors;
   match kind with
   | Read ->
       let q =
@@ -554,7 +551,7 @@ let submit t ~sector ~nsectors ~kind ?(queue = 0) ?(attempt = 0) completion =
       pump t q
   | Write ->
       add_write_run t sector nsectors;
-      let dt = Sim.Time.us t.config.write_ack_us in
+      let dt = Sim.Time.us write_ack_us in
       (* Buffered-write acks always succeed: the cache absorbed the data
          (media errors on destage are invisible to the submitter, as on
          a real write-back drive).  The data lands in the shared buffer
@@ -568,7 +565,7 @@ let submit t ~sector ~nsectors ~kind ?(queue = 0) ?(attempt = 0) completion =
 (* Buffered write without a completion event: for fire-and-forget
    destaging traffic (e.g. swap-out) whose ack nobody awaits. *)
 let write_buffered ?(queue = 0) t ~sector ~nsectors =
-  check_bounds t ~who:"write_buffered" ~sector ~nsectors;
+  check_bounds ~who:"write_buffered" ~sector ~nsectors;
   add_write_run t sector nsectors;
   let dqs = t.config.destage_queues in
   pump0 t t.queues.(((queue mod dqs) + dqs) mod dqs)
@@ -577,7 +574,6 @@ let queue_depth t =
   total_reads t + List.length t.write_runs + total_in_service t
 
 let num_queues t = t.config.num_queues
-let config t = t.config
 
 let queue_stats t =
   Array.map

@@ -64,38 +64,40 @@ type error = Faults.Error.t = Media | Transient
     multiplier, when injected, is visible here). *)
 type reply = { result : (unit, error) Stdlib.result; service : Sim.Time.t }
 
+(** What callers vary: batching and the queue layout.  The geometry and
+    timing of the paper's drive are constants of this module.
+    {!create} rejects a field outside its stated range with
+    [Invalid_argument] naming it. *)
 type config = {
-  min_seek_us : int;  (** track-to-track seek *)
-  max_seek_us : int;  (** full-stroke seek *)
-  full_stroke_sectors : int;  (** distance over which seek saturates *)
-  capacity_sectors : int;  (** addressable size; requests past it are rejected *)
-  half_rotation_us : int;  (** average rotational delay, 7200 RPM -> 4.17 ms *)
-  us_per_sector : float;  (** media transfer rate, 140 MB/s -> 3.66 us *)
-  request_overhead_us : int;  (** controller + virtualization-exit cost *)
-  write_ack_us : int;  (** latency of a buffered-write acknowledgment *)
-  write_buffer_sectors : int;  (** cap before writes push back on reads *)
-  max_flush_sectors : int;  (** destaging chunk; bounds read-behind-flush waits *)
-  max_batch_sectors : int;  (** cap on a coalesced read batch's media span *)
-  idle_flush_delay_us : int;  (** idle time before background destaging starts *)
-  num_queues : int;  (** NVMe-style submission queues; 1 = classic elevator *)
-  per_queue_depth : int;  (** concurrent in-service batches per queue *)
+  max_batch_sectors : int;
+      (** cap on a coalesced read batch's media span; [>= 1] *)
+  num_queues : int;
+      (** NVMe-style submission queues; 1 = classic elevator; [>= 1] *)
+  per_queue_depth : int;
+      (** concurrent in-service batches per queue; [>= 1] *)
   destage_queues : int;
       (** how many of the first queues double as destage channels for the
-          shared write buffer (clamped to [1, num_queues]).  The default 1
+          shared write buffer; in [1, num_queues].  The default 1
           preserves the classic behaviour where only queue 0 destages; a
           writeback-heavy workload can raise it so flushing no longer
           serializes behind one channel. *)
 }
 
-(** A 7200 RPM enterprise drive, roughly the paper's Constellation. *)
+(** A 7200 RPM enterprise drive, roughly the paper's Constellation:
+    one queue of depth 1, 4 MiB read batches. *)
 val default_config : config
+
+(** Addressable size in sectors (~2 TB); requests past it are
+    rejected. *)
+val capacity_sectors : int
 
 type t
 
 (** [create ~engine ~stats ?faults config] builds a drive.  [faults]
     (default {!Faults.Plan.none}) injects deterministic read errors and
     degraded-latency episodes; write acks are never failed (the
-    write-back cache absorbs them, as on a real drive). *)
+    write-back cache absorbs them, as on a real drive).  Raises
+    [Invalid_argument] naming the first [config] field out of range. *)
 val create :
   engine:Sim.Engine.t ->
   stats:Metrics.Stats.t ->
@@ -117,7 +119,7 @@ val create :
     keys the transient-fault hash, so a retry of a transiently failed
     sector can succeed while media errors persist.  Raises [Invalid_arg]
     when [nsectors <= 0], [sector < 0], or the request extends past
-    [capacity_sectors]. *)
+    {!capacity_sectors}. *)
 val submit :
   t ->
   sector:int ->
@@ -140,12 +142,8 @@ val write_buffered : ?queue:int -> t -> sector:int -> nsectors:int -> unit
     media. *)
 val queue_depth : t -> int
 
-(** [num_queues t] is the (clamped, >= 1) submission-queue count. *)
+(** [num_queues t] is the submission-queue count. *)
 val num_queues : t -> int
-
-(** [config t] is the drive's (clamped) configuration, as stored at
-    {!create} time.  Lets composite backends reuse a drive's geometry. *)
-val config : t -> config
 
 (** Snapshot of one submission queue, for tests and the scalability
     experiment's per-queue reporting. *)

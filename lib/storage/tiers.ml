@@ -4,12 +4,8 @@ type config = {
   fast : kind;
   slow : kind;
   fast_share_percent : int;
-  czram_seed : int;
   czram_admit_ratio : float;
-  czram_compress_us : int;
-  czram_decompress_us : int;
   remote_rtt_us : int;
-  remote_gbps : float;
   writeback_idle_us : int;
   writeback_batch : int;
   tier_error_budget : int;
@@ -21,26 +17,22 @@ let disk_only =
     fast = Disk_tier;
     slow = Disk_tier;
     fast_share_percent = 50;
-    czram_seed = 0;
     czram_admit_ratio = 0.75;
-    czram_compress_us = 10;
-    czram_decompress_us = 5;
     remote_rtt_us = 20;
-    remote_gbps = 10.0;
     writeback_idle_us = 2_000_000;
     writeback_batch = 64;
     tier_error_budget = 0;
     tier_probe_us = 500_000;
   }
 
-let kind_to_string = function
-  | Disk_tier -> "disk"
-  | Czram -> "czram"
-  | Remote -> "remote"
+(* The compressed tier's model: the seed of its per-page
+   compressibility hash and its CPU cost per page swapped out / in. *)
+let czram_seed = 0
+let czram_compress_us = 10
+let czram_decompress_us = 5
 
-let pair_to_string cfg =
-  if cfg.fast = Disk_tier && cfg.slow = Disk_tier then "disk"
-  else kind_to_string cfg.fast ^ "+" ^ kind_to_string cfg.slow
+(* The remote tier's link bandwidth, gigabits per second. *)
+let remote_gbps = 10.0
 
 type t = {
   engine : Sim.Engine.t;
@@ -66,25 +58,40 @@ type t = {
 let page_sectors = Geom.sectors_per_page
 let now_us t = Sim.Time.to_us (Sim.Engine.now t.engine)
 
+let validate cfg =
+  let require ok field range =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Tiers.create: Tiers.config.%s must be %s" field range)
+  in
+  require
+    (0 <= cfg.fast_share_percent && cfg.fast_share_percent <= 100)
+    "fast_share_percent" "in [0, 100]";
+  require (cfg.czram_admit_ratio >= 0.0) "czram_admit_ratio" ">= 0";
+  require (cfg.remote_rtt_us >= 0) "remote_rtt_us" ">= 0";
+  require (cfg.writeback_idle_us >= 0) "writeback_idle_us" ">= 0";
+  require (cfg.writeback_batch >= 1) "writeback_batch" ">= 1";
+  require (cfg.tier_error_budget >= 0) "tier_error_budget" ">= 0";
+  require (cfg.tier_probe_us >= 1) "tier_probe_us" ">= 1"
+
 let create ?(faults = Faults.Plan.none) ~engine ~stats ~disk ~swap
     (cfg : config) =
+  validate cfg;
   let passthrough = cfg.fast = Disk_tier && cfg.slow = Disk_tier in
   let nslots = Swap_area.nslots swap in
-  let share = max 0 (min 100 cfg.fast_share_percent) in
-  let fast_cap = nslots * share / 100 in
+  let fast_cap = nslots * cfg.fast_share_percent / 100 in
   let mk = function
     | Disk_tier -> Backend.of_disk disk
     | Czram ->
         (* Pool sized to the fast share at a typical compressed ratio;
            admission rejects both incompressible pages and overflow. *)
-        Backend.czram ~faults ~engine ~seed:cfg.czram_seed
+        Backend.czram ~faults ~engine ~seed:czram_seed
           ~admit_ratio:cfg.czram_admit_ratio
           ~pool_bytes:(max Geom.page_bytes (fast_cap * Geom.page_bytes * 3 / 5))
-          ~compress_us:cfg.czram_compress_us
-          ~decompress_us:cfg.czram_decompress_us ()
+          ~compress_us:czram_compress_us ~decompress_us:czram_decompress_us ()
     | Remote ->
         Backend.remote ~faults ~engine ~rtt_us:cfg.remote_rtt_us
-          ~bytes_per_us:(cfg.remote_gbps *. 125.0) ()
+          ~bytes_per_us:(remote_gbps *. 125.0) ()
   in
   let t =
     {
@@ -355,6 +362,3 @@ let is_passthrough t = t.passthrough
 let fast_degraded t = t.fast_degraded
 let fast_slots t = t.fast_slots
 let fast_capacity t = t.fast_cap
-let fast_used_bytes t = Backend.used_bytes t.fast
-let config t = t.cfg
-let describe t = pair_to_string t.cfg

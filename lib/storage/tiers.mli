@@ -17,39 +17,36 @@
 
 type kind = Disk_tier | Czram | Remote
 
+(** What callers vary: the tier pair, the fast tier's share and
+    admission, the remote round trip, writeback and failover.  The
+    compressed tier's compressibility seed and CPU costs and the remote
+    link's bandwidth (10 Gbit/s) are constants of this module.
+    {!create} rejects a field outside its stated range with
+    [Invalid_argument] naming it. *)
 type config = {
   fast : kind;
   slow : kind;
-  fast_share_percent : int;
-      (** slot share of the fast tier, clamped to [0, 100] *)
-  czram_seed : int;  (** seeds the per-page compressibility hash *)
+  fast_share_percent : int;  (** slot share of the fast tier; in [0, 100] *)
   czram_admit_ratio : float;
-      (** max compressed/uncompressed ratio the pool accepts *)
-  czram_compress_us : int;  (** CPU cost per page swapped out *)
-  czram_decompress_us : int;  (** CPU cost per page swapped in *)
-  remote_rtt_us : int;  (** network round-trip per request *)
-  remote_gbps : float;  (** link bandwidth, gigabits per second *)
+      (** max compressed/uncompressed ratio the pool accepts; [>= 0] *)
+  remote_rtt_us : int;  (** network round-trip per request; [>= 0] *)
   writeback_idle_us : int;
-      (** idle age beyond which a fast-tier slot is demotion-cold *)
+      (** idle age beyond which a fast-tier slot is demotion-cold;
+          [>= 0] *)
   writeback_batch : int;
-      (** clock-hand slots swept per swap-out *)
+      (** clock-hand slots swept per swap-out; [>= 1] *)
   tier_error_budget : int;
       (** fast-tier read errors tolerated before the tier is marked
-          degraded (failover); 0 disables health tracking entirely *)
+          degraded (failover); 0 disables health tracking entirely;
+          [>= 0] *)
   tier_probe_us : int;
-      (** interval between probes of a degraded fast tier *)
+      (** interval between probes of a degraded fast tier; [>= 1] *)
 }
 
 (** Both tiers on the disk: the passthrough default, and the [tiers]
     field of [Vmm.Config.default].  Callers pick another pair by
     overriding [fast] / [slow] and the per-tier fields. *)
 val disk_only : config
-
-val kind_to_string : kind -> string
-
-(** [pair_to_string cfg] renders the tier pair (["disk"],
-    ["czram+disk"], ...). *)
-val pair_to_string : config -> string
 
 type t
 
@@ -59,7 +56,8 @@ type t
     on every free.  The [faults] plan feeds the czram/remote backends'
     per-tier error streams and the failover probe; omitting it (or
     passing {!Faults.Plan.none}) makes those tiers error-free, exactly
-    the pre-fault-injection behaviour. *)
+    the pre-fault-injection behaviour.  Raises [Invalid_argument] naming
+    the first [cfg] field out of range. *)
 val create :
   ?faults:Faults.Plan.t ->
   engine:Sim.Engine.t ->
@@ -122,11 +120,3 @@ val fast_degraded : t -> bool
 val fast_slots : t -> int
 
 val fast_capacity : t -> int
-
-(** Fast-tier pool occupancy in bytes (compressed tier only; 0 else). *)
-val fast_used_bytes : t -> int
-
-val config : t -> config
-
-(** ["disk"], ["czram+disk"], ... — for experiment headers. *)
-val describe : t -> string

@@ -143,10 +143,8 @@ let build (cfg : Config.t) =
 let engine (t : t) = t.engine
 let stats (t : t) = t.stats
 let host (t : t) = t.host
-let scrub (t : t) = t.scrub
 let disk (t : t) = t.disk
 let os (t : t) i = t.gruns.(i).os
-let n_guests (t : t) = Array.length t.gruns
 
 (* ------------------------------------------------------------------ *)
 (* VCPU scheduling                                                     *)

@@ -35,18 +35,8 @@ val stats : t -> Metrics.Stats.t
 val host : t -> Host.Hostmm.t
 val disk : t -> Storage.Disk.t
 
-(** The background scrubber, when the config's
-    [hbase.scrub_rate_pages_s > 0]; [None] means no scrub ticks are
-    ever scheduled.  Armed at the workload epoch — not at [build] — so
-    its verify reads do not hold the boot sequence's disk-settle wait
-    open.  Exposed so draining tests can [Host.Scrub.stop] the
-    perpetual timer. *)
-val scrub : t -> Host.Scrub.t option
-
 (** [os t i] is guest [i]'s OS (by index in the config's guest list). *)
 val os : t -> int -> Guest.Guestos.t
-
-val n_guests : t -> int
 
 (** [run t] executes the machine to completion and returns the results.
     May be called once. *)

@@ -1,6 +1,9 @@
 module W = Vmm.Workload
 
-let workload ?(read_first_mb = 0) ?(pattern = `Mixed) ?(compute_us = 2)
+(* CPU time spent after each page write, microseconds. *)
+let compute_us = 2
+
+let workload ?(read_first_mb = 0) ?(pattern = `Mixed)
     ?(on_alloc_phase = fun () -> ()) ?(on_done = fun () -> ()) ~mb () =
   let pages = Storage.Geom.pages_of_mb mb in
   let read_blocks = Storage.Geom.pages_of_mb read_first_mb in

@@ -6,7 +6,6 @@
 val workload :
   ?read_first_mb:int ->
   ?pattern:[ `Rep | `Memcpy | `Mixed ] ->
-  ?compute_us:int ->
   ?on_alloc_phase:(unit -> unit) ->
   ?on_done:(unit -> unit) ->
   mb:int ->

@@ -1,7 +1,9 @@
 module W = Vmm.Workload
 
-let workload ?(iterations = 1) ?(compute_us = 3) ?(on_iteration = fun _ -> ())
-    ~file_mb () =
+(* CPU time spent on each block read, microseconds. *)
+let compute_us = 3
+
+let workload ?(iterations = 1) ?(on_iteration = fun _ -> ()) ~file_mb () =
   let blocks = Storage.Geom.pages_of_mb file_mb in
   let setup os _rng =
     let file = Guest.Guestos.create_file os ~blocks in

@@ -5,7 +5,6 @@
 
 val workload :
   ?iterations:int ->
-  ?compute_us:int ->
   ?on_iteration:(int -> unit) ->
   file_mb:int ->
   unit ->

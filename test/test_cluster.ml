@@ -10,14 +10,7 @@ module T = Cluster.Traffic
    crosses every controller path at the default seed: placements,
    rejections, departures and pressure-driven evacuations. *)
 let small_config ?(overcommit = 1.5) seed =
-  {
-    F.default_config with
-    F.hosts = 4;
-    epochs = 5;
-    seed;
-    overcommit;
-    mean_arrivals = 2.5 *. 4.0;
-  }
+  { F.hosts = 4; epochs = 5; seed; overcommit; mean_arrivals = 2.5 *. 4.0 }
 
 let run_with_jobs cfg jobs =
   let pool = Parallel.Pool.create ~jobs () in
@@ -57,10 +50,29 @@ let controller_invariants =
       let cfg = small_config ~overcommit seed in
       let r = run_with_jobs cfg 1 in
       let bound_mb =
-        int_of_float (float_of_int cfg.F.host_mem_mb *. cfg.F.overcommit)
+        int_of_float (float_of_int F.host_mem_mb *. cfg.F.overcommit)
       in
       r.F.committed_ok && r.F.migration_accounting_ok
       && List.for_all (fun row -> row.F.max_committed_mb <= bound_mb) r.F.rows)
+
+(* An out-of-range config field fails at [run], naming the field and its
+   range; [hosts = 0] used to be clamped to one host. *)
+let bad_config_fails_loudly () =
+  let d = small_config 42 in
+  List.iter
+    (fun (cfg, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Fleet.run: Fleet.config." ^ msg)) (fun () ->
+          ignore (run_with_jobs cfg 1)))
+    [
+      ({ d with hosts = 0 }, "hosts must be >= 1");
+      ({ d with overcommit = 0.0 }, "overcommit must be finite and > 0");
+      ( { d with overcommit = Float.infinity },
+        "overcommit must be finite and > 0" );
+      ({ d with epochs = -1 }, "epochs must be >= 0");
+      ( { d with mean_arrivals = Float.nan },
+        "mean_arrivals must be finite and >= 0" );
+    ]
 
 (* The per-epoch rows must reconcile with the headline counters. *)
 let rows_reconcile_with_totals () =
@@ -130,6 +142,8 @@ let tests =
     ( "cluster:fleet",
       [
         Alcotest.test_case "rows reconcile" `Slow rows_reconcile_with_totals;
+        Alcotest.test_case "bad config fails loudly" `Quick
+          bad_config_fails_loudly;
         Test_util.qcheck fleet_deterministic_across_pool_widths;
         Test_util.qcheck controller_invariants;
       ] );

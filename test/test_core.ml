@@ -239,7 +239,6 @@ let vsconfig_presets () =
     (vswapper.mapper && vswapper.preventer);
   check Alcotest.int "paper window" 1_000 (Sim.Time.to_us vswapper.preventer_window);
   check Alcotest.int "paper cap" 32 vswapper.preventer_max_buffers;
-  Alcotest.(check bool) "4k sectors advertised" true vswapper.report_4k_sectors;
   let s = Format.asprintf "%a" Vswapper.Vsconfig.pp vswapper in
   Alcotest.(check bool) "printable" true (Test_util.contains s "mapper=true")
 

@@ -244,6 +244,35 @@ let oom_fires_when_starved () =
   Alcotest.(check bool) "kill counted" true
     (rig.stats.Metrics.Stats.oom_kills > 0)
 
+(* An out-of-range Gconfig field fails at [create], naming the field
+   and its range; a 101 % misaligned share used to be accepted. *)
+let bad_config_fails_loudly () =
+  let engine = Sim.Engine.create () in
+  let stats = Metrics.Stats.create () in
+  let disk = Storage.Disk.create ~engine ~stats Storage.Disk.default_config in
+  let swap = Storage.Swap_area.create ~base_sector:10_000_000 ~nslots:64 in
+  let host =
+    H.create ~engine ~disk ~stats
+      ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default 16)
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ~hv_base_sector:0 ()
+  in
+  let create config = ignore (G.create ~engine ~host ~gid:0 ~stats ~config) in
+  let d = Guest.Gconfig.default ~mem_mb:4 in
+  create { d with misaligned_io_percent = 100 };
+  List.iter
+    (fun (config, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Guestos.create: Gconfig." ^ msg)) (fun () ->
+          create config))
+    [
+      ({ d with mem_pages = 0 }, "mem_pages must be >= 1");
+      ({ d with swap_blocks = 0 }, "swap_blocks must be >= 1");
+      ( { d with misaligned_io_percent = -1 },
+        "misaligned_io_percent must be in [0, 100]" );
+      ( { d with misaligned_io_percent = 101 },
+        "misaligned_io_percent must be in [0, 100]" );
+    ]
+
 let tests =
   [
     ( "guest:page-cache",
@@ -265,5 +294,10 @@ let tests =
       [
         Alcotest.test_case "balloon converges" `Quick balloon_converges;
         Alcotest.test_case "OOM fires" `Quick oom_fires_when_starved;
+      ] );
+    ( "guest:config",
+      [
+        Alcotest.test_case "bad config fails loudly" `Quick
+          bad_config_fails_loudly;
       ] );
   ]

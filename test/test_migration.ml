@@ -35,9 +35,9 @@ let tiny_machine ?(faults = Faults.Config.none) ~vs () =
     (Faults.Plan.create faults);
   machine
 
-let migrate_outcome ?retry_limit ?retry_base_us machine link strategy =
+let migrate_outcome ?retry_limit machine link strategy =
   let result = ref None in
-  M.migrate ?retry_limit ?retry_base_us ~machine ~guest:0 link strategy
+  M.migrate ?retry_limit ~machine ~guest:0 link strategy
     (fun r -> result := Some r);
   let engine = Vmm.Machine.engine machine in
   let steps = ref 0 in

@@ -34,6 +34,50 @@ let pool_captures_exceptions () =
       | Error _ -> Alcotest.fail "unexpected exception")
     out
 
+exception Thunk of int
+
+(* [iter_all] runs every thunk even when some raise, counts each once,
+   and then re-raises the failure of the first failing thunk in array
+   order.  At width 2 thunk 0 fails only after thunk 2 has, so
+   completion order and array order disagree. *)
+let iter_all_runs_every_thunk () =
+  List.iter
+    (fun width ->
+      let p = Parallel.Pool.create ~jobs:width () in
+      let ran = Array.make 3 false in
+      let thunk2_ran = Atomic.make false in
+      let thunks =
+        [|
+          (fun () ->
+            if width > 1 then
+              while not (Atomic.get thunk2_ran) do
+                Domain.cpu_relax ()
+              done;
+            ran.(0) <- true;
+            raise (Thunk 0));
+          (fun () -> ran.(1) <- true);
+          (fun () ->
+            ran.(2) <- true;
+            Atomic.set thunk2_ran true;
+            raise (Thunk 2));
+        |]
+      in
+      let raised =
+        match Parallel.Pool.iter_all p thunks with
+        | () -> None
+        | exception Thunk i -> Some i
+      in
+      let s = Parallel.Pool.stats p in
+      Parallel.Pool.shutdown p;
+      let name what = Printf.sprintf "width %d: %s" width what in
+      check Alcotest.(array bool) (name "every thunk ran") [| true; true; true |]
+        ran;
+      check Alcotest.(option int) (name "first failure in array order")
+        (Some 0) raised;
+      check Alcotest.int (name "every thunk counted once") 3
+        (s.Parallel.Pool.worker_jobs + s.Parallel.Pool.helper_jobs))
+    [ 1; 2 ]
+
 let pool_reusable_and_serial_equal () =
   let p = Parallel.Pool.create ~jobs:3 () in
   Fun.protect
@@ -241,6 +285,8 @@ let tests =
           pool_captures_exceptions;
         Alcotest.test_case "pool reusable, serial-equal" `Quick
           pool_reusable_and_serial_equal;
+        Alcotest.test_case "iter_all runs every thunk, array-order failure"
+          `Quick iter_all_runs_every_thunk;
       ] );
     ( "parallel:nesting",
       [

@@ -280,7 +280,7 @@ let disk_rejects_out_of_bounds () =
     (Invalid_argument "Disk.submit: negative sector -8") (fun () ->
       Storage.Disk.submit disk ~sector:(-8) ~nsectors:8
         ~kind:Storage.Disk.Read (fun _ -> ()));
-  let cap = Storage.Disk.default_config.Storage.Disk.capacity_sectors in
+  let cap = Storage.Disk.capacity_sectors in
   Alcotest.check_raises "past capacity"
     (Invalid_argument
        (Printf.sprintf "Disk.submit: [%d, %d) past capacity %d" (cap - 4)
@@ -293,6 +293,32 @@ let disk_rejects_out_of_bounds () =
   (* The very last sectors are still valid. *)
   Storage.Disk.submit disk ~sector:(cap - 8) ~nsectors:8
     ~kind:Storage.Disk.Write (fun _ -> ())
+
+(* An out-of-range config field fails at [create], naming the field and
+   its range, instead of being clamped into range. *)
+let disk_bad_config_fails_loudly () =
+  let create config =
+    ignore
+      (Storage.Disk.create ~engine:(Sim.Engine.create ())
+         ~stats:(Metrics.Stats.create ()) config)
+  in
+  let d = Storage.Disk.default_config in
+  create d;
+  create { d with num_queues = 8; per_queue_depth = 4; destage_queues = 8 };
+  List.iter
+    (fun (config, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Disk.create: Disk.config." ^ msg)) (fun () ->
+          create config))
+    [
+      ({ d with max_batch_sectors = 0 }, "max_batch_sectors must be >= 1");
+      ({ d with num_queues = 0 }, "num_queues must be >= 1");
+      ({ d with per_queue_depth = 0 }, "per_queue_depth must be >= 1");
+      ( { d with destage_queues = 0 },
+        "destage_queues must be in [1, num_queues]" );
+      ( { d with num_queues = 2; destage_queues = 3 },
+        "destage_queues must be in [1, num_queues]" );
+    ]
 
 let disk_injects_typed_errors () =
   let engine = Sim.Engine.create () in
@@ -771,6 +797,32 @@ let mk_tiers ?faults cfg =
   let t = Storage.Tiers.create ?faults ~engine ~stats ~disk ~swap cfg in
   (engine, stats, swap, t)
 
+(* Same for the tier composite: [fast_share_percent = 101] used to be
+   clamped to 100. *)
+let tiers_bad_config_fails_loudly () =
+  let d = Storage.Tiers.disk_only in
+  ignore
+    (mk_tiers { d with fast = Storage.Tiers.Czram; fast_share_percent = 100 });
+  List.iter
+    (fun (cfg, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Tiers.create: Tiers.config." ^ msg)) (fun () ->
+          ignore (mk_tiers cfg)))
+    [
+      ( { d with fast_share_percent = 101 },
+        "fast_share_percent must be in [0, 100]" );
+      ( { d with fast_share_percent = -1 },
+        "fast_share_percent must be in [0, 100]" );
+      ({ d with czram_admit_ratio = -0.5 }, "czram_admit_ratio must be >= 0");
+      ( { d with czram_admit_ratio = Float.nan },
+        "czram_admit_ratio must be >= 0" );
+      ({ d with remote_rtt_us = -1 }, "remote_rtt_us must be >= 0");
+      ({ d with writeback_idle_us = -1 }, "writeback_idle_us must be >= 0");
+      ({ d with writeback_batch = 0 }, "writeback_batch must be >= 1");
+      ({ d with tier_error_budget = -1 }, "tier_error_budget must be >= 0");
+      ({ d with tier_probe_us = 0 }, "tier_probe_us must be >= 1");
+    ]
+
 let tiers_routing_promotion_demotion () =
   let cfg =
     {
@@ -1074,6 +1126,8 @@ let tests =
           disk_rejects_out_of_bounds;
         Alcotest.test_case "typed error injection" `Quick
           disk_injects_typed_errors;
+        Alcotest.test_case "bad config fails loudly" `Quick
+          disk_bad_config_fails_loudly;
         Alcotest.test_case "degraded latency" `Quick disk_degraded_latency;
         qcheck disk_service_monotone;
         qcheck disk_every_read_completes_once;
@@ -1127,6 +1181,8 @@ let tests =
           tiers_failover_trip_drain_recover;
         Alcotest.test_case "remote flap degrades and recovers" `Quick
           tiers_remote_flap_degrades_and_recovers;
+        Alcotest.test_case "bad config fails loudly" `Quick
+          tiers_bad_config_fails_loudly;
         qcheck tiers_passthrough_differential;
       ] );
   ]
