@@ -24,7 +24,7 @@
 
    `--jobs N` sets the pool width (default: cores - 1);
    `--jobs 1` forces the serial inline path.  Both the experiment fan-out
-   and the intra-experiment shards (fig3/fig4/fig5/fig11/fig14/abl) run
+   and the experiments' own machine-run shards (Exp.shard, Exp.grid) run
    on the same shared pool — its `map` is re-entrant, so the nesting is
    safe at any width.
 
@@ -35,9 +35,9 @@
    `--jobs` width.
 
    `--json [FILE]` additionally writes a machine-readable summary of
-   this run to FILE, default `BENCH_<yyyy-mm-dd>.json`: the counter
-   sections summed over every experiment's tally, the engine counts
-   with each experiment's fired events, and each experiment's ok flag.
+   this run to FILE, default `BENCH_<yyyy-mm-dd>.json`: every counter
+   of Metrics.Stats summed over every experiment's tally, the events
+   each experiment fired, and each experiment's ok flag.
    Every key but "date" and "jobs" is a function of the experiment ids,
    the scale and the fault knobs, so the summaries of one sweep at two
    widths differ in those two lines only. *)
@@ -85,76 +85,6 @@ let sweep_stats outcomes =
     outcomes;
   sum
 
-let mean_batch_sectors (s : Metrics.Stats.t) =
-  if s.disk_read_batches > 0 then
-    float_of_int s.disk_batch_sectors /. float_of_int s.disk_read_batches
-  else 0.0
-
-(* The summary's counter sections as (key, value) rows, the values
-   already rendered as JSON numbers. *)
-let counter_sections (s : Metrics.Stats.t) =
-  let d = string_of_int in
-  [
-    ( "disk",
-      [
-        ("read_batches", d s.disk_read_batches);
-        ("batched_reads", d s.disk_batched_reads);
-        ("coalesced_reads", d (s.disk_batched_reads - s.disk_read_batches));
-        ("mean_batch_sectors", Printf.sprintf "%.1f" (mean_batch_sectors s));
-      ] );
-    ( "faults",
-      [
-        ("injected", d (s.faults_injected_media + s.faults_injected_transient));
-        ("retried", d s.fault_retries);
-        ("degraded", d s.faults_degraded_batches);
-        ("killed", d s.fault_guest_kills);
-        ("destage_lost", d s.destage_media_errors);
-        ("destage_retried", d s.destage_transient_retries);
-      ] );
-    ( "async",
-      [
-        ("waiter_merges", d s.async_waiter_merges);
-        ("faults_deferred", d s.async_faults_deferred);
-        ("inflight_highwater", d s.async_inflight_highwater);
-      ] );
-    ( "queues",
-      [
-        ("mq_batches", d s.disk_mq_batches);
-        ("depth_highwater", d s.disk_queue_depth_highwater);
-      ] );
-    ( "tiers",
-      [
-        ("admissions", d s.tier_admissions);
-        ("rejects", d s.tier_rejects);
-        ("promotions", d s.tier_promotions);
-        ("demotions", d s.tier_demotions);
-        ("writeback_sectors", d s.tier_writeback_sectors);
-        ("fast_swapins", d s.tier_fast_swapins);
-        ("slow_swapins", d s.tier_slow_swapins);
-        ("fast_swapin_us", d s.tier_fast_swapin_us);
-        ("slow_swapin_us", d s.tier_slow_swapin_us);
-      ] );
-    ( "resilience2",
-      [
-        ("scrub_scans", d s.scrub_scans);
-        ("scrub_verify_reads", d s.scrub_verify_reads);
-        ("scrub_media_found", d s.scrub_media_found);
-        ("scrub_relocations", d s.scrub_relocations);
-        ("scrub_reloc_failed", d s.scrub_reloc_failed);
-        ("qos_throttled", d s.qos_throttled);
-        ("qos_throttle_wait_us", d s.qos_throttle_wait_us);
-        ("tier_degraded", d s.tier_degraded_events);
-        ("tier_recovered", d s.tier_recovered_events);
-        ("tier_failover_routes", d s.tier_failover_routes);
-        ("media_reads", d s.fault_media_reads);
-        ("pages_lost", d s.fault_pages_lost);
-      ] );
-  ]
-
-let json_rows rows =
-  List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows
-  |> String.concat ", "
-
 let write_json ~file ~scale ~jobs outcomes =
   (* Write to a temp file and rename over it: a crash mid-write never
      leaves a truncated summary behind. *)
@@ -165,19 +95,12 @@ let write_json ~file ~scale ~jobs outcomes =
   out "  \"date\": \"%s\",\n" (today ());
   out "  \"scale\": %g,\n" scale;
   out "  \"jobs\": %d,\n" jobs;
-  let sum = sweep_stats outcomes in
-  List.iter
-    (fun (name, rows) -> out "  \"%s\": {%s},\n" name (json_rows rows))
-    (counter_sections sum);
-  (* Engine section: the event engine's hot-path counters, and the
-     events each experiment that ran a machine fired. *)
-  out "  \"engine\": {%s,\n"
-    (json_rows
-       [
-         ("events_fired", string_of_int sum.engine_events_fired);
-         ("cancels_reclaimed", string_of_int sum.engine_cancels_reclaimed);
-         ("cascades", string_of_int sum.engine_cascades);
-       ]);
+  (* Every counter of the sweep's tally, once, in declaration order. *)
+  out "  \"counters\": {%s\n  },\n"
+    (Metrics.Stats.fields (sweep_stats outcomes)
+    |> List.map (fun (k, v) -> Printf.sprintf "\n    \"%s\": %d" k v)
+    |> String.concat ",");
+  (* The events each experiment that ran a machine fired. *)
   let ran =
     List.filter
       (fun (o : Experiments.Registry.outcome) ->
@@ -186,7 +109,7 @@ let write_json ~file ~scale ~jobs outcomes =
     |> List.stable_sort (fun (a : Experiments.Registry.outcome) b ->
            compare a.exp.id b.exp.id)
   in
-  out "    \"per_experiment\": [";
+  out "  \"engine\": {\"per_experiment\": [";
   List.iteri
     (fun i (o : Experiments.Registry.outcome) ->
       out "%s\n      {\"id\": \"%s\", \"events\": %d}"
@@ -216,7 +139,7 @@ let run_experiments ~scale ~jobs chosen =
      %d jobs\n\n\
      %!"
     scale (List.length chosen) jobs;
-  let outcomes = Experiments.Registry.run_all ~jobs ~scale chosen in
+  let outcomes = Experiments.Registry.run_all ~scale chosen in
   List.iter
     (fun (o : Experiments.Registry.outcome) ->
       match o.output with
@@ -233,7 +156,7 @@ let run_experiments ~scale ~jobs chosen =
        %!"
       s.disk_batched_reads s.disk_read_batches
       (s.disk_batched_reads - s.disk_read_batches)
-      (mean_batch_sectors s);
+      (float_of_int s.disk_batch_sectors /. float_of_int s.disk_read_batches);
   outcomes
 
 (* ------------------------------------------------------------------ *)

@@ -8,8 +8,8 @@
 # move a single simulated result.  A JSON row also writes one --json
 # summary per width, runs the strict linter over each, and appends the
 # whole summary but its "date" and "jobs" lines to the stripped stdout
-# before the cmp, so the counter sections, the engine counts, the
-# per-experiment events and the ok flags must match across widths too.
+# before the cmp, so every counter, the per-experiment events and the
+# ok flags must match across widths too.
 # The driver exits 1 when an experiment fails, which stops the matrix.
 #
 # Row fields: name, scale, bench arguments, extra strip pattern

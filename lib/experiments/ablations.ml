@@ -186,16 +186,11 @@ let run ~scale =
        [ 256; 384; 1024 ]);
   Buffer.contents buf
 
-let exp : Exp.t =
-  let title = "Ablations of the design decisions (DESIGN.md D1-D4)" in
-  let paper_claim =
-    "the Preventer's 1ms/32 values were set empirically (Section 4.2); \
-     named preference and readahead sizing drive false anonymity and \
-     sequentiality decay"
-  in
-  {
-    id = "abl";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"abl" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"abl"
+    ~title:"Ablations of the design decisions (DESIGN.md D1-D4)"
+    ~paper_claim:
+      "the Preventer's 1ms/32 values were set empirically (Section 4.2); \
+       named preference and readahead sizing drive false anonymity and \
+       sequentiality decay"
+    run

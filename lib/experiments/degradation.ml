@@ -22,8 +22,8 @@
    scrubber patrols rather than on image I/O.  The whole grid is
    deterministic at any --jobs for a fixed --fault-seed. *)
 
-let scrub_cols = [ ("scrub-off", 0); ("scrub-mid", 25_000); ("scrub-high", 100_000) ]
-let mid_scrub_name = "scrub-mid"
+let mid_scrub = ("scrub-mid", 25_000)
+let scrub_cols = [ ("scrub-off", 0); mid_scrub; ("scrub-high", 100_000) ]
 
 (* Fault-rate grid for the scrubber/failover panels (media errors on
    swap reads); --fault-rate overrides it with a single point. *)
@@ -227,47 +227,31 @@ let run_tier_point ~scale ~rate =
 
 let run ~scale =
   let rates = media_rates () in
-  let nrates = List.length rates in
   (* Scrubber grid: scrub-rate columns x media-rate points. *)
   let scrub_rows =
-    Exp.shard
-      (fun (scrub_rate, rate) -> run_scrub_point ~scale ~scrub_rate ~rate)
-      (List.concat_map
-         (fun (_, sr) -> List.map (fun r -> (sr, r)) rates)
-         scrub_cols)
-    |> Exp.group nrates
-    |> List.map2 (fun (name, _) row -> (name, row)) scrub_cols
+    Exp.grid
+      (fun (_, scrub_rate) rate -> run_scrub_point ~scale ~scrub_rate ~rate)
+      scrub_cols rates
   in
   (* QoS grid: qos-off/qos-on columns x fault-rate points (0 = the
      fault-free baseline the verdict compares against). *)
   let qos_rows =
-    Exp.shard
-      (fun (qos, rate) -> run_qos_point ~scale ~rate ~qos)
-      (List.concat_map
-         (fun qos -> List.map (fun r -> (qos, r)) qos_rate_grid)
-         [ false; true ])
-    |> Exp.group (List.length qos_rate_grid)
-    |> List.map2
-         (fun name row -> (name, row))
-         [ "qos-off"; "qos-on" ]
+    Exp.grid
+      (fun qos rate -> run_qos_point ~scale ~rate ~qos)
+      [ false; true ] qos_rate_grid
   in
   (* Czram failover: one tiered column over the media-rate points. *)
   let tier_row =
     Exp.shard (fun rate -> run_tier_point ~scale ~rate) tier_rates
   in
   let x = List.map (Printf.sprintf "%g") rates in
-  let xt = List.map (Printf.sprintf "%g") tier_rates in
-  let xq = List.map (Printf.sprintf "%g") qos_rate_grid in
-  let scrub_col f =
-    List.map (fun (name, row) -> (name, List.map f row)) scrub_rows
-  in
-  let qos_col f =
-    List.map (fun (name, row) -> (name, List.map f row)) qos_rows
+  let scrub_panel title f =
+    Exp.series ~title ~x_label:"rate" ~x fst scrub_rows f
   in
   (* Verdict 1: aggregated over the media-rate points of the mid scrub
      column, the scrubber must hit at least half of the latent errors
      before a guest does. *)
-  let mid = List.assoc mid_scrub_name scrub_rows in
+  let mid = List.assoc mid_scrub scrub_rows in
   let agg_caught = List.fold_left (fun a p -> a + p.caught) 0 mid in
   let agg_hits = List.fold_left (fun a p -> a + p.hits) 0 mid in
   let verdict_scrub =
@@ -283,19 +267,16 @@ let run ~scale =
   in
   (* Verdict 2: with QoS on, the victim's p99 swap-in under the
      degraded hammer stays within 2x its fault-free baseline. *)
-  let qpoint name rate =
-    match List.assoc_opt name qos_rows with
+  let qpoint qos rate =
+    match
+      List.assoc_opt rate (List.combine qos_rate_grid (List.assoc qos qos_rows))
+    with
+    | Some p -> p.p99_ms
     | None -> None
-    | Some row -> (
-        match
-          List.find_opt (fun (r, _) -> r = rate) (List.combine qos_rate_grid row)
-        with
-        | Some (_, p) -> p.p99_ms
-        | None -> None)
   in
   let hammer_rate = List.fold_left max 0.0 qos_rate_grid in
   let verdict_qos =
-    match (qpoint "qos-off" 0.0, qpoint "qos-on" hammer_rate) with
+    match (qpoint false 0.0, qpoint true hammer_rate) with
     | Some base_ms, Some on_ms ->
         Printf.sprintf
           "qos verdict: victim p99 swap-in %.3f ms under a degraded hammer \
@@ -306,29 +287,29 @@ let run ~scale =
   in
   String.concat "\n"
     [
-      Metrics.Table.render_series
-        ~title:
-          "(a) latent media errors the scrubber caught before a guest fault \
-           [%] vs injected media rate"
-        ~x_label:"rate" ~x
-        ~cols:(scrub_col (fun p -> catch_pct ~caught:p.caught ~hits:p.hits));
-      Metrics.Table.render_series
-        ~title:
-          "(b) swapped pages lost with killed guests [count] -- scrubbing \
-           turns losses into relocations"
-        ~x_label:"rate" ~x
-        ~cols:(scrub_col (fun p -> Some (float_of_int p.lost)));
-      Metrics.Table.render_series
+      scrub_panel
+        "(a) latent media errors the scrubber caught before a guest fault \
+         [%] vs injected media rate"
+        (fun p -> catch_pct ~caught:p.caught ~hits:p.hits);
+      scrub_panel
+        "(b) swapped pages lost with killed guests [count] -- scrubbing \
+         turns losses into relocations"
+        (fun p -> Some (float_of_int p.lost));
+      Exp.series
         ~title:
           "(c) victim p99 swap-in latency [ms] while a co-located guest \
            hammers a degraded region (rate 0 = fault-free baseline)"
-        ~x_label:"rate" ~x:xq
-        ~cols:(qos_col (fun p -> p.p99_ms));
+        ~x_label:"rate"
+        ~x:(List.map (Printf.sprintf "%g") qos_rate_grid)
+        (fun qos -> if qos then "qos-on" else "qos-off")
+        qos_rows
+        (fun p -> p.p99_ms);
       Metrics.Table.render_series
         ~title:
           "(d) czram fast-tier failover under pool corruption (error budget \
            4, scrubber mid) [count]"
-        ~x_label:"rate" ~x:xt
+        ~x_label:"rate"
+        ~x:(List.map (Printf.sprintf "%g") tier_rates)
         ~cols:
           [
             ( "degraded",
@@ -342,20 +323,13 @@ let run ~scale =
       verdict_qos;
     ]
 
-let exp : Exp.t =
-  let title = "Degraded media: scrubber, per-guest QoS and tier failover" in
-  let paper_claim =
-    "not in the paper: proactive repair and isolation under failing media \
-     -- the background scrubber catches latent swap errors before guests \
-     fault on them, token-bucket QoS keeps a victim's p99 swap-in bounded \
-     under a noisy neighbor, and a czram tier that trips its error budget \
-     fails over and recovers"
-  in
-  {
-    id = "degradation";
-    title;
-    paper_claim;
-    run =
-      (fun ~scale ->
-        Exp.header ~id:"degradation" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"degradation"
+    ~title:"Degraded media: scrubber, per-guest QoS and tier failover"
+    ~paper_claim:
+      "not in the paper: proactive repair and isolation under failing media \
+       -- the background scrubber catches latent swap errors before guests \
+       fault on them, token-bucket QoS keeps a victim's p99 swap-in bounded \
+       under a noisy neighbor, and a czram tier that trips its error budget \
+       fails over and recovers"
+    run

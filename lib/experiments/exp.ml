@@ -132,26 +132,40 @@ let shard f xs =
   Parallel.Pool.map (Parallel.Pool.global ()) f xs
   |> List.map (function Ok v -> v | Error e -> raise e)
 
-(* [group k xs] splits [xs] into consecutive chunks of [k] — undoes the
-   configs-major flattening the sweeps use to submit every (config,
-   point) pair as one pool job. *)
-let group k xs =
-  let rec take i acc l =
-    if i = 0 then (List.rev acc, l)
-    else
-      match l with
-      | [] -> (List.rev acc, [])
-      | x :: r -> take (i - 1) (x :: acc) r
+let grid f rows cols =
+  let n = List.length cols in
+  let outs =
+    shard
+      (fun (r, c) -> f r c)
+      (List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows)
   in
-  let rec go = function
-    | [] -> []
-    | l ->
-        let c, rest = take k [] l in
-        c :: go rest
-  in
-  if k <= 0 then invalid_arg "Exp.group" else go xs
+  List.mapi (fun i r -> (r, List.filteri (fun j _ -> j / n = i) outs)) rows
 
-let header ~id ~title ~paper_claim body =
+let series ~title ~x_label ~x name rows f =
+  Metrics.Table.render_series ~title ~x_label ~x
+    ~cols:(List.map (fun (r, outs) -> (name r, List.map f outs)) rows)
+
+let testbed kind ~limit_mb (guest : Vmm.Config.guest_spec) =
+  let guest_mb = guest.mem_mb in
+  let guest =
+    {
+      guest with
+      resident_limit_mb = Some limit_mb;
+      balloon_static_mb = (if ballooned kind then Some limit_mb else None);
+      warm_all = true;
+    }
+  in
+  {
+    (Vmm.Config.default ~guests:[ guest ]) with
+    vs = vs_of kind;
+    host_mem_mb = guest_mb * 2;
+    host_swap_mb = guest_mb * 3 / 2;
+  }
+
+let make ~id ~title ~paper_claim run =
   let line = String.make 72 '=' in
-  Printf.sprintf "%s\n%s: %s\npaper: %s\n%s\n%s" line (String.uppercase_ascii id)
-    title paper_claim line body
+  let run ~scale =
+    Printf.sprintf "%s\n%s: %s\npaper: %s\n%s\n%s" line
+      (String.uppercase_ascii id) title paper_claim line (run ~scale)
+  in
+  { id; title; paper_claim; run }

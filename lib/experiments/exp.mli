@@ -1,5 +1,6 @@
-(** Common experiment machinery: the five paper configurations, scaled
-    runs, mark collection for per-iteration figures, and rendering of
+(** Common experiment machinery: the five paper configurations and the
+    paper's testbed, scaled runs, mark collection for per-iteration
+    figures, the sharded config x point grid, and rendering of
     paper-vs-measured outputs. *)
 
 (** One reproducible experiment (a figure or table of the paper). *)
@@ -90,9 +91,38 @@ val fault_rate_knob : unit -> float
     runs under the submitting experiment's tally. *)
 val shard : ('a -> 'b) -> 'a list -> 'b list
 
-(** [group k xs] splits [xs] into consecutive chunks of length [k] (the
-    last chunk may be shorter). *)
-val group : int -> 'a list -> 'a list list
+(** [grid f rows cols] runs [f r c] for every row and column in one
+    {!shard} submission and returns each row with its results in the
+    order of [cols]. *)
+val grid : ('r -> 'c -> 'a) -> 'r list -> 'c list -> ('r * 'a list) list
 
-(** [header ~id ~title ~paper_claim body] formats an experiment block. *)
-val header : id:string -> title:string -> paper_claim:string -> string -> string
+(** [series ~title ~x_label ~x name rows f] renders one column per row,
+    named [name r], with [f] applied to each of the row's results (a
+    {!grid} row, for instance). *)
+val series :
+  title:string ->
+  x_label:string ->
+  x:string list ->
+  ('r -> string) ->
+  ('r * 'a list) list ->
+  ('a -> float option) ->
+  string
+
+(** [testbed kind ~limit_mb guest] is the paper's testbed (Section 5)
+    around [guest]: the guest believes it has [guest.mem_mb] MiB but its
+    host-resident set is capped at [limit_mb] (by a static balloon to
+    [limit_mb] as well when [ballooned kind]), all its memory warm; one
+    host with twice the guest's memory and 1.5x of it as swap, running
+    [vs_of kind].  Callers override the rest with [{ ... with ... }]. *)
+val testbed :
+  config_kind -> limit_mb:int -> Vmm.Config.guest_spec -> Vmm.Config.t
+
+(** [make ~id ~title ~paper_claim run] is experiment [id]: its [run]
+    returns the block [run] renders, under a banner of [id], [title]
+    and [paper_claim]. *)
+val make :
+  id:string ->
+  title:string ->
+  paper_claim:string ->
+  (scale:float -> string) ->
+  t

@@ -10,40 +10,28 @@ let paper =
     (Exp.Balloon_vswapper, Some 3.1);
   ]
 
-let run ~scale =
+let measure ~scale kind =
   let file_mb = Exp.mb scale 200 in
-  let guest_mb = Exp.mb scale 512 in
-  let limit_mb = Exp.mb scale 100 in
+  let workload = Workloads.Sysbench.workload ~iterations:1 ~file_mb () in
+  let guest =
+    {
+      (Vmm.Config.default_guest ~workload) with
+      mem_mb = Exp.mb scale 512;
+      data_mb = file_mb + 64;
+    }
+  in
+  Exp.run_machine
+    (Vmm.Machine.build (Exp.testbed kind ~limit_mb:(Exp.mb scale 100) guest))
+
+let run ~scale =
+  let cell = function Some v -> Metrics.Table.fmt_float v | None -> "-" in
   (* Five independent machine runs, one per configuration — sharded over
      the shared pool (this experiment is itself a job of the registry
      sweep; nested submission is safe). *)
   let rows =
     Exp.shard
       (fun (kind, paper_s) ->
-        let workload = Workloads.Sysbench.workload ~iterations:1 ~file_mb () in
-        let guest =
-          {
-            (Vmm.Config.default_guest ~workload) with
-            mem_mb = guest_mb;
-            resident_limit_mb = Some limit_mb;
-            balloon_static_mb = (if Exp.ballooned kind then Some limit_mb else None);
-            warm_all = true;
-            data_mb = file_mb + 64;
-          }
-        in
-        let cfg =
-          {
-            (Vmm.Config.default ~guests:[ guest ]) with
-            vs = Exp.vs_of kind;
-            host_mem_mb = guest_mb * 2;
-            host_swap_mb = guest_mb * 3 / 2;
-          }
-        in
-        let out = Exp.run_machine (Vmm.Machine.build cfg) in
-        let cell = function
-          | Some v -> Metrics.Table.fmt_float v
-          | None -> "-"
-        in
+        let out = measure ~scale kind in
         [
           Exp.config_name kind;
           cell paper_s;
@@ -56,19 +44,13 @@ let run ~scale =
   Metrics.Table.render
     ~title:
       (Printf.sprintf "sequential %dMB file read; guest believes %dMB, has %dMB"
-         file_mb guest_mb limit_mb)
+         (Exp.mb scale 200) (Exp.mb scale 512) (Exp.mb scale 100))
     ~headers:[ "config"; "paper[s]"; "measured[s]"; "stale-reads"; "silent-writes" ]
     rows
 
-let exp : Exp.t =
-  let title = "Sequential file read under overcommitment" in
-  let paper_claim =
-    "baseline 38.7s; balloon 3.1s; vswapper 4.0s; balloon+vswapper 3.1s \
-     (baseline ~12.5x slower than ballooning; vswapper within 1.3x)"
-  in
-  {
-    id = "fig3";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig3" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig3" ~title:"Sequential file read under overcommitment"
+    ~paper_claim:
+      "baseline 38.7s; balloon 3.1s; vswapper 4.0s; balloon+vswapper 3.1s \
+       (baseline ~12.5x slower than ballooning; vswapper within 1.3x)"
+    run

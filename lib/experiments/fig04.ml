@@ -4,14 +4,9 @@ let run ~scale =
   let n = 10 in
   (* Four independent ten-guest machine runs — the sweep's single most
      expensive points — fan out over the shared pool. *)
-  let avgs =
-    Exp.shard
-      (fun kind -> Metis_sweep.run_point ~scale kind ~n_guests:n)
-      Metis_sweep.configs
-  in
   let rows =
-    List.map2
-      (fun kind avg ->
+    List.map
+      (fun (kind, avgs) ->
         let paper =
           match kind with
           | Exp.Baseline -> "153"
@@ -23,9 +18,11 @@ let run ~scale =
         [
           Exp.config_name kind;
           paper;
-          (match avg with Some v -> Metrics.Table.fmt_float v | None -> "-");
+          (match avgs with
+          | [ Some v ] -> Metrics.Table.fmt_float v
+          | _ -> "-");
         ])
-      Metis_sweep.configs avgs
+      (Metis_sweep.sweep ~scale [ n ])
   in
   Metrics.Table.render
     ~title:
@@ -34,16 +31,10 @@ let run ~scale =
     ~headers:[ "config"; "paper[s]"; "measured[s]" ]
     rows
 
-let exp : Exp.t =
-  let title = "Phased MapReduce guests (dynamic ballooning)" in
-  let paper_claim =
-    "avg runtime: balloon+baseline 167s > baseline 153s > balloon+vswapper \
-     97s > vswapper 88s; ballooning alone is counterproductive because \
-     balloon sizes lag the load"
-  in
-  {
-    id = "fig4";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig4" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig4" ~title:"Phased MapReduce guests (dynamic ballooning)"
+    ~paper_claim:
+      "avg runtime: balloon+baseline 167s > baseline 153s > balloon+vswapper \
+       97s > vswapper 88s; ballooning alone is counterproductive because \
+       balloon sizes lag the load"
+    run

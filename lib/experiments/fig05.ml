@@ -15,15 +15,9 @@ let run ~scale =
       ]
     results
 
-let exp : Exp.t =
-  let title = "pbzip2 under shrinking memory (over-ballooning)" in
-  let paper_claim =
-    "ballooning fastest but kills bzip2 below 240MB; baseline up to 1.66x \
-     slower than ballooning; vswapper within 1.03-1.08x, mapper 1.03-1.13x"
-  in
-  {
-    id = "fig5";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig5" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig5" ~title:"pbzip2 under shrinking memory (over-ballooning)"
+    ~paper_claim:
+      "ballooning fastest but kills bzip2 below 240MB; baseline up to 1.66x \
+       slower than ballooning; vswapper within 1.03-1.08x, mapper 1.03-1.13x"
+    run

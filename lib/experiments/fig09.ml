@@ -15,8 +15,6 @@ type per_iter = {
 
 let run_config ~scale kind ~iterations =
   let file_mb = Exp.mb scale 200 in
-  let guest_mb = Exp.mb scale 512 in
-  let limit_mb = Exp.mb scale 100 in
   let machine_ref = ref None in
   let on_mark, get_marks = Exp.mark_collector machine_ref in
   let workload =
@@ -26,22 +24,13 @@ let run_config ~scale kind ~iterations =
   let guest =
     {
       (Vmm.Config.default_guest ~workload) with
-      mem_mb = guest_mb;
-      resident_limit_mb = Some limit_mb;
-      balloon_static_mb = (if Exp.ballooned kind then Some limit_mb else None);
-      warm_all = true;
+      mem_mb = Exp.mb scale 512;
       data_mb = file_mb + 64;
     }
   in
-  let cfg =
-    {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs = Exp.vs_of kind;
-      host_mem_mb = guest_mb * 2;
-      host_swap_mb = guest_mb * 3 / 2;
-    }
+  let machine =
+    Vmm.Machine.build (Exp.testbed kind ~limit_mb:(Exp.mb scale 100) guest)
   in
-  let machine = Vmm.Machine.build cfg in
   machine_ref := Some machine;
   let out = Exp.run_machine ~get_marks machine in
   (* Consecutive marks bracket the iterations (mark -1 = start). *)
@@ -63,22 +52,18 @@ let run_config ~scale kind ~iterations =
         :: diffs (b :: rest)
     | [ _ ] | [] -> []
   in
-  (diffs out.Exp.marks, out)
+  diffs out.Exp.marks
 
 let run ~scale =
   let iterations = 8 in
   let results =
-    List.map (fun kind -> (kind, fst (run_config ~scale kind ~iterations))) configs
+    List.map (fun kind -> (kind, run_config ~scale kind ~iterations)) configs
   in
   let x = List.init iterations (fun i -> string_of_int (i + 1)) in
-  let col f =
-    List.map
-      (fun (kind, iters) ->
-        ( Exp.config_name kind,
-          List.map (fun it -> Some (f it)) iters ))
-      results
+  let panel title f =
+    Exp.series ~title ~x_label:"iter" ~x Exp.config_name results (fun it ->
+        Some (f it))
   in
-  let panel title f = Metrics.Table.render_series ~title ~x_label:"iter" ~x ~cols:(col f) in
   String.concat "\n"
     [
       panel "(a) runtime [s]  -- paper: baseline U-shaped 40->20->40s, vswapper flat ~4s, balloon ~3s"
@@ -91,16 +76,11 @@ let run ~scale =
         (fun it -> float_of_int it.written_sectors);
     ]
 
-let exp : Exp.t =
-  let title = "Iterated sequential read: anatomy of uncooperative swapping" in
-  let paper_claim =
-    "baseline runtime is U-shaped across 8 iterations while vswapper stays \
-     flat; host faults show stale reads (iter 1) and false anonymity; guest \
-     faults show decayed sequentiality; swap writes show silent writes"
-  in
-  {
-    id = "fig9";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig9" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig9"
+    ~title:"Iterated sequential read: anatomy of uncooperative swapping"
+    ~paper_claim:
+      "baseline runtime is U-shaped across 8 iterations while vswapper stays \
+       flat; host faults show stale reads (iter 1) and false anonymity; guest \
+       faults show decayed sequentiality; swap writes show silent writes"
+    run

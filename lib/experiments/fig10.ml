@@ -7,8 +7,6 @@ let configs =
 
 let run ~scale =
   let mbs = Exp.mb scale 200 in
-  let guest_mb = Exp.mb scale 512 in
-  let limit_mb = Exp.mb scale 100 in
   let rows =
     List.map
       (fun kind ->
@@ -23,23 +21,14 @@ let run ~scale =
         let guest =
           {
             (Vmm.Config.default_guest ~workload) with
-            mem_mb = guest_mb;
-            resident_limit_mb = Some limit_mb;
-            balloon_static_mb =
-              (if Exp.ballooned kind then Some limit_mb else None);
-            warm_all = true;
+            mem_mb = Exp.mb scale 512;
             data_mb = mbs + 64;
           }
         in
-        let cfg =
-          {
-            (Vmm.Config.default ~guests:[ guest ]) with
-            vs = Exp.vs_of kind;
-            host_mem_mb = guest_mb * 2;
-            host_swap_mb = guest_mb * 3 / 2;
-          }
+        let machine =
+          Vmm.Machine.build
+            (Exp.testbed kind ~limit_mb:(Exp.mb scale 100) guest)
         in
-        let machine = Vmm.Machine.build cfg in
         machine_ref := Some machine;
         let out = Exp.run_machine ~get_marks machine in
         match out.Exp.marks with
@@ -79,16 +68,11 @@ let run ~scale =
     ~headers:[ "config"; "runtime[s]"; "disk-ops"; "false-reads"; "remaps" ]
     rows
 
-let exp : Exp.t =
-  let title = "Effect of false reads (allocate + access after file read)" in
-  let paper_claim =
-    "enabling the Preventer more than doubles performance; runtime tracks \
-     disk ops (~20s/125k ops baseline-ish vs ~8s/40k with Preventer); \
-     balloon crashed the workload (over-ballooning)"
-  in
-  {
-    id = "fig10";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig10" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig10"
+    ~title:"Effect of false reads (allocate + access after file read)"
+    ~paper_claim:
+      "enabling the Preventer more than doubles performance; runtime tracks \
+       disk ops (~20s/125k ops baseline-ish vs ~8s/40k with Preventer); \
+       balloon crashed the workload (over-ballooning)"
+    run

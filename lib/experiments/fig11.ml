@@ -19,16 +19,10 @@ let run ~scale =
       ]
     results
 
-let exp : Exp.t =
-  let title = "pbzip2 disk traffic and reclaim effort" in
-  let paper_claim =
-    "vswapper greatly reduces disk operations and nearly eliminates swap \
-     writes (good for SSDs); the mapper up to doubles reclaim scan length \
-     when memory pressure is low"
-  in
-  {
-    id = "fig11";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig11" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig11" ~title:"pbzip2 disk traffic and reclaim effort"
+    ~paper_claim:
+      "vswapper greatly reduces disk operations and nearly eliminates swap \
+       writes (good for SSDs); the mapper up to doubles reclaim scan length \
+       when memory pressure is low"
+    run

@@ -6,79 +6,49 @@ let configs =
 
 let mems = [ 512; 448; 384; 320; 256; 192 ]
 
-let run_point ~scale kind ~actual_mb =
-  let guest_mb = Exp.mb scale 512 in
-  let limit_mb = Exp.mb scale actual_mb in
+let run_point ~scale kind actual_mb =
+  let tree_mb = Exp.mb scale 280 in
   let workload =
     Workloads.Kernbench.workload ~threads:2
       ~units:(Exp.scaled_int scale 800 ~min:60)
-      ~tree_mb:(Exp.mb scale 280) ~compute_us:12_000 ()
+      ~tree_mb ~compute_us:12_000 ()
   in
   let guest =
     {
       (Vmm.Config.default_guest ~workload) with
-      mem_mb = guest_mb;
+      mem_mb = Exp.mb scale 512;
       vcpus = 2;
-      resident_limit_mb = Some limit_mb;
-      balloon_static_mb = (if Exp.ballooned kind then Some limit_mb else None);
-      warm_all = true;
-      data_mb = Exp.mb scale 280 + 128;
+      data_mb = tree_mb + 128;
     }
   in
-  let cfg =
-    {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs = Exp.vs_of kind;
-      host_mem_mb = guest_mb * 2;
-      host_swap_mb = guest_mb * 3 / 2;
-    }
-  in
-  let out = Exp.run_machine (Vmm.Machine.build cfg) in
-  (out.Exp.runtime_s, out.Exp.stats.Metrics.Stats.preventer_remaps)
+  Exp.run_machine
+    (Vmm.Machine.build
+       (Exp.testbed kind ~limit_mb:(Exp.mb scale actual_mb) guest))
 
 let run ~scale =
-  let results =
-    List.map
-      (fun kind ->
-        (kind, List.map (fun m -> run_point ~scale kind ~actual_mb:m) mems))
-      configs
+  let results = Exp.grid (run_point ~scale) configs mems in
+  let panel title f =
+    Exp.series ~title ~x_label:"actual-mem"
+      ~x:(List.map (fun m -> string_of_int m ^ "MB") mems)
+      Exp.config_name results f
   in
-  let x = List.map (fun m -> string_of_int m ^ "MB") mems in
-  let runtime_tbl =
-    Metrics.Table.render_series
-      ~title:
+  String.concat "\n"
+    [
+      "kernbench (2 threads) in a 512MB guest";
+      panel
         "(a) runtime [s] -- paper at 192MB: baseline +15%, balloon +5%, \
          vswapper ~+1% over the 512MB runtime"
-      ~x_label:"actual-mem" ~x
-      ~cols:
-        (List.map
-           (fun (kind, outs) -> (Exp.config_name kind, List.map fst outs))
-           results)
-  in
-  let remap_tbl =
-    Metrics.Table.render_series
-      ~title:
+        (fun o -> o.Exp.runtime_s);
+      panel
         "(b) Preventer remaps [count] -- paper: up to 80K false reads \
          eliminated, cutting guest major faults by up to 30%"
-      ~x_label:"actual-mem" ~x
-      ~cols:
-        (List.map
-           (fun (kind, outs) ->
-             ( Exp.config_name kind,
-               List.map (fun (_, r) -> Some (float_of_int r)) outs ))
-           results)
-  in
-  "kernbench (2 threads) in a 512MB guest\n" ^ runtime_tbl ^ "\n" ^ remap_tbl
+        (fun o ->
+          Some (float_of_int o.Exp.stats.Metrics.Stats.preventer_remaps));
+    ]
 
-let exp : Exp.t =
-  let title = "Kernel build under shrinking memory" in
-  let paper_claim =
-    "at 192MB: baseline 15% slower, ballooning 5%, vswapper ~1%; the \
-     Preventer eliminates up to 80K false reads"
-  in
-  {
-    id = "fig12";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig12" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig12" ~title:"Kernel build under shrinking memory"
+    ~paper_claim:
+      "at 192MB: baseline 15% slower, ballooning 5%, vswapper ~1%; the \
+       Preventer eliminates up to 80K false reads"
+    run

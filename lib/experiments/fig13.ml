@@ -6,9 +6,7 @@ let configs =
 
 let mems = [ 512; 448; 384; 320; 256 ]
 
-let run_point ~scale kind ~actual_mb =
-  let guest_mb = Exp.mb scale 512 in
-  let limit_mb = Exp.mb scale actual_mb in
+let run_point ~scale kind actual_mb =
   let workload =
     (* GC-scanned heap plus the colder JVM overhead; total resident
        demand approaches 448MB in a 512MB guest, the paper's crash
@@ -24,52 +22,29 @@ let run_point ~scale kind ~actual_mb =
   let guest =
     {
       (Vmm.Config.default_guest ~workload) with
-      mem_mb = guest_mb;
-      resident_limit_mb = Some limit_mb;
-      balloon_static_mb = (if Exp.ballooned kind then Some limit_mb else None);
-      warm_all = true;
+      mem_mb = Exp.mb scale 512;
       data_mb = Exp.mb scale 32 + 64;
     }
   in
-  let cfg =
-    {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs = Exp.vs_of kind;
-      host_mem_mb = guest_mb * 2;
-      host_swap_mb = guest_mb * 3 / 2;
-    }
-  in
-  let out = Exp.run_machine (Vmm.Machine.build cfg) in
-  out.Exp.runtime_s
+  Exp.run_machine
+    (Vmm.Machine.build
+       (Exp.testbed kind ~limit_mb:(Exp.mb scale actual_mb) guest))
 
 let run ~scale =
-  let results =
-    List.map
-      (fun kind ->
-        (kind, List.map (fun m -> run_point ~scale kind ~actual_mb:m) mems))
-      configs
-  in
-  let x = List.map (fun m -> string_of_int m ^ "MB") mems in
-  Metrics.Table.render_series
+  Exp.series
     ~title:
       "Eclipse/DaCapo runtime [s] ('-' = killed by over-ballooning) -- \
        paper: balloon 1-4% faster while alive but kills Eclipse below \
        448MB; baseline 0.97-1.28x of vswapper"
-    ~x_label:"guest-mem-limit" ~x
-    ~cols:
-      (List.map
-         (fun (kind, outs) -> (Exp.config_name kind, outs))
-         results)
+    ~x_label:"guest-mem-limit"
+    ~x:(List.map (fun m -> string_of_int m ^ "MB") mems)
+    Exp.config_name
+    (Exp.grid (run_point ~scale) configs mems)
+    (fun o -> o.Exp.runtime_s)
 
-let exp : Exp.t =
-  let title = "Eclipse (GC-heavy Java) under shrinking memory" in
-  let paper_claim =
-    "ballooning slightly fastest but OOM-kills Eclipse below 448MB; \
-     baseline up to 1.28x slower than vswapper; mapper within 1.00-1.08x"
-  in
-  {
-    id = "fig13";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig13" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig13" ~title:"Eclipse (GC-heavy Java) under shrinking memory"
+    ~paper_claim:
+      "ballooning slightly fastest but OOM-kills Eclipse below 448MB; \
+       baseline up to 1.28x slower than vswapper; mapper within 1.00-1.08x"
+    run

@@ -5,26 +5,18 @@
 let ns = [ 2; 4; 6; 8; 10 ]
 
 let run ~scale =
-  let results = Metis_sweep.sweep ~scale ns in
-  let x = List.map string_of_int ns in
-  Metrics.Table.render_series
+  Exp.series
     ~title:
       "average guest runtime [s] vs number of guests -- paper: flat until \
        ~6 guests, then balloon-only and baseline degrade up to 1.84x/1.79x \
        of balloon+vswapper while vswapper stays within 1.11x"
-    ~x_label:"guests" ~x
-    ~cols:
-      (List.map (fun (kind, outs) -> (Exp.config_name kind, outs)) results)
+    ~x_label:"guests" ~x:(List.map string_of_int ns) Exp.config_name
+    (Metis_sweep.sweep ~scale ns) Fun.id
 
-let exp : Exp.t =
-  let title = "Scaling phased MapReduce guests (dynamic ballooning)" in
-  let paper_claim =
-    "pressure from ~7 guests; balloon-only 0.96-1.84x and baseline \
-     0.96-1.79x of balloon+vswapper; vswapper alone 0.97-1.11x"
-  in
-  {
-    id = "fig14";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig14" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig14"
+    ~title:"Scaling phased MapReduce guests (dynamic ballooning)"
+    ~paper_claim:
+      "pressure from ~7 guests; balloon-only 0.96-1.84x and baseline \
+       0.96-1.79x of balloon+vswapper; vswapper alone 0.97-1.11x"
+    run

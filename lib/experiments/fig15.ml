@@ -73,16 +73,10 @@ let run ~scale =
   in
   table ^ "\n" ^ spark "cache-clean" cache ^ "\n" ^ spark "mapper-tracked" tracked
 
-let exp : Exp.t =
-  let title = "Mapper tracking vs guest page cache over time" in
-  let paper_claim =
-    "the size tracked by the Mapper coincides with the guest page cache \
-     excluding dirty pages; empirically the Mapper consumed <= 14MB of \
-     metadata in all experiments"
-  in
-  {
-    id = "fig15";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fig15" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fig15" ~title:"Mapper tracking vs guest page cache over time"
+    ~paper_claim:
+      "the size tracked by the Mapper coincides with the guest page cache \
+       excluding dirty pages; empirically the Mapper consumed <= 14MB of \
+       metadata in all experiments"
+    run

@@ -77,19 +77,13 @@ let run ~scale =
         heap_words_per_page r1.Cluster.Fleet.peak_live_pages;
     ]
 
-let exp : Exp.t =
-  let title =
-    "Fleet-scale parallel simulation: sharded hosts, overcommit placement, \
-     diurnal traffic"
-  in
-  let paper_claim =
-    "not in the paper: this repo's perf work; N independent host \
-     simulations stepped in parallel epochs must produce byte-identical \
-     stats at any --jobs width"
-  in
-  {
-    id = "fleet";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"fleet" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"fleet"
+    ~title:
+      "Fleet-scale parallel simulation: sharded hosts, overcommit placement, \
+       diurnal traffic"
+    ~paper_claim:
+      "not in the paper: this repo's perf work; N independent host \
+       simulations stepped in parallel epochs must produce byte-identical \
+       stats at any --jobs width"
+    run

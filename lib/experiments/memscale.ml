@@ -146,17 +146,12 @@ let run ~scale =
       verdict;
     ]
 
-let exp : Exp.t =
-  let title = "Metadata footprint and fault rate at million-page guest sizes" in
-  let paper_claim =
-    "not in the paper: this repo's perf work; struct-of-arrays page \
-     metadata and open-addressing int tables should hold the live heap \
-     to a few words per guest page and keep fault throughput flat as \
-     guests scale to 2^20 pages"
-  in
-  {
-    id = "memscale";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"memscale" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"memscale"
+    ~title:"Metadata footprint and fault rate at million-page guest sizes"
+    ~paper_claim:
+      "not in the paper: this repo's perf work; struct-of-arrays page \
+       metadata and open-addressing int tables should hold the live heap \
+       to a few words per guest page and keep fault throughput flat as \
+       guests scale to 2^20 pages"
+    run

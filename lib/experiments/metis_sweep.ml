@@ -60,14 +60,6 @@ let run_point ~scale kind ~n_guests =
 (* Every (config, n_guests) machine run is independent, so the whole
    grid fans out over the shared pool in one submission — the sweep's
    critical path drops from configs x points serial runs to roughly the
-   longest single machine run.  [Exp.shard] keeps submission order, and
-   [Exp.group] undoes the configs-major flattening, so the rendered
-   series are identical to the old nested loops. *)
+   longest single machine run. *)
 let sweep ~scale ns =
-  let points =
-    List.concat_map (fun kind -> List.map (fun n -> (kind, n)) ns) configs
-  in
-  let outs =
-    Exp.shard (fun (kind, n) -> run_point ~scale kind ~n_guests:n) points
-  in
-  List.map2 (fun kind row -> (kind, row)) configs (Exp.group (List.length ns) outs)
+  Exp.grid (fun kind n -> run_point ~scale kind ~n_guests:n) configs ns

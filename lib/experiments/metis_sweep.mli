@@ -1,16 +1,10 @@
 (** Shared runner for the phased-MapReduce experiments (Figures 4, 14):
-    [n_guests] Metis guests started 10 s apart under dynamic (MOM)
-    ballooning when the configuration calls for it. *)
+    Metis guests started 10 s apart under dynamic (MOM) ballooning when
+    the configuration calls for it. *)
 
-val configs : Exp.config_kind list
-
-(** [run_point ~scale kind ~n_guests] returns the average runtime in
-    seconds of the guests that finished, or [None] if none did. *)
-val run_point : scale:float -> Exp.config_kind -> n_guests:int -> float option
-
-(** [sweep ~scale ns] runs every configuration at every guest count.
-    The (config, count) grid fans out over {!Parallel.Pool.global} (one
-    pool job per machine run); results are regrouped in submission
-    order, so the series are identical to a serial nested loop. *)
+(** [sweep ~scale ns] runs every configuration at every guest count,
+    as one {!Exp.grid} (one pool job per machine run): each
+    configuration comes back with the average runtime in seconds of the
+    guests that finished ([None] if none did), in the order of [ns]. *)
 val sweep :
   scale:float -> int list -> (Exp.config_kind * float option list) list

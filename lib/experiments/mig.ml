@@ -3,31 +3,20 @@
    workload settles; we compare wire traffic and transfer time for the
    classic full copy vs the Mapper-aware transfer, over 1 and 10 GbE. *)
 
-let prepare ~scale ~vs =
+let prepare ~scale kind =
   let file_mb = Exp.mb scale 384 in
-  let guest_mb = Exp.mb scale 512 in
-  let workload =
-    Workloads.Sysbench.workload ~iterations:1 ~file_mb ()
-  in
+  let workload = Workloads.Sysbench.workload ~iterations:1 ~file_mb () in
   let guest =
     {
       (Vmm.Config.default_guest ~workload) with
-      mem_mb = guest_mb;
-      resident_limit_mb = Some (Exp.mb scale 256);
-      warm_all = true;
+      mem_mb = Exp.mb scale 512;
       data_mb = file_mb + 64;
     }
   in
-  let cfg =
-    {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs;
-      host_mem_mb = guest_mb * 2;
-      host_swap_mb = guest_mb * 3 / 2;
-    }
+  let machine =
+    Vmm.Machine.build (Exp.testbed kind ~limit_mb:(Exp.mb scale 256) guest)
   in
-  let machine = Vmm.Machine.build cfg in
-  ignore (Vmm.Machine.run machine);
+  ignore (Exp.run_machine machine);
   machine
 
 let migrate_now machine link strategy =
@@ -46,46 +35,33 @@ let migrate_now machine link strategy =
   | Migration.Migrate.Aborted _ -> failwith "mig: unexpected disk abort"
 
 let run ~scale =
-  let rows = ref [] in
-  List.iter
-    (fun (src_name, vs) ->
-      let strategies =
-        match vs with
-        | _ when vs == Vswapper.Vsconfig.baseline ->
-            [ ("full copy", Migration.Migrate.Full_copy) ]
-        | _ ->
-            [
-              ("full copy", Migration.Migrate.Full_copy);
-              ("mapper-aware", Migration.Migrate.Mapper_aware);
-            ]
-      in
-      List.iter
-        (fun (strat_name, strategy) ->
-          List.iter
-            (fun (link_name, link) ->
-              (* A fresh machine per measurement: migration shares the
-                 source's disk, so runs must not interfere. *)
-              let machine = prepare ~scale ~vs in
-              let r = migrate_now machine link strategy in
-              rows :=
-                [
-                  src_name;
-                  strat_name;
-                  link_name;
-                  Printf.sprintf "%.2f" (Sim.Time.to_sec_float r.Migration.Migrate.duration);
-                  Printf.sprintf "%.1f"
-                    (float_of_int r.Migration.Migrate.bytes_sent /. 1048576.0);
-                  string_of_int r.Migration.Migrate.pages_copied;
-                  string_of_int r.Migration.Migrate.mappings_sent;
-                  string_of_int r.Migration.Migrate.pages_skipped;
-                ]
-                :: !rows)
-            [ ("1GbE", Migration.Migrate.gbe); ("10GbE", Migration.Migrate.ten_gbe) ])
-        strategies)
-    [
-      ("baseline", Vswapper.Vsconfig.baseline);
-      ("vswapper", Vswapper.Vsconfig.vswapper);
-    ];
+  let full = ("full copy", Migration.Migrate.Full_copy) in
+  let aware = ("mapper-aware", Migration.Migrate.Mapper_aware) in
+  let rows =
+    Exp.grid
+      (fun (kind, (strat_name, strategy)) (link_name, link) ->
+        (* A fresh machine per measurement: migration shares the
+           source's disk, so runs must not interfere. *)
+        let r = migrate_now (prepare ~scale kind) link strategy in
+        [
+          Exp.config_name kind;
+          strat_name;
+          link_name;
+          Printf.sprintf "%.2f"
+            (Sim.Time.to_sec_float r.Migration.Migrate.duration);
+          Printf.sprintf "%.1f"
+            (float_of_int r.Migration.Migrate.bytes_sent /. 1048576.0);
+          string_of_int r.Migration.Migrate.pages_copied;
+          string_of_int r.Migration.Migrate.mappings_sent;
+          string_of_int r.Migration.Migrate.pages_skipped;
+        ])
+      [
+        (Exp.Baseline, full);
+        (Exp.Vswapper_full, full);
+        (Exp.Vswapper_full, aware);
+      ]
+      [ ("1GbE", Migration.Migrate.gbe); ("10GbE", Migration.Migrate.ten_gbe) ]
+  in
   Metrics.Table.render
     ~title:
       "stop-and-copy transfer of a 512MB guest with a warm page cache \
@@ -93,19 +69,14 @@ let run ~scale =
     ~headers:
       [ "source"; "strategy"; "link"; "time[s]"; "MB-sent"; "pages";
         "mappings"; "skipped" ]
-    (List.rev !rows)
+    (List.concat (List.map snd rows))
 
-let exp : Exp.t =
-  let title = "Live-migration transfer via Mapper records (future work)" in
-  let paper_claim =
-    "Section 7: 'hypervisors that migrate guests can migrate memory \
-     mappings instead of (named) memory pages ... and avoid requesting \
-     pages that are wholly overwritten' — reducing migration time and \
-     network traffic without guest cooperation"
-  in
-  {
-    id = "mig";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"mig" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"mig"
+    ~title:"Live-migration transfer via Mapper records (future work)"
+    ~paper_claim:
+      "Section 7: 'hypervisors that migrate guests can migrate memory \
+       mappings instead of (named) memory pages ... and avoid requesting \
+       pages that are wholly overwritten' — reducing migration time and \
+       network traffic without guest cooperation"
+    run

@@ -11,10 +11,9 @@ type out = {
   pages_scanned : int;
 }
 
-let run_point ~scale kind ~actual_mb =
+let run_point ~scale kind actual_mb =
   let guest_mb = Exp.mb scale 512 in
   let input_mb = Exp.mb scale 192 in
-  let limit_mb = Exp.mb scale actual_mb in
   let workload =
     Workloads.Pbzip.workload ~threads:8 ~compute_us_per_page:400
       ~anon_mb_per_thread:(Exp.scaled_int scale 8 ~min:2)
@@ -26,17 +25,12 @@ let run_point ~scale kind ~actual_mb =
       (Vmm.Config.default_guest ~workload) with
       mem_mb = guest_mb;
       vcpus = 8;
-      resident_limit_mb = Some limit_mb;
-      balloon_static_mb = (if Exp.ballooned kind then Some limit_mb else None);
-      warm_all = true;
       data_mb = input_mb + (input_mb / 4) + 64;
     }
   in
   let cfg =
     {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs = Exp.vs_of kind;
-      host_mem_mb = guest_mb * 2;
+      (Exp.testbed kind ~limit_mb:(Exp.mb scale actual_mb) guest) with
       host_swap_mb = guest_mb * 3;
     }
   in
@@ -48,27 +42,11 @@ let run_point ~scale kind ~actual_mb =
     pages_scanned = out.Exp.stats.Metrics.Stats.pages_scanned;
   }
 
-(* Fan the whole configs x mems grid out over the shared pool in one
-   submission; see Metis_sweep.sweep for the shape. *)
-let sweep ~scale mems =
-  let points =
-    List.concat_map (fun kind -> List.map (fun m -> (kind, m)) mems) configs
-  in
-  let outs =
-    Exp.shard (fun (kind, m) -> run_point ~scale kind ~actual_mb:m) points
-  in
-  List.map2
-    (fun kind row -> (kind, row))
-    configs
-    (Exp.group (List.length mems) outs)
+let sweep ~scale mems = Exp.grid (run_point ~scale) configs mems
 
 let render ~title ~mems ~panels results =
   let x = List.map (fun m -> string_of_int m ^ "MB") mems in
   let panel (name, f) =
-    Metrics.Table.render_series ~title:name ~x_label:"actual-mem" ~x
-      ~cols:
-        (List.map
-           (fun (kind, outs) -> (Exp.config_name kind, List.map f outs))
-           results)
+    Exp.series ~title:name ~x_label:"actual-mem" ~x Exp.config_name results f
   in
   title ^ "\n" ^ String.concat "\n" (List.map panel panels)

@@ -1,6 +1,5 @@
-(** Shared runner for the pbzip2 memory sweeps (Figures 5 and 11). *)
-
-val configs : Exp.config_kind list
+(** Shared runner for the pbzip2 memory sweeps (Figures 5 and 11):
+    pbzip2 in a 512 MB guest whose actual memory sweeps downward. *)
 
 type out = {
   runtime_s : float option;  (** None = OOM-killed *)
@@ -9,14 +8,10 @@ type out = {
   pages_scanned : int;
 }
 
-(** [run_point ~scale kind ~actual_mb] runs pbzip2 in a 512 MB guest
-    whose actual memory is [actual_mb], under configuration [kind]. *)
-val run_point : scale:float -> Exp.config_kind -> actual_mb:int -> out
-
-(** [sweep ~scale mems] runs every configuration over the memory list.
-    The (config, mem) grid fans out over {!Parallel.Pool.global} (one
-    pool job per machine run); results are regrouped in submission
-    order, so the series are identical to a serial nested loop. *)
+(** [sweep ~scale mems] runs every configuration at every actual
+    memory size in [mems] (MiB), as one {!Exp.grid} (one pool job per
+    machine run): each configuration comes back with its points in the
+    order of [mems]. *)
 val sweep : scale:float -> int list -> (Exp.config_kind * out list) list
 
 (** [render ~title ~mems ~panels results] draws one series table per

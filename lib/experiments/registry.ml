@@ -42,16 +42,14 @@ let run_one ~scale (e : Exp.t) =
   in
   { exp = e; output; stats }
 
-let run_all ?jobs ~scale chosen =
+let run_all ~scale chosen =
   (* Each experiment builds its own engine/RNG/disk and returns a buffered
      string, so whole experiments fan out across domains; collecting with
      [Pool.map] keeps the results in registry order, making the printed
      sweep byte-identical to a serial run.  The shared global pool is
-     used (resized first when [jobs] is given) so that experiments which
-     themselves shard their per-configuration runs — fig3/fig4/fig5/
-     fig11/fig14/abl — submit to the same worker set; [map] is
+     used so that experiments which themselves shard their machine runs
+     ([Exp.shard], [Exp.grid]) submit to the same worker set; [map] is
      re-entrant, so the nesting cannot deadlock. *)
-  (match jobs with Some j -> Parallel.Pool.set_global_jobs j | None -> ());
   let results =
     Parallel.Pool.map (Parallel.Pool.global ()) (run_one ~scale) chosen
   in

@@ -20,95 +20,57 @@ let plan_of_rate rate =
       ~media_rate:(rate /. 100.) ~transient_rate:rate
       ~degraded_rate:(rate *. 5.) ~degraded_mult:4.0 ()
 
-type point = {
-  out : Exp.run_out;
-  injected : int;
-  retried : int;
-  kills : int;
-}
-
 let run_point ~scale kind rate =
   let file_mb = Exp.mb scale 200 in
-  let guest_mb = Exp.mb scale 512 in
-  let limit_mb = Exp.mb scale 100 in
   let workload = Workloads.Sysbench.workload ~iterations:3 ~file_mb () in
   let guest =
     {
       (Vmm.Config.default_guest ~workload) with
-      mem_mb = guest_mb;
-      resident_limit_mb = Some limit_mb;
-      warm_all = true;
+      mem_mb = Exp.mb scale 512;
       data_mb = file_mb + 64;
     }
   in
   let cfg =
     {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs = Exp.vs_of kind;
-      host_mem_mb = guest_mb * 2;
-      host_swap_mb = guest_mb * 3 / 2;
+      (Exp.testbed kind ~limit_mb:(Exp.mb scale 100) guest) with
       faults = plan_of_rate rate;
     }
   in
-  let out = Exp.run_machine (Vmm.Machine.build cfg) in
-  let s = out.Exp.stats in
-  {
-    out;
-    injected =
-      s.Metrics.Stats.faults_injected_media
-      + s.Metrics.Stats.faults_injected_transient;
-    retried = s.Metrics.Stats.fault_retries;
-    kills = s.Metrics.Stats.fault_guest_kills;
-  }
+  Exp.run_machine (Vmm.Machine.build cfg)
 
 let run ~scale =
   let rates =
     let r = Exp.fault_rate_knob () in
     if r > 0.0 then [ 0.0; r ] else [ 0.0; 1e-4; 1e-3; 5e-3 ]
   in
-  let points =
-    List.concat_map (fun kind -> List.map (fun r -> (kind, r)) rates) configs
-  in
-  let results =
-    Exp.shard (fun (kind, rate) -> run_point ~scale kind rate) points
-    |> Exp.group (List.length rates)
-    |> List.map2 (fun kind row -> (kind, row)) configs
-  in
-  let x = List.map (Printf.sprintf "%g") rates in
-  let col f =
-    List.map
-      (fun (kind, row) -> (Exp.config_name kind, List.map f row))
-      results
-  in
+  let results = Exp.grid (run_point ~scale) configs rates in
   let panel title f =
-    Metrics.Table.render_series ~title ~x_label:"rate" ~x ~cols:(col f)
+    Exp.series ~title ~x_label:"rate"
+      ~x:(List.map (Printf.sprintf "%g") rates)
+      Exp.config_name results f
   in
+  let count f (o : Exp.run_out) = Some (float_of_int (f o.Exp.stats)) in
   String.concat "\n"
     [
       panel
         "(a) runtime [s] -- degrades gracefully with fault rate; blank = \
          guest abandoned"
-        (fun p -> p.out.Exp.runtime_s);
-      panel "(b) injected I/O errors [count]" (fun p ->
-          Some (float_of_int p.injected));
-      panel "(c) transparent retries [count]" (fun p ->
-          Some (float_of_int p.retried));
+        (fun o -> o.Exp.runtime_s);
+      panel "(b) injected I/O errors [count]"
+        (count (fun s ->
+             s.Metrics.Stats.faults_injected_media
+             + s.Metrics.Stats.faults_injected_transient));
+      panel "(c) transparent retries [count]"
+        (count (fun s -> s.Metrics.Stats.fault_retries));
       panel "(d) guests killed [count] -- failures contained per guest"
-        (fun p -> Some (float_of_int p.kills));
+        (count (fun s -> s.Metrics.Stats.fault_guest_kills));
     ]
 
-let exp : Exp.t =
-  let title = "Fault injection: graceful degradation of the swap stack" in
-  let paper_claim =
-    "not in the paper: deterministic disk-fault sweep; transient errors \
-     are retried transparently, media errors and retry exhaustion \
-     abandon only the affected guest, and the sweep itself never fails"
-  in
-  {
-    id = "resilience";
-    title;
-    paper_claim;
-    run =
-      (fun ~scale ->
-        Exp.header ~id:"resilience" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"resilience"
+    ~title:"Fault injection: graceful degradation of the swap stack"
+    ~paper_claim:
+      "not in the paper: deterministic disk-fault sweep; transient errors \
+       are retried transparently, media errors and retry exhaustion \
+       abandon only the affected guest, and the sweep itself never fails"
+    run

@@ -92,22 +92,11 @@ let iops p =
   | _ -> None
 
 let run ~scale =
-  let points =
-    List.concat_map
-      (fun regime -> List.map (fun n -> (regime, n)) guest_counts)
-      regimes
-  in
-  let results =
-    Exp.shard (fun (regime, n) -> run_point ~scale regime n) points
-    |> Exp.group (List.length guest_counts)
-    |> List.map2 (fun regime row -> (regime, row)) regimes
-  in
-  let x = List.map string_of_int guest_counts in
-  let col f =
-    List.map (fun (regime, row) -> (regime.rname, List.map f row)) results
-  in
+  let results = Exp.grid (run_point ~scale) regimes guest_counts in
   let panel title f =
-    Metrics.Table.render_series ~title ~x_label:"guests" ~x ~cols:(col f)
+    Exp.series ~title ~x_label:"guests"
+      ~x:(List.map string_of_int guest_counts)
+      (fun r -> r.rname) results f
   in
   (* Acceptance check, printed so a sweep documents its own verdict: at
      the largest guest count the widest multi-queue regime must beat the
@@ -143,21 +132,12 @@ let run ~scale =
       verdict;
     ]
 
-let exp : Exp.t =
-  let title =
-    "Swap-in throughput scaling: async fault path x multi-queue disk"
-  in
-  let paper_claim =
-    "not in the paper: this repo's perf work; rescheduling VCPUs during \
-     in-flight faults and serving per-guest submission queues in \
-     parallel should let aggregate swap-in throughput scale with guest \
-     count, where the synchronous single-elevator stack serializes"
-  in
-  {
-    id = "scalability";
-    title;
-    paper_claim;
-    run =
-      (fun ~scale ->
-        Exp.header ~id:"scalability" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"scalability"
+    ~title:"Swap-in throughput scaling: async fault path x multi-queue disk"
+    ~paper_claim:
+      "not in the paper: this repo's perf work; rescheduling VCPUs during \
+       in-flight faults and serving per-guest submission queues in \
+       parallel should let aggregate swap-in throughput scale with guest \
+       count, where the synchronous single-elevator stack serializes"
+    run

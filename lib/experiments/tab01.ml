@@ -51,15 +51,9 @@ let run ~scale:_ =
       [ "False Reads Preventer"; "10"; "1964"; "1974"; preventer ];
     ]
 
-let exp : Exp.t =
-  let title = "VSwapper implementation size" in
-  let paper_claim =
-    "Mapper: 409 lines (174 user + 235 kernel); Preventer: 1974 lines (10 \
-     user + 1964 kernel); total 2383"
-  in
-  {
-    id = "tab1";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"tab1" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"tab1" ~title:"VSwapper implementation size"
+    ~paper_claim:
+      "Mapper: 409 lines (174 user + 235 kernel); Preventer: 1974 lines (10 \
+       user + 1964 kernel); total 2383"
+    run

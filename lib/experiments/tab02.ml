@@ -61,15 +61,10 @@ let run ~scale =
         string_of_int (faults enabled); string_of_int (faults disabled) ];
     ]
 
-let exp : Exp.t =
-  let title = "Uncooperative swapping beyond KVM (VMware Workstation)" in
-  let paper_claim =
-    "disabling the balloon more than triples runtime (25s -> 78s) and \
-     quadruples swap traffic and major faults"
-  in
-  {
-    id = "tab2";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"tab2" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"tab2"
+    ~title:"Uncooperative swapping beyond KVM (VMware Workstation)"
+    ~paper_claim:
+      "disabling the balloon more than triples runtime (25s -> 78s) and \
+       quadruples swap traffic and major faults"
+    run

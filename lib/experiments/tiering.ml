@@ -41,16 +41,12 @@ let run_point ~scale kind tiers =
     {
       (Vmm.Config.default_guest ~workload) with
       mem_mb = guest_mb;
-      resident_limit_mb = Some limit_mb;
-      warm_all = true;
       data_mb = file_mb + 64;
     }
   in
   let cfg =
     {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs = Exp.vs_of kind;
-      host_mem_mb = guest_mb * 2;
+      (Exp.testbed kind ~limit_mb guest) with
       (* Sized to the swapped working set (guest minus resident limit)
          plus slack, not the usual 1.5x guest: the fast-tier share is a
          fraction of the swap area, and an oversized area would leave
@@ -65,76 +61,38 @@ let run_point ~scale kind tiers =
 let runtime (o : Exp.run_out) = o.Exp.runtime_s
 
 let run ~scale =
-  (* One flat shard over every (panel, config, knob) point; the panels
-     then slice the result list back apart. *)
-  let share_pts =
-    List.concat_map
-      (fun kind ->
-        List.map
-          (fun share ->
-            ( kind,
-              tiers_cfg ~fast:Storage.Tiers.Czram ~slow:Storage.Tiers.Disk_tier
-                ~share () ))
-          fast_shares)
-      configs
+  (* One grid over every panel's knobs, so the three panels' points run
+     together; each panel then slices its own columns back out. *)
+  let czram =
+    tiers_cfg ~fast:Storage.Tiers.Czram ~slow:Storage.Tiers.Disk_tier
   in
-  let ratio_pts =
-    List.concat_map
-      (fun kind ->
-        List.map
-          (fun ratio ->
-            ( kind,
-              tiers_cfg ~fast:Storage.Tiers.Czram ~slow:Storage.Tiers.Disk_tier
-                ~ratio () ))
-          admit_ratios)
-      configs
+  let knobs =
+    List.map (fun share -> czram ~share ()) fast_shares
+    @ List.map (fun ratio -> czram ~ratio ()) admit_ratios
+    @ List.map
+        (fun rtt ->
+          tiers_cfg ~fast:Storage.Tiers.Remote ~slow:Storage.Tiers.Disk_tier
+            ~rtt ())
+        remote_rtts_us
   in
-  let rtt_pts =
-    List.concat_map
-      (fun kind ->
-        List.map
-          (fun rtt ->
-            ( kind,
-              tiers_cfg ~fast:Storage.Tiers.Remote ~slow:Storage.Tiers.Disk_tier
-                ~rtt () ))
-          remote_rtts_us)
-      configs
+  let results = Exp.grid (run_point ~scale) configs knobs in
+  let slice first xs =
+    let n = List.length xs in
+    List.map
+      (fun (kind, row) ->
+        (kind, List.filteri (fun i _ -> i >= first && i < first + n) row))
+      results
   in
-  let all_pts = share_pts @ ratio_pts @ rtt_pts in
-  let all_res =
-    Exp.shard (fun (kind, tiers) -> run_point ~scale kind tiers) all_pts
-  in
-  let rec split n l =
-    if n = 0 then ([], l)
-    else
-      match l with
-      | x :: r ->
-          let a, b = split (n - 1) r in
-          (x :: a, b)
-      | [] -> ([], [])
-  in
-  let share_res, rest = split (List.length share_pts) all_res in
-  let ratio_res, rtt_res = split (List.length ratio_pts) rest in
-  let rows per res =
-    Exp.group per res
-    |> List.map2 (fun kind row -> (Exp.config_name kind, row)) configs
-  in
-  let share_rows = rows (List.length fast_shares) share_res in
-  let ratio_rows = rows (List.length admit_ratios) ratio_res in
-  let rtt_rows = rows (List.length remote_rtts_us) rtt_res in
-  let series ~title ~x_label ~x named_rows f =
-    Metrics.Table.render_series ~title ~x_label ~x
-      ~cols:(List.map (fun (name, row) -> (name, List.map f row)) named_rows)
+  let share_rows = slice 0 fast_shares in
+  let ratio_rows = slice (List.length fast_shares) admit_ratios in
+  let rtt_rows =
+    slice (List.length fast_shares + List.length admit_ratios) remote_rtts_us
   in
   (* Panel (d): the tier counters of the baseline runs of panel (a) —
      the baseline is the configuration with heavy swap churn (silent
      swap writes, false reads), so it is where admission, promotion and
      capacity-pressure demotion actually fire. *)
-  let base_share_row =
-    match List.assoc_opt (Exp.config_name Exp.Baseline) share_rows with
-    | Some row -> row
-    | None -> []
-  in
+  let base_share_row = List.assoc Exp.Baseline share_rows in
   let counter name f =
     ( name,
       List.map
@@ -163,14 +121,8 @@ let run ~scale =
      the baseline/vswapper runtime ratio must shrink between the
      all-disk split (share 0) and the all-czram split (share 100). *)
   let gap at =
-    let get name =
-      match List.assoc_opt name share_rows with
-      | Some row -> runtime (List.nth row at)
-      | None -> None
-    in
-    match
-      (get (Exp.config_name Exp.Baseline), get (Exp.config_name Exp.Vswapper_full))
-    with
+    let get kind = runtime (List.nth (List.assoc kind share_rows) at) in
+    match (get Exp.Baseline, get Exp.Vswapper_full) with
     | Some b, Some v when v > 0.0 -> Some (b /. v)
     | _ -> None
   in
@@ -186,41 +138,35 @@ let run ~scale =
   in
   String.concat "\n"
     [
-      series
+      Exp.series
         ~title:
           "(a) runtime [s] vs fast-tier share, czram+disk -- lower is better"
         ~x_label:"share%"
         ~x:(List.map string_of_int fast_shares)
-        share_rows runtime;
-      series
+        Exp.config_name share_rows runtime;
+      Exp.series
         ~title:
           "(b) runtime [s] vs czram admission ratio cap, czram+disk at share \
            50 (pages compressing worse than the cap go to disk)"
         ~x_label:"ratio"
         ~x:(List.map (Printf.sprintf "%.2f") admit_ratios)
-        ratio_rows runtime;
-      series
+        Exp.config_name ratio_rows runtime;
+      Exp.series
         ~title:
           "(c) runtime [s] vs remote round-trip, remote+disk at share 50"
         ~x_label:"rtt_us"
         ~x:(List.map string_of_int remote_rtts_us)
-        rtt_rows runtime;
+        Exp.config_name rtt_rows runtime;
       counters;
       verdict;
     ]
 
-let exp : Exp.t =
-  let title = "Tiered swap backends: compressed RAM and remote memory" in
-  let paper_claim =
-    "not in the paper: this repo's backend work; splitting the swap area \
-     across a fast tier (compressed RAM or remote memory) and the disk \
-     should shrink swap-in cost as the fast share grows, narrowing the \
-     baseline-vs-vswapper gap the all-disk configuration shows"
-  in
-  {
-    id = "tiering";
-    title;
-    paper_claim;
-    run =
-      (fun ~scale -> Exp.header ~id:"tiering" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"tiering"
+    ~title:"Tiered swap backends: compressed RAM and remote memory"
+    ~paper_claim:
+      "not in the paper: this repo's backend work; splitting the swap area \
+       across a fast tier (compressed RAM or remote memory) and the disk \
+       should shrink swap-in cost as the fast share grows, narrowing the \
+       baseline-vs-vswapper gap the all-disk configuration shows"
+    run

@@ -5,8 +5,7 @@
    Sysbench 2GB-file read in a 2GB guest given 1GB drops from 302s to
    79s, and bzip2 in the same guest given 512MB from 306s to 149s. *)
 
-let run_one ~scale ~vs ~misaligned ~workload_kind =
-  let guest_mb = Exp.mb scale 2048 in
+let run_one ~scale kind ~misaligned ~workload_kind =
   let limit_mb, workload, data =
     match workload_kind with
     | `Sysbench ->
@@ -25,21 +24,12 @@ let run_one ~scale ~vs ~misaligned ~workload_kind =
   let guest =
     {
       (Vmm.Config.default_guest ~workload) with
-      mem_mb = guest_mb;
-      resident_limit_mb = Some limit_mb;
-      warm_all = true;
+      mem_mb = Exp.mb scale 2048;
       data_mb = data;
       misaligned_io_percent = misaligned;
     }
   in
-  let cfg =
-    {
-      (Vmm.Config.default ~guests:[ guest ]) with
-      vs;
-      host_mem_mb = guest_mb * 2;
-      host_swap_mb = guest_mb * 3 / 2;
-    }
-  in
+  let cfg = Exp.testbed kind ~limit_mb guest in
   (Exp.run_machine (Vmm.Machine.build cfg)).Exp.runtime_s
 
 let run ~scale =
@@ -48,26 +38,18 @@ let run ~scale =
     | None -> "-"
   in
   let row name workload_kind paper_base paper_vs =
-    let base =
-      run_one ~scale ~vs:Vswapper.Vsconfig.baseline ~misaligned:10
-        ~workload_kind
-    in
-    let vsw =
-      run_one ~scale ~vs:Vswapper.Vsconfig.vswapper ~misaligned:10
-        ~workload_kind
-    in
+    let base = run_one ~scale Exp.Baseline ~misaligned:10 ~workload_kind in
+    let vsw = run_one ~scale Exp.Vswapper_full ~misaligned:10 ~workload_kind in
     [ name; paper_base; paper_vs; cell base; cell vsw ]
   in
   let alignment_row =
     (* The misalignment sensitivity the paper explains: without the 4K
        reformat most requests bypass the Mapper. *)
     let aligned =
-      run_one ~scale ~vs:Vswapper.Vsconfig.vswapper ~misaligned:10
-        ~workload_kind:`Sysbench
+      run_one ~scale Exp.Vswapper_full ~misaligned:10 ~workload_kind:`Sysbench
     in
     let broken =
-      run_one ~scale ~vs:Vswapper.Vsconfig.vswapper ~misaligned:90
-        ~workload_kind:`Sysbench
+      run_one ~scale Exp.Vswapper_full ~misaligned:90 ~workload_kind:`Sysbench
     in
     [ "sysbench, 90% misaligned"; "-"; "-"; cell broken; cell aligned ]
   in
@@ -82,16 +64,10 @@ let run ~scale =
       alignment_row;
     ]
 
-let exp : Exp.t =
-  let title = "Non-Linux (Windows-style) guests" in
-  let paper_claim =
-    "Sysbench 2GB read: 302s -> 79s with VSwapper; bzip2: 306s -> 149s; \
-     requires the hypervisor to report 4K sectors (misaligned requests \
-     bypass the Mapper)"
-  in
-  {
-    id = "win";
-    title;
-    paper_claim;
-    run = (fun ~scale -> Exp.header ~id:"win" ~title ~paper_claim (run ~scale));
-  }
+let exp =
+  Exp.make ~id:"win" ~title:"Non-Linux (Windows-style) guests"
+    ~paper_claim:
+      "Sysbench 2GB read: 302s -> 79s with VSwapper; bzip2: 306s -> 149s; \
+       requires the hypervisor to report 4K sectors (misaligned requests \
+       bypass the Mapper)"
+    run

@@ -49,9 +49,31 @@ let config_kinds () =
     (vs_of Mapper_only).Vswapper.Vsconfig.preventer
 
 let fig3_headline_ordering () =
-  (* At 1/8 scale, the defining result must hold: baseline is several
-     times slower than vswapper, which beats nothing but the baseline. *)
-  let out = Experiments.Fig03.exp.Experiments.Exp.run ~scale:0.125 in
+  (* At 1/8 scale, the defining result must hold: the baseline is at
+     least 3x slower than each other configuration, and only the
+     baseline suffers stale reads and silent swap writes. *)
+  let open Experiments.Exp in
+  let measure = Experiments.Fig03.measure ~scale:0.125 in
+  let runtime o = Option.get o.runtime_s in
+  let base = measure Baseline in
+  Alcotest.(check bool) "baseline stale reads" true
+    (base.stats.Metrics.Stats.stale_reads > 0);
+  Alcotest.(check bool) "baseline silent writes" true
+    (base.stats.Metrics.Stats.silent_swap_writes > 0);
+  List.iter
+    (fun kind ->
+      let o = measure kind in
+      let name = config_name kind in
+      Alcotest.(check bool)
+        (name ^ ": baseline >= 3x slower")
+        true
+        (runtime base >= 3.0 *. runtime o);
+      check Alcotest.int (name ^ ": no stale reads") 0
+        o.stats.Metrics.Stats.stale_reads;
+      check Alcotest.int (name ^ ": no silent writes") 0
+        o.stats.Metrics.Stats.silent_swap_writes)
+    [ Balloon_baseline; Mapper_only; Vswapper_full; Balloon_vswapper ];
+  let out = Experiments.Fig03.exp.run ~scale:0.125 in
   Alcotest.(check bool) "has header" true (Test_util.contains out "FIG3");
   Alcotest.(check bool) "mentions configs" true
     (Test_util.contains out "vswapper" && Test_util.contains out "baseline")

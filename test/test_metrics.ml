@@ -78,12 +78,10 @@ let series_sampling () =
 let json_bench_roundtrip () =
   let doc =
     "{\n  \"date\": \"2026-08-08\",\n  \"scale\": 0.05,\n  \"jobs\": 4,\n\
-    \  \"async\": {\"waiter_merges\": 12, \"faults_deferred\": 0, \
-     \"inflight_highwater\": 3},\n\
-    \  \"queues\": {\"mq_batches\": 812, \"depth_highwater\": 6},\n\
-    \  \"engine\": {\"events_fired\": 90210, \"cancels_reclaimed\": 311, \
-     \"cascades\": 12,\n\
-    \    \"per_experiment\": [\n\
+    \  \"counters\": {\n    \"disk_mq_batches\": 812,\n\
+    \    \"async_inflight_highwater\": 3,\n\
+    \    \"engine_events_fired\": 90210\n  },\n\
+    \  \"engine\": {\"per_experiment\": [\n\
     \      {\"id\": \"fig3\", \"events\": 90210}\n    ]},\n\
     \  \"experiments\": [\n\
     \    {\"id\": \"fig3\", \"ok\": true},\n\
@@ -92,12 +90,12 @@ let json_bench_roundtrip () =
   (match Metrics.Json.parse doc with
   | Error e -> Alcotest.failf "writer format rejected: %s" e
   | Ok v -> (
-      match Metrics.Json.member "queues" v with
+      match Metrics.Json.member "counters" v with
       | Some (Metrics.Json.Obj fields) ->
           Alcotest.(check bool)
-            "mq_batches present" true
-            (List.mem_assoc "mq_batches" fields)
-      | _ -> Alcotest.fail "queues section missing"));
+            "disk_mq_batches present" true
+            (List.mem_assoc "disk_mq_batches" fields)
+      | _ -> Alcotest.fail "counters object missing"));
   (* A bug of an earlier writer: %+.3f put a '+' on positive numbers.
      Strict JSON must reject it, or the linter is not doing its job. *)
   let buggy = "{\"id\": \"fig3\", \"delta_s\": +2.943}" in

@@ -250,13 +250,15 @@ let fig4_sharded_equals_serial =
 (* Output and counter tally of every outcome must not depend on the pool
    width.  fig3 shards its configurations onto the pool, so its tally
    only reads the same at jobs 4 if the tally travels with the
-   sub-jobs; tab1 runs no machine, so its tally stays all zero. *)
+   sub-jobs; mig runs each source machine before migrating it, and
+   that run must reach its tally too; tab1 runs no machine, so its
+   tally stays all zero. *)
 let run_all_deterministic () =
-  let chosen =
-    List.filter_map Experiments.Registry.find [ "fig3"; "tab1" ]
-  in
+  let ids = [ "fig3"; "mig"; "tab1" ] in
+  let chosen = List.filter_map Experiments.Registry.find ids in
   let render jobs =
-    Experiments.Registry.run_all ~jobs ~scale:0.05 chosen
+    Parallel.Pool.set_global_jobs jobs;
+    Experiments.Registry.run_all ~scale:0.05 chosen
     |> List.map (fun (o : Experiments.Registry.outcome) ->
            (Result.get_ok o.output, Metrics.Stats.fields o.stats))
   in
@@ -268,13 +270,15 @@ let run_all_deterministic () =
       check
         Alcotest.(list (pair string int))
         (id ^ ": jobs:4 tally equals jobs:1") st1 st4)
-    (List.combine [ "fig3"; "tab1" ] serial)
+    (List.combine ids serial)
     parallel;
   let events (_, st) = List.assoc "engine_events_fired" st in
   Alcotest.(check bool) "fig3 tallied its runs" true
     (events (List.nth serial 0) > 0);
+  Alcotest.(check bool) "mig tallied its runs" true
+    (events (List.nth serial 1) > 0);
   Alcotest.(check bool) "tab1 tally all zero" true
-    (List.for_all (fun (_, v) -> v = 0) (snd (List.nth serial 1)))
+    (List.for_all (fun (_, v) -> v = 0) (snd (List.nth serial 2)))
 
 let tests =
   [
