@@ -69,9 +69,7 @@ type t = {
   mutable faults : Faults.Plan.t;
   queues : queue array;
   mutable next_seq : int;
-  (* Sorted, disjoint (start, len) runs of dirty sectors. *)
-  mutable write_runs : (int * int) list;
-  mutable write_buf_sectors : int;
+  write_runs : Write_runs.t;  (* the dirty sectors awaiting destage *)
   mutable flush_epoch : int;  (* destage count; keys transient write faults *)
   destage_attempts : (int, int) Hashtbl.t;
       (* sector -> failed destage count; never iterated (determinism) *)
@@ -110,8 +108,7 @@ let create ~engine ~stats ?(faults = Faults.Plan.none) config =
             depth_highwater = 0;
           });
     next_seq = 0;
-    write_runs = [];
-    write_buf_sectors = 0;
+    write_runs = Write_runs.create ();
     flush_epoch = 0;
     destage_attempts = Hashtbl.create 64;
     idle_timer = Sim.Engine.null;
@@ -152,78 +149,6 @@ let service_time_from ~head ~sector ~nsectors =
 let service_time t ~sector ~nsectors =
   service_time_from ~head:t.queues.(0).head ~sector ~nsectors
 
-(* Insert a dirty run, merging with overlapping/adjacent runs; the buffer
-   occupancy is maintained incrementally (placed minus merged-away). *)
-let add_write_run t sector nsectors =
-  let s0 = sector and e0 = sector + nsectors in
-  let merged = ref 0 in
-  let placed = ref 0 in
-  let rec insert acc s e = function
-    | [] ->
-        placed := e - s;
-        List.rev ((s, e - s) :: acc)
-    | ((rs, rl) as run) :: rest ->
-        let re = rs + rl in
-        if re < s then insert (run :: acc) s e rest
-        else if rs > e then begin
-          placed := e - s;
-          List.rev_append acc ((s, e - s) :: run :: rest)
-        end
-        else begin
-          merged := !merged + rl;
-          insert acc (min s rs) (max e re) rest
-        end
-  in
-  t.write_runs <- insert [] s0 e0 t.write_runs;
-  t.write_buf_sectors <- t.write_buf_sectors + !placed - !merged
-
-(* Is [sector, sector+n) fully inside some buffered run? *)
-let covered_by_buffer t sector nsectors =
-  List.exists
-    (fun (rs, rl) -> sector >= rs && sector + nsectors <= rs + rl)
-    t.write_runs
-
-(* Take up to [max_flush_sectors] from the buffered run closest to the
-   destage head (a one-step elevator with bounded chunks).  When the head
-   sits inside the chosen run the chunk starts at the head — continuing
-   the current sweep — rather than paying a backward seek to the run
-   start; the sectors behind the head stay buffered for a later pass. *)
-let pop_flush_chunk t ~head =
-  match t.write_runs with
-  | [] -> None
-  | runs ->
-      let best =
-        List.fold_left
-          (fun acc ((rs, rl) as run) ->
-            let re = rs + rl in
-            let dist =
-              if head >= rs && head <= re then 0
-              else min (abs (rs - head)) (abs (re - head))
-            in
-            match acc with
-            | None -> Some (dist, run)
-            | Some (bd, _) -> if dist < bd then Some (dist, run) else acc)
-          None runs
-      in
-      (match best with
-      | None -> None
-      | Some (_, ((rs, rl) as run)) ->
-          let re = rs + rl in
-          let start = if head > rs && head < re then head else rs in
-          let chunk = min (re - start) max_flush_sectors in
-          let left = start - rs in
-          let right = re - (start + chunk) in
-          t.write_runs <-
-            List.concat_map
-              (fun r ->
-                if r = run then
-                  (if left > 0 then [ (rs, left) ] else [])
-                  @ (if right > 0 then [ (start + chunk, right) ] else [])
-                else [ r ])
-              t.write_runs;
-          t.write_buf_sectors <- t.write_buf_sectors - chunk;
-          Some (start, chunk))
-
 (* ------------------------------------------------------------------ *)
 (* Read batching                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -262,7 +187,10 @@ let take_batch t q =
         | Some r -> r
         | None -> List.hd reads
       in
-      if covered_by_buffer t pick.sector pick.nsectors then begin
+      if
+        Write_runs.covers t.write_runs ~sector:pick.sector
+          ~nsectors:pick.nsectors
+      then begin
         q.reads <- List.filter (fun r -> r != pick) q.reads;
         q.nreads <- q.nreads - 1;
         Some (From_buffer pick)
@@ -283,7 +211,9 @@ let take_batch t q =
                 && r.sector <= !span_end + forward_skip_sectors
                 && max !span_end (r.sector + r.nsectors) - span_start
                    <= t.config.max_batch_sectors
-                && not (covered_by_buffer t r.sector r.nsectors)
+                && not
+                     (Write_runs.covers t.write_runs ~sector:r.sector
+                        ~nsectors:r.nsectors)
               then begin
                 span_end := max !span_end (r.sector + r.nsectors);
                 members := r :: !members;
@@ -365,13 +295,13 @@ and pump_reads t q =
         pump_reads t q
 
 and pump0 t q =
-  let over_cap = t.write_buf_sectors > write_buffer_sectors in
+  let over_cap = Write_runs.sectors t.write_runs > write_buffer_sectors in
   if over_cap then begin
     if (not q.flushing) && q.in_service = 0 then flush_chunk t q
   end
   else if q.reads = [] then begin
-    if t.write_runs <> [] && (not q.flushing) && q.in_service = 0 then
-      arm_idle_timer t
+    if Write_runs.count t.write_runs > 0 && (not q.flushing) && q.in_service = 0
+    then arm_idle_timer t
   end
   else if (not q.flushing) && q.in_service < t.config.per_queue_depth then
     match take_batch t q with
@@ -381,7 +311,9 @@ and pump0 t q =
         pump0 t q
 
 and flush_chunk t q =
-  match pop_flush_chunk t ~head:q.head with
+  match
+    Write_runs.pop_nearest t.write_runs ~head:q.head ~max:max_flush_sectors
+  with
   | None -> pump0 t q
   | Some (sector, nsectors) ->
       q.flushing <- true;
@@ -415,7 +347,8 @@ and inject_destage_faults t ~sector ~nsectors ~epoch =
     let run_start = ref (-1) in
     let flush_run e =
       if !run_start >= 0 then begin
-        add_write_run t !run_start (e - !run_start);
+        Write_runs.add t.write_runs ~sector:!run_start
+          ~nsectors:(e - !run_start);
         run_start := -1
       end
     in
@@ -466,7 +399,8 @@ and arm_idle_timer t =
                 several destage channels, start one chunk on each. *)
              if total_in_service t = 0 && total_reads t = 0 then
                for qid = 0 to t.config.destage_queues - 1 do
-                 if t.write_runs <> [] then flush_chunk t t.queues.(qid)
+                 if Write_runs.count t.write_runs > 0 then
+                   flush_chunk t t.queues.(qid)
                done))
 
 and start_batch t q = function
@@ -550,7 +484,7 @@ let submit t ~sector ~nsectors ~kind ?(queue = 0) ?(attempt = 0) completion =
       insert_read q { sector; nsectors; seq; attempt; completion };
       pump t q
   | Write ->
-      add_write_run t sector nsectors;
+      Write_runs.add t.write_runs ~sector ~nsectors;
       let dt = Sim.Time.us write_ack_us in
       (* Buffered-write acks always succeed: the cache absorbed the data
          (media errors on destage are invisible to the submitter, as on
@@ -566,12 +500,12 @@ let submit t ~sector ~nsectors ~kind ?(queue = 0) ?(attempt = 0) completion =
    destaging traffic (e.g. swap-out) whose ack nobody awaits. *)
 let write_buffered ?(queue = 0) t ~sector ~nsectors =
   check_bounds ~who:"write_buffered" ~sector ~nsectors;
-  add_write_run t sector nsectors;
+  Write_runs.add t.write_runs ~sector ~nsectors;
   let dqs = t.config.destage_queues in
   pump0 t t.queues.(((queue mod dqs) + dqs) mod dqs)
 
 let queue_depth t =
-  total_reads t + List.length t.write_runs + total_in_service t
+  total_reads t + Write_runs.count t.write_runs + total_in_service t
 
 let num_queues t = t.config.num_queues
 
@@ -586,6 +520,6 @@ let queue_stats t =
       })
     t.queues
 
-let buffered_write_sectors t = t.write_buf_sectors
+let buffered_write_sectors t = Write_runs.sectors t.write_runs
 let set_trace t f = t.trace <- f
 let set_faults t plan = t.faults <- plan

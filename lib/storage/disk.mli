@@ -27,10 +27,14 @@
     are merged into contiguous runs and flushed to the media when no read
     is waiting — or eagerly once the buffer exceeds its cap, at which
     point writes do delay reads, which is how heavy swap-out traffic
-    hurts swap-in latency.  Destaging flushes from the head position when
-    the head sits inside the chosen run (continuing the sweep instead of
-    seeking back to the run start).  A read overlapping a buffered write
-    is served from the buffer at RAM speed.
+    hurts swap-in latency.  Each destage takes a chunk of at most 4 MiB
+    from the run nearest the destage head (the lower of two equidistant
+    runs), starting at the head when the head sits inside that run
+    (continuing the sweep instead of seeking back to the run start).  A
+    read lying wholly inside a buffered run is served from the buffer at
+    RAM speed.  The runs live in a {!Write_runs} index, so the
+    elevator's "is this read buffered?" test and each destage pick are
+    binary searches, not walks over the buffer.
 
     The asymmetry between sequential and random access — about 200x at
     page granularity — is what makes every phenomenon in the paper

@@ -6,6 +6,7 @@ type t = {
   contents : Content.t option array;
   tiers : int array;  (* backend tier of each allocated slot; 0 = fast *)
   free_in_cluster : int array;  (* free-slot count per cluster *)
+  mutable free_clusters : int;  (* clusters with every slot free *)
   (* Current allocation cluster and the next offset to try within it;
      -1 means no current cluster. *)
   mutable cur_cluster : int;
@@ -22,7 +23,7 @@ type t = {
    count rounds *up*, and the last cluster may be partial.  (Truncating
    division silently resized the area — ~nslots:300 gave 256 slots.) *)
 let create ~base_sector ~nslots =
-  let nslots = max 1 nslots in
+  if nslots < 1 then invalid_arg "Swap_area.create: nslots must be >= 1";
   let nclusters = (nslots + cluster_slots - 1) / cluster_slots in
   let cluster_free c =
     min cluster_slots (nslots - (c * cluster_slots))
@@ -33,6 +34,7 @@ let create ~base_sector ~nslots =
     contents = Array.make nslots None;
     tiers = Array.make nslots 0;
     free_in_cluster = Array.init nclusters cluster_free;
+    free_clusters = nclusters;
     cur_cluster = -1;
     cur_offset = 0;
     scan_cursor = 0;
@@ -53,12 +55,16 @@ let check t slot =
 let take t slot content =
   t.contents.(slot) <- Some content;
   t.tiers.(slot) <- 0;
-  t.free_in_cluster.(slot / cluster_slots) <-
-    t.free_in_cluster.(slot / cluster_slots) - 1;
+  let c = slot / cluster_slots in
+  if t.free_in_cluster.(c) = cluster_capacity t c then
+    t.free_clusters <- t.free_clusters - 1;
+  t.free_in_cluster.(c) <- t.free_in_cluster.(c) - 1;
   t.in_use <- t.in_use + 1;
   Some slot
 
-(* Find the next wholly-free cluster, round-robin from cur_cluster. *)
+(* Find the next wholly-free cluster, round-robin from cur_cluster.
+   The count answers "none" without the walk, which is the common case
+   once the area has aged. *)
 let find_free_cluster t =
   let n = nclusters t in
   let start = if t.cur_cluster < 0 then 0 else (t.cur_cluster + 1) mod n in
@@ -67,7 +73,7 @@ let find_free_cluster t =
     else if t.free_in_cluster.(i) = cluster_capacity t i then Some i
     else go ((i + 1) mod n) (remaining - 1)
   in
-  go start n
+  if t.free_clusters = 0 then None else go start n
 
 let rec alloc t content =
   if t.in_use = t.nslots then None
@@ -109,8 +115,10 @@ let free t slot =
       | Some f -> f ~slot ~tier:t.tiers.(slot)
       | None -> ());
       t.contents.(slot) <- None;
-      t.free_in_cluster.(slot / cluster_slots) <-
-        t.free_in_cluster.(slot / cluster_slots) + 1;
+      let c = slot / cluster_slots in
+      t.free_in_cluster.(c) <- t.free_in_cluster.(c) + 1;
+      if t.free_in_cluster.(c) = cluster_capacity t c then
+        t.free_clusters <- t.free_clusters + 1;
       t.in_use <- t.in_use - 1
 
 let set_tier t slot tier =
@@ -141,11 +149,6 @@ let sector_of_slot t slot =
 let nslots t = t.nslots
 let in_use t = t.in_use
 
-let free_clusters t =
-  let n = ref 0 in
-  Array.iteri
-    (fun c f -> if f = cluster_capacity t c then incr n)
-    t.free_in_cluster;
-  !n
+let free_clusters t = t.free_clusters
 
 let fragmented_allocs t = t.fragmented_allocs

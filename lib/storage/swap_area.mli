@@ -13,8 +13,8 @@
 type t
 
 (** [create ~base_sector ~nslots] builds an area of exactly [nslots]
-    slots (at least 1).  The cluster count rounds up, so the last
-    cluster may be partial. *)
+    slots.  The cluster count rounds up, so the last cluster may be
+    partial.  Raises [Invalid_argument] when [nslots < 1]. *)
 val create : base_sector:int -> nslots:int -> t
 
 val cluster_slots : int
@@ -62,7 +62,10 @@ val nslots : t -> int
 val in_use : t -> int
 
 (** [free_clusters t] counts wholly-free clusters — the health metric of
-    the layout (0 means the allocator is in scatter mode). *)
+    the layout (0 means the allocator is in scatter mode).  The count is
+    kept up to date by every allocation and free, so reading it is
+    O(1); at 0, {!alloc} goes straight to the slot scan without
+    walking the clusters. *)
 val free_clusters : t -> int
 
 (** [fragmented_allocs t] counts allocations that had to fall back to

@@ -376,8 +376,265 @@ let disk_degraded_latency () =
     stats.Metrics.Stats.faults_degraded_batches
 
 (* ------------------------------------------------------------------ *)
+(* Write-buffer run index                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The write buffer as a sorted (start, len) list, the reference that
+   [Storage.Write_runs] must match answer for answer.  The three
+   functions are the list-based disk code, unchanged; the cap is small
+   so that chunking shows within a small sector universe. *)
+module List_runs = struct
+  type t = {
+    mutable write_runs : (int * int) list;
+    mutable write_buf_sectors : int;
+  }
+
+  let max_flush_sectors = 6
+
+  (* Insert a dirty run, merging with overlapping/adjacent runs; the buffer
+     occupancy is maintained incrementally (placed minus merged-away). *)
+  let add_write_run t sector nsectors =
+    let s0 = sector and e0 = sector + nsectors in
+    let merged = ref 0 in
+    let placed = ref 0 in
+    let rec insert acc s e = function
+      | [] ->
+          placed := e - s;
+          List.rev ((s, e - s) :: acc)
+      | ((rs, rl) as run) :: rest ->
+          let re = rs + rl in
+          if re < s then insert (run :: acc) s e rest
+          else if rs > e then begin
+            placed := e - s;
+            List.rev_append acc ((s, e - s) :: run :: rest)
+          end
+          else begin
+            merged := !merged + rl;
+            insert acc (min s rs) (max e re) rest
+          end
+    in
+    t.write_runs <- insert [] s0 e0 t.write_runs;
+    t.write_buf_sectors <- t.write_buf_sectors + !placed - !merged
+
+  (* Is [sector, sector+n) fully inside some buffered run? *)
+  let covered_by_buffer t sector nsectors =
+    List.exists
+      (fun (rs, rl) -> sector >= rs && sector + nsectors <= rs + rl)
+      t.write_runs
+
+  (* Take up to [max_flush_sectors] from the buffered run closest to the
+     destage head (a one-step elevator with bounded chunks).  When the head
+     sits inside the chosen run the chunk starts at the head — continuing
+     the current sweep — rather than paying a backward seek to the run
+     start; the sectors behind the head stay buffered for a later pass. *)
+  let pop_flush_chunk t ~head =
+    match t.write_runs with
+    | [] -> None
+    | runs ->
+        let best =
+          List.fold_left
+            (fun acc ((rs, rl) as run) ->
+              let re = rs + rl in
+              let dist =
+                if head >= rs && head <= re then 0
+                else min (abs (rs - head)) (abs (re - head))
+              in
+              match acc with
+              | None -> Some (dist, run)
+              | Some (bd, _) -> if dist < bd then Some (dist, run) else acc)
+            None runs
+        in
+        (match best with
+        | None -> None
+        | Some (_, ((rs, rl) as run)) ->
+            let re = rs + rl in
+            let start = if head > rs && head < re then head else rs in
+            let chunk = min (re - start) max_flush_sectors in
+            let left = start - rs in
+            let right = re - (start + chunk) in
+            t.write_runs <-
+              List.concat_map
+                (fun r ->
+                  if r = run then
+                    (if left > 0 then [ (rs, left) ] else [])
+                    @ (if right > 0 then [ (start + chunk, right) ] else [])
+                  else [ r ])
+                t.write_runs;
+            t.write_buf_sectors <- t.write_buf_sectors - chunk;
+            Some (start, chunk))
+end
+
+type runs_op = Add of int * int | Covers of int * int | Pop of int
+
+let print_runs_op = function
+  | Add (s, n) -> Printf.sprintf "add %d+%d" s n
+  | Covers (s, n) -> Printf.sprintf "covers %d+%d" s n
+  | Pop head -> Printf.sprintf "pop @%d" head
+
+(* Property: on random add/covers/pop sequences over a small sector
+   universe — so that merges, touching runs, heads inside runs and
+   equidistant heads all occur — the index gives the list code's
+   answers, popped chunks, run count, sector total and covered set. *)
+let write_runs_match_list_code =
+  let universe = 60 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun s n -> Add (s, n)) (int_range 0 48) (int_range 1 8));
+          (2, map2 (fun s n -> Covers (s, n)) (int_range 0 48) (int_range 1 8));
+          (3, map (fun h -> Pop h) (int_range 0 universe));
+        ])
+  in
+  QCheck.Test.make ~name:"write_runs: matches the list code" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list print_runs_op)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let r = { List_runs.write_runs = []; write_buf_sectors = 0 } in
+      let w = Storage.Write_runs.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (sector, nsectors) ->
+              List_runs.add_write_run r sector nsectors;
+              Storage.Write_runs.add w ~sector ~nsectors;
+              true
+          | Covers (sector, nsectors) ->
+              List_runs.covered_by_buffer r sector nsectors
+              = Storage.Write_runs.covers w ~sector ~nsectors
+          | Pop head ->
+              List_runs.pop_flush_chunk r ~head
+              = Storage.Write_runs.pop_nearest w ~head
+                  ~max:List_runs.max_flush_sectors)
+          && List.length r.write_runs = Storage.Write_runs.count w
+          && r.write_buf_sectors = Storage.Write_runs.sectors w
+          && List.for_all
+               (fun sector ->
+                 List_runs.covered_by_buffer r sector 1
+                 = Storage.Write_runs.covers w ~sector ~nsectors:1)
+               (List.init universe Fun.id))
+        ops)
+
+let write_runs_tie_goes_to_lower_run () =
+  let w = Storage.Write_runs.create () in
+  Storage.Write_runs.add w ~sector:10 ~nsectors:10;
+  Storage.Write_runs.add w ~sector:30 ~nsectors:10;
+  (* Head 25 is 5 sectors past [10, 20) and 5 short of [30, 40). *)
+  check Alcotest.(option (pair int int)) "lower run popped" (Some (10, 10))
+    (Storage.Write_runs.pop_nearest w ~head:25 ~max:64);
+  check Alcotest.int "one run left" 1 (Storage.Write_runs.count w);
+  Alcotest.(check bool) "upper run still buffered" true
+    (Storage.Write_runs.covers w ~sector:30 ~nsectors:10)
+
+let write_runs_head_inside_run () =
+  let w = Storage.Write_runs.create () in
+  Storage.Write_runs.add w ~sector:100 ~nsectors:100;
+  check Alcotest.(option (pair int int)) "chunk starts at the head"
+    (Some (150, 20))
+    (Storage.Write_runs.pop_nearest w ~head:150 ~max:20);
+  check Alcotest.int "left and right parts" 2 (Storage.Write_runs.count w);
+  check Alcotest.int "sectors" 80 (Storage.Write_runs.sectors w);
+  Alcotest.(check bool) "left part buffered" true
+    (Storage.Write_runs.covers w ~sector:100 ~nsectors:50);
+  Alcotest.(check bool) "chunk gone" false
+    (Storage.Write_runs.covers w ~sector:150 ~nsectors:1);
+  Alcotest.(check bool) "right part buffered" true
+    (Storage.Write_runs.covers w ~sector:170 ~nsectors:30)
+
+(* ------------------------------------------------------------------ *)
 (* Swap area                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* The slot allocator without the wholly-free-cluster count: the
+   round-robin cluster walk and the first-free slot scan of
+   [Storage.Swap_area], over plain arrays.  The swap-area property runs
+   it in lockstep with the real area. *)
+module Walk_alloc = struct
+  let cluster_slots = Storage.Swap_area.cluster_slots
+
+  type t = {
+    nslots : int;
+    used : bool array;
+    free_in_cluster : int array;
+    mutable cur_cluster : int;
+    mutable cur_offset : int;
+    mutable scan_cursor : int;
+    mutable in_use : int;
+    mutable fragmented_allocs : int;
+  }
+
+  let create nslots =
+    let nclusters = (nslots + cluster_slots - 1) / cluster_slots in
+    {
+      nslots;
+      used = Array.make nslots false;
+      free_in_cluster =
+        Array.init nclusters (fun c ->
+            min cluster_slots (nslots - (c * cluster_slots)));
+      cur_cluster = -1;
+      cur_offset = 0;
+      scan_cursor = 0;
+      in_use = 0;
+      fragmented_allocs = 0;
+    }
+
+  let nclusters t = Array.length t.free_in_cluster
+  let cluster_capacity t c = min cluster_slots (t.nslots - (c * cluster_slots))
+
+  let take t slot =
+    t.used.(slot) <- true;
+    t.free_in_cluster.(slot / cluster_slots) <-
+      t.free_in_cluster.(slot / cluster_slots) - 1;
+    t.in_use <- t.in_use + 1;
+    Some slot
+
+  let find_free_cluster t =
+    let n = nclusters t in
+    let start = if t.cur_cluster < 0 then 0 else (t.cur_cluster + 1) mod n in
+    let rec go i remaining =
+      if remaining = 0 then None
+      else if t.free_in_cluster.(i) = cluster_capacity t i then Some i
+      else go ((i + 1) mod n) (remaining - 1)
+    in
+    go start n
+
+  let rec alloc t =
+    if t.in_use = t.nslots then None
+    else if
+      t.cur_cluster >= 0 && t.cur_offset < cluster_capacity t t.cur_cluster
+    then begin
+      let slot = (t.cur_cluster * cluster_slots) + t.cur_offset in
+      t.cur_offset <- t.cur_offset + 1;
+      if not t.used.(slot) then take t slot else alloc t
+    end
+    else
+      match find_free_cluster t with
+      | Some c ->
+          t.cur_cluster <- c;
+          t.cur_offset <- 0;
+          alloc t
+      | None ->
+          t.cur_cluster <- -1;
+          t.fragmented_allocs <- t.fragmented_allocs + 1;
+          let rec find i remaining =
+            if remaining = 0 then None
+            else if not t.used.(i) then Some i
+            else find ((i + 1) mod t.nslots) (remaining - 1)
+          in
+          (match find t.scan_cursor t.nslots with
+          | None -> None
+          | Some slot ->
+              t.scan_cursor <- (slot + 1) mod t.nslots;
+              take t slot)
+
+  let free t slot =
+    t.used.(slot) <- false;
+    t.free_in_cluster.(slot / cluster_slots) <-
+      t.free_in_cluster.(slot / cluster_slots) + 1;
+    t.in_use <- t.in_use - 1
+end
 
 let swap_cluster_sequential () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:1024 in
@@ -422,6 +679,22 @@ let swap_cluster_rounding () =
     slots;
   check Alcotest.int "partial cluster free again" 1
     (Storage.Swap_area.free_clusters sa)
+
+(* create used to clamp a size below 1 to a one-slot area. *)
+let swap_bad_size_fails_loudly () =
+  List.iter
+    (fun nslots ->
+      Alcotest.check_raises
+        (Printf.sprintf "nslots %d" nslots)
+        (Invalid_argument "Swap_area.create: nslots must be >= 1")
+        (fun () -> ignore (Storage.Swap_area.create ~base_sector:0 ~nslots)))
+    [ 0; -5 ];
+  let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:1 in
+  check Alcotest.int "one slot" 1 (Storage.Swap_area.nslots sa);
+  Alcotest.(check (option int)) "it allocates" (Some 0)
+    (Storage.Swap_area.alloc sa Storage.Content.Zero);
+  Alcotest.(check (option int)) "then the area is full" None
+    (Storage.Swap_area.alloc sa Storage.Content.Zero)
 
 let swap_roundtrip () =
   let sa = Storage.Swap_area.create ~base_sector:800 ~nslots:256 in
@@ -469,37 +742,77 @@ let swap_free_cluster_reuse () =
   let s = Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero) in
   Alcotest.(check bool) "reused cluster 0" true (s < 256)
 
+(* Property: over areas of 1 to ~4 clusters, the last often partial,
+   bursts of allocations and scattered frees drive the allocator through
+   whole-cluster allocation, exhaustion and the fragmented scan.  Every
+   allocation returns the slot the walk returns, with the same
+   fragmented count; after every burst the free-cluster count equals a
+   recount of the wholly-free clusters; the books (in use, contents)
+   hold throughout. *)
 let swap_model =
   QCheck.Test.make ~name:"swap_area: random alloc/free keeps books" ~count:100
-    QCheck.(list (int_range 0 99))
-    (fun ops ->
-      let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:256 in
-      let live = Hashtbl.create 16 in
+    QCheck.(
+      pair (int_range 1 1_100)
+        (list_of_size
+           Gen.(int_range 0 200)
+           (triple (int_range 0 99) (int_range 1 64) small_nat)))
+    (fun (nslots, bursts) ->
+      let sa = Storage.Swap_area.create ~base_sector:0 ~nslots in
+      let walk = Walk_alloc.create nslots in
+      let tags = Array.make nslots (-1) in (* content tag of a live slot *)
+      let live = Array.make nslots 0 and nlive = ref 0 in
+      let next_tag = ref 0 in
+      let alloc () =
+        let got = Storage.Swap_area.alloc sa (Storage.Content.Anon !next_tag) in
+        if got <> Walk_alloc.alloc walk then failwith "slot differs from walk";
+        if Storage.Swap_area.fragmented_allocs sa <> walk.fragmented_allocs
+        then failwith "fragmented_allocs differs from walk";
+        match got with
+        | Some s ->
+            if tags.(s) >= 0 then failwith "double alloc";
+            tags.(s) <- !next_tag;
+            incr next_tag;
+            live.(!nlive) <- s;
+            incr nlive
+        | None -> if !nlive <> nslots then failwith "early exhaustion"
+      in
+      let free pick =
+        let i = pick mod !nlive in
+        let s = live.(i) in
+        decr nlive;
+        live.(i) <- live.(!nlive);
+        tags.(s) <- -1;
+        Storage.Swap_area.free sa s;
+        Walk_alloc.free walk s
+      in
+      let cluster_slots = Storage.Swap_area.cluster_slots in
+      let recount () =
+        let n = ref 0 in
+        for c = 0 to (nslots - 1) / cluster_slots do
+          let all_free = ref true in
+          for s = c * cluster_slots to min nslots ((c + 1) * cluster_slots) - 1 do
+            if Storage.Swap_area.is_allocated sa s then all_free := false
+          done;
+          if !all_free then incr n
+        done;
+        !n
+      in
       List.iter
-        (fun op ->
-          if op < 60 || Hashtbl.length live = 0 then (
-            match Storage.Swap_area.alloc sa (Storage.Content.Anon op) with
-            | Some s ->
-                if Hashtbl.mem live s then failwith "double alloc";
-                Hashtbl.replace live s op
-            | None ->
-                if Hashtbl.length live <> 256 then failwith "early exhaustion")
-          else begin
-            (* free a pseudo-random live slot *)
-            let keys = Hashtbl.fold (fun k _ acc -> k :: acc) live [] in
-            let s = List.nth keys (op mod List.length keys) in
-            Storage.Swap_area.free sa s;
-            Hashtbl.remove live s
-          end)
-        ops;
-      Storage.Swap_area.in_use sa = Hashtbl.length live
-      && Hashtbl.fold
-           (fun s v acc ->
-             acc
-             && Storage.Content.equal
+        (fun (op, burst, pick) ->
+          for i = 1 to burst do
+            if op < 60 || !nlive = 0 then alloc () else free (pick + i)
+          done;
+          if Storage.Swap_area.free_clusters sa <> recount () then
+            failwith "free_clusters differs from a recount")
+        bursts;
+      Storage.Swap_area.in_use sa = !nlive
+      && Seq.for_all
+           (fun (s, tag) ->
+             tag < 0
+             || Storage.Content.equal
                   (Storage.Swap_area.content sa s)
-                  (Storage.Content.Anon v))
-           live true)
+                  (Storage.Content.Anon tag))
+           (Array.to_seqi tags))
 
 let disk_service_monotone =
   QCheck.Test.make ~name:"disk: service time monotone in transfer size"
@@ -1142,10 +1455,20 @@ let tests =
           mq_depth_admits_concurrent_batches;
         qcheck mq_every_read_completes_once;
       ] );
+    ( "storage:write_runs",
+      [
+        Alcotest.test_case "tie goes to the lower run" `Quick
+          write_runs_tie_goes_to_lower_run;
+        Alcotest.test_case "head inside a run" `Quick
+          write_runs_head_inside_run;
+        qcheck write_runs_match_list_code;
+      ] );
     ( "storage:swap_area",
       [
         Alcotest.test_case "cluster sequential" `Quick swap_cluster_sequential;
         Alcotest.test_case "cluster rounding" `Quick swap_cluster_rounding;
+        Alcotest.test_case "bad size fails loudly" `Quick
+          swap_bad_size_fails_loudly;
         Alcotest.test_case "roundtrip" `Quick swap_roundtrip;
         Alcotest.test_case "fragmentation fallback" `Quick swap_fragmentation_fallback;
         Alcotest.test_case "free cluster reuse" `Quick swap_free_cluster_reuse;
