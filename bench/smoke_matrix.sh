@@ -1,5 +1,5 @@
 #!/bin/sh
-# Determinism matrix for the bench driver, run by `dune runtest` from
+# Determinism matrix for `vswapper_sim run`, run by `dune runtest` from
 # the bench build directory (see bench/dune).
 #
 # Every row runs its experiments twice, at --jobs 1 and at --jobs 4,
@@ -12,11 +12,10 @@
 # ok flags must match across widths too.
 # The driver exits 1 when an experiment fails, which stops the matrix.
 #
-# Row fields: name, scale, bench arguments, extra strip pattern
+# Row fields: name, scale, `run` arguments, extra strip pattern
 # (grep basic regex, "" for none), json|-.
 set -eu
 
-main=./main.exe
 sim=../bin/vswapper_sim.exe
 lint=../test/json_lint.exe
 
@@ -31,7 +30,7 @@ row() {
     out=$name-j$jobs
     json_args=
     if [ "$json" = json ]; then json_args="--json $out.json"; fi
-    VSWAPPER_BENCH_SCALE=$scale $main --jobs $jobs $args $json_args > "$out.out"
+    $sim run --scale $scale --jobs $jobs $args $json_args > "$out.out"
     grep -v "$pattern" "$out.out" > "$out.flt"
     if [ -n "$json_args" ]; then
       $lint "$out.json"
@@ -60,36 +59,37 @@ row degraded 0.05 "degradation --fault-seed 3" "" json
 # line varies.
 row fleet 0.05 fleet heap json
 
-# A bad scale must stop the driver with status 2 and name the variable,
-# not fall back to full scale.
-for bad in abc 0 -1 nan; do
-  rc=0
-  VSWAPPER_BENCH_SCALE=$bad $main tab1 > /dev/null 2> bad-scale.err || rc=$?
-  if [ "$rc" -ne 2 ] || ! grep -q VSWAPPER_BENCH_SCALE bad-scale.err; then
-    echo "VSWAPPER_BENCH_SCALE=$bad: exit $rc, expected 2 naming the variable" >&2
-    exit 1
-  fi
-done
-
-# The same for the CLI's --scale: a command-line error (cmdliner's
-# status 124) naming the option, not a run at the 16 MB floor.
-for bad in 0 -1 nan; do
-  rc=0
-  $sim run tab1 --scale=$bad > /dev/null 2> bad-cli-scale.err || rc=$?
-  if [ "$rc" -ne 124 ] || ! grep -q -- "--scale" bad-cli-scale.err; then
-    echo "vswapper_sim --scale=$bad: exit $rc, expected 124 naming --scale" >&2
-    exit 1
-  fi
-done
+# Bad input is a command-line error (cmdliner's status 124) naming the
+# flag, not a run at some fallback value: a scale at the 16 MB floor or
+# at full scale, a pool of no width, a fault rate that is no
+# probability, a guest of no memory.
+bad() {
+  cmd=$1 flag=$2
+  shift 2
+  for value in "$@"; do
+    rc=0
+    $sim $cmd "$flag=$value" > /dev/null 2> bad-flag.err || rc=$?
+    if [ "$rc" -ne 124 ] || ! grep -q -- "$flag" bad-flag.err; then
+      echo "$cmd $flag=$value: exit $rc, expected 124 naming $flag" >&2
+      exit 1
+    fi
+  done
+}
+bad "run tab1" --scale abc 0 -1 nan
+bad "run tab1" --jobs 0 -1 x
+bad "run tab1" --fault-seed x
+bad "run tab1" --fault-rate inf -1 2
+bad adhoc --mem 0 -1
+bad adhoc --limit 0
 
 # An unknown experiment id (a typo, or a flag the driver no longer has)
-# must stop the driver with status 2 and name the id, not run an empty
+# must stop the run with status 124 and name the id, not run an empty
 # sweep.
-for bad in fig09 --micro; do
+for id in fig09 --micro; do
   rc=0
-  $main tab1 $bad > /dev/null 2> bad-id.err || rc=$?
-  if [ "$rc" -ne 2 ] || ! grep -q -- "\"$bad\"" bad-id.err; then
-    echo "bench $bad: exit $rc, expected 2 naming the id" >&2
+  $sim run tab1 $id > /dev/null 2> bad-id.err || rc=$?
+  if [ "$rc" -ne 124 ] || ! grep -q -- "'$id'" bad-id.err; then
+    echo "run $id: exit $rc, expected 124 naming the id" >&2
     exit 1
   fi
 done

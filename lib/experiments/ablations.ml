@@ -93,7 +93,7 @@ let sysbench_run ?(vs = Vswapper.Vsconfig.baseline) ~hbase ~host_swap_mb
       Some ((List.nth ds 0, List.nth ds (List.length ds - 1)), out)
   | _ -> None
 
-let run ~scale =
+let run ~scale ~faults:_ =
   ignore scale;
   let buf = Buffer.create 1024 in
   let addf fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in

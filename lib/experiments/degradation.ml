@@ -27,9 +27,8 @@ let scrub_cols = [ ("scrub-off", 0); mid_scrub; ("scrub-high", 100_000) ]
 
 (* Fault-rate grid for the scrubber/failover panels (media errors on
    swap reads); --fault-rate overrides it with a single point. *)
-let media_rates () =
-  let r = Exp.fault_rate_knob () in
-  if r > 0.0 then [ r ] else [ 1e-4; 5e-4 ]
+let media_rates (faults : Exp.faults) =
+  if faults.rate > 0.0 then [ faults.rate ] else [ 1e-4; 5e-4 ]
 
 (* The QoS panel injects no media errors (a killed guest would quiet
    the disk and mask the contention being measured): the hammered
@@ -59,7 +58,7 @@ let storm_guest ~threads ~rounds ~storm_mb ~limit_mb ~compute_us =
 
 type spoint = { caught : int; hits : int; lost : int; relocated : int }
 
-let run_scrub_point ~scale ~scrub_rate ~rate =
+let run_scrub_point ~scale ~seed ~scrub_rate ~rate =
   let storm = Exp.mb scale 256 in
   (* compute_us spaces the storm's touches out so a scrub pass fits
      inside the re-read interval; a zero-compute storm re-reads its
@@ -79,7 +78,7 @@ let run_scrub_point ~scale ~scrub_rate ~rate =
          re-read interval — the race the catch rate measures. *)
       host_swap_mb = Exp.mb scale 512;
       faults =
-        Faults.Config.make ~seed:(Exp.fault_seed_knob ()) ~media_rate:rate ();
+        Faults.Config.make ~seed ~media_rate:rate ();
       (* The drive ages after boot: faults start at the workload epoch,
          so the catch-rate race is between the scrubber and the guest's
          swap-ins — not between boot I/O and either. *)
@@ -115,7 +114,7 @@ let p99_ms_of lats =
       let i = max 0 (min (n - 1) (((99 * n) + 99) / 100 - 1)) in
       Some (float_of_int (List.nth l i) /. 1000.)
 
-let run_qos_point ~scale ~rate ~qos =
+let run_qos_point ~scale ~seed ~rate ~qos =
   let vstorm = Exp.mb scale 128 in
   (* The victim faults well below its own bucket rate, so the QoS layer
      only ever throttles the hammer; its p99 tail is queueing behind
@@ -154,8 +153,8 @@ let run_qos_point ~scale ~rate ~qos =
       faults =
         (if rate <= 0.0 then Faults.Config.none
          else
-           Faults.Config.make ~seed:(Exp.fault_seed_knob ())
-             ~degraded_rate:(rate *. 10.) ~degraded_mult:4.0 ());
+           Faults.Config.make ~seed ~degraded_rate:(rate *. 10.)
+             ~degraded_mult:4.0 ());
       epoch_faults = true;
       hbase =
         {
@@ -181,7 +180,7 @@ let run_qos_point ~scale ~rate ~qos =
 
 type tpoint = { degraded : int; recovered : int; rerouted : int }
 
-let run_tier_point ~scale ~rate =
+let run_tier_point ~scale ~seed ~rate =
   let storm = Exp.mb scale 256 in
   (* Slowed like the scrubber panel's guest: the scrubber must trip the
      error budget on verify reads before the guest faults on a corrupt
@@ -200,7 +199,7 @@ let run_tier_point ~scale ~rate =
       (* Corruption confined to the compressed pool: the disk tier must
          stay healthy to absorb the failover this panel measures. *)
       faults =
-        Faults.Config.make ~seed:(Exp.fault_seed_knob ()) ~czram_rate:rate ();
+        Faults.Config.make ~seed ~czram_rate:rate ();
       epoch_faults = true;
       tiers =
         {
@@ -225,24 +224,26 @@ let run_tier_point ~scale ~rate =
     rerouted = s.Metrics.Stats.tier_failover_routes;
   }
 
-let run ~scale =
-  let rates = media_rates () in
+let run ~scale ~faults =
+  let seed = faults.Exp.seed in
+  let rates = media_rates faults in
   (* Scrubber grid: scrub-rate columns x media-rate points. *)
   let scrub_rows =
     Exp.grid
-      (fun (_, scrub_rate) rate -> run_scrub_point ~scale ~scrub_rate ~rate)
+      (fun (_, scrub_rate) rate ->
+        run_scrub_point ~scale ~seed ~scrub_rate ~rate)
       scrub_cols rates
   in
   (* QoS grid: qos-off/qos-on columns x fault-rate points (0 = the
      fault-free baseline the verdict compares against). *)
   let qos_rows =
     Exp.grid
-      (fun qos rate -> run_qos_point ~scale ~rate ~qos)
+      (fun qos rate -> run_qos_point ~scale ~seed ~rate ~qos)
       [ false; true ] qos_rate_grid
   in
   (* Czram failover: one tiered column over the media-rate points. *)
   let tier_row =
-    Exp.shard (fun rate -> run_tier_point ~scale ~rate) tier_rates
+    Exp.shard (fun rate -> run_tier_point ~scale ~seed ~rate) tier_rates
   in
   let x = List.map (Printf.sprintf "%g") rates in
   let scrub_panel title f =

@@ -1,8 +1,12 @@
+type faults = { seed : int; rate : float }
+
+let no_faults = { seed = 1; rate = 0.0 }
+
 type t = {
   id : string;
   title : string;
   paper_claim : string;
-  run : scale:float -> string;
+  run : scale:float -> faults:faults -> string;
 }
 
 type config_kind =
@@ -85,19 +89,6 @@ let record s =
   | Some t -> Mutex.protect tally_mu (fun () -> Metrics.Stats.add t s)
   | None -> ()
 
-(* Fault knobs (bench --fault-seed / --fault-rate): consumed by the
-   resilience experiment.  Set once before the sweep starts, so worker
-   domains only ever read them. *)
-let fault_seed = Atomic.make 1
-let fault_rate = Atomic.make 0.0
-
-let set_fault_knobs ?seed ?rate () =
-  (match seed with Some s -> Atomic.set fault_seed s | None -> ());
-  match rate with Some r -> Atomic.set fault_rate r | None -> ()
-
-let fault_seed_knob () = Atomic.get fault_seed
-let fault_rate_knob () = Atomic.get fault_rate
-
 let run_machine ?(get_marks = fun () -> []) machine =
   let result = Vmm.Machine.run machine in
   record result.Vmm.Machine.stats;
@@ -164,8 +155,8 @@ let testbed kind ~limit_mb (guest : Vmm.Config.guest_spec) =
 
 let make ~id ~title ~paper_claim run =
   let line = String.make 72 '=' in
-  let run ~scale =
+  let run ~scale ~faults =
     Printf.sprintf "%s\n%s: %s\npaper: %s\n%s\n%s" line
-      (String.uppercase_ascii id) title paper_claim line (run ~scale)
+      (String.uppercase_ascii id) title paper_claim line (run ~scale ~faults)
   in
   { id; title; paper_claim; run }

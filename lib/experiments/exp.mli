@@ -3,12 +3,27 @@
     figures, the sharded config x point grid, and rendering of
     paper-vs-measured outputs. *)
 
-(** One reproducible experiment (a figure or table of the paper). *)
+(** The disk-fault knobs of a sweep, which [vswapper_sim run] takes as
+    [--fault-seed] and [--fault-rate].  [seed] fixes the fault plan of
+    the experiments that inject faults (resilience, degradation); a
+    non-zero [rate] replaces their built-in fault-rate grid.  The other
+    experiments ignore it. *)
+type faults = { seed : int; rate : float }
+
+(** [{ seed = 1; rate = 0.0 }]: seed 1 and the built-in rate grids. *)
+val no_faults : faults
+
+(** One reproducible experiment (a figure or table of the paper).  Its
+    [run] reads no process-global knob: the block is a function of its
+    arguments, except tab1's source-line counts (read from the working
+    directory) and the heap lines of fleet and memscale (measured with
+    [Gc.stat]). *)
 type t = {
   id : string;  (** e.g. "fig3" *)
   title : string;
   paper_claim : string;  (** what the paper reports, for side-by-side *)
-  run : scale:float -> string;  (** returns the rendered result block *)
+  run : scale:float -> faults:faults -> string;
+      (** returns the rendered result block *)
 }
 
 (** The paper's five configurations (Section 5): baseline, balloon +
@@ -74,15 +89,6 @@ val with_tally : Metrics.Stats.t -> (unit -> 'a) -> 'a
     a {!Vmm.Machine} (the fleet) call it with their reduced totals. *)
 val record : Metrics.Stats.t -> unit
 
-(** Fault knobs for the resilience experiment, set once by the bench
-    driver (--fault-seed / --fault-rate) before the sweep starts so
-    worker domains only ever read them.  A [rate] of 0 (the default)
-    keeps the experiment's built-in fault-rate grid. *)
-val set_fault_knobs : ?seed:int -> ?rate:float -> unit -> unit
-
-val fault_seed_knob : unit -> int
-val fault_rate_knob : unit -> float
-
 (** [shard f xs] fans [f] over [xs] on the shared {!Parallel.Pool.global}
     pool and returns the results in the order of [xs].  Safe to call from
     inside an experiment already running as a pool job (the pool's [map]
@@ -124,5 +130,5 @@ val make :
   id:string ->
   title:string ->
   paper_claim:string ->
-  (scale:float -> string) ->
+  (scale:float -> faults:faults -> string) ->
   t

@@ -23,7 +23,7 @@ let measure ~scale kind =
   Exp.run_machine
     (Vmm.Machine.build (Exp.testbed kind ~limit_mb:(Exp.mb scale 100) guest))
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let cell = function Some v -> Metrics.Table.fmt_float v | None -> "-" in
   (* Five independent machine runs, one per configuration — sharded over
      the shared pool (this experiment is itself a job of the registry

@@ -1,6 +1,6 @@
 (* Figure 4: average completion time of ten phased MapReduce guests. *)
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let n = 10 in
   (* Four independent ten-guest machine runs — the sweep's single most
      expensive points — fan out over the shared pool. *)

@@ -3,7 +3,7 @@
 
 let mems = [ 512; 240; 128 ]
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let results = Pbzip_sweep.sweep ~scale mems in
   Pbzip_sweep.render
     ~title:"pbzip2 (8 threads) in a 512MB guest; actual memory on the x-axis"

@@ -54,7 +54,7 @@ let run_config ~scale kind ~iterations =
   in
   diffs out.Exp.marks
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let iterations = 8 in
   let results =
     List.map (fun kind -> (kind, run_config ~scale kind ~iterations)) configs

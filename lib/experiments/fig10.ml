@@ -5,7 +5,7 @@
 let configs =
   [ Exp.Baseline; Exp.Mapper_only; Exp.Vswapper_full; Exp.Balloon_baseline ]
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let mbs = Exp.mb scale 200 in
   let rows =
     List.map

@@ -3,7 +3,7 @@
 
 let mems = [ 512; 448; 384; 320; 256; 192 ]
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let results = Pbzip_sweep.sweep ~scale mems in
   Pbzip_sweep.render
     ~title:"pbzip2 I/O anatomy (same setup as fig5)"

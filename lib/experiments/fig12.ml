@@ -25,7 +25,7 @@ let run_point ~scale kind actual_mb =
     (Vmm.Machine.build
        (Exp.testbed kind ~limit_mb:(Exp.mb scale actual_mb) guest))
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let results = Exp.grid (run_point ~scale) configs mems in
   let panel title f =
     Exp.series ~title ~x_label:"actual-mem"

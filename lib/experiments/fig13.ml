@@ -30,7 +30,7 @@ let run_point ~scale kind actual_mb =
     (Vmm.Machine.build
        (Exp.testbed kind ~limit_mb:(Exp.mb scale actual_mb) guest))
 
-let run ~scale =
+let run ~scale ~faults:_ =
   Exp.series
     ~title:
       "Eclipse/DaCapo runtime [s] ('-' = killed by over-ballooning) -- \

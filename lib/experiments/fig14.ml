@@ -4,7 +4,7 @@
 
 let ns = [ 2; 4; 6; 8; 10 ]
 
-let run ~scale =
+let run ~scale ~faults:_ =
   Exp.series
     ~title:
       "average guest runtime [s] vs number of guests -- paper: flat until \

@@ -1,7 +1,7 @@
 (* Figure 15: the Mapper tracks almost exactly the guest's clean page
    cache over time (Eclipse workload, sampled periodically). *)
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let guest_mb = Exp.mb scale 512 in
   let limit_mb = Exp.mb scale 256 in
   let workload =

@@ -35,7 +35,7 @@ let run_width cfg jobs =
   Parallel.Pool.shutdown pool;
   r
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let cfg = config ~scale in
   (* Private pools, not the shared global one: the widths under test
      must be exact, and the global pool cannot be resized while the

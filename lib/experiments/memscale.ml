@@ -98,7 +98,7 @@ let run_point ~scale n =
     live_words = max 0 (after - before);
   }
 
-let run ~scale =
+let run ~scale ~faults:_ =
   (* Points run serially on the submitting domain, not via [Exp.shard]:
      the live-heap measurement must see exactly one machine at a time
      on this domain's heap. *)

@@ -34,7 +34,7 @@ let migrate_now machine link strategy =
   | Migration.Migrate.Completed r -> r
   | Migration.Migrate.Aborted _ -> failwith "mig: unexpected disk abort"
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let full = ("full copy", Migration.Migrate.Full_copy) in
   let aware = ("mapper-aware", Migration.Migrate.Mapper_aware) in
   let rows =

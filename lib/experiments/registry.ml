@@ -32,17 +32,17 @@ type outcome = {
   stats : Metrics.Stats.t;
 }
 
-let run_one ~scale (e : Exp.t) =
+let run_one ~scale ~faults (e : Exp.t) =
   (* Every machine run of this experiment, including the sharded inner
      loops' pool sub-jobs, merges its counters into [stats]. *)
   let stats = Metrics.Stats.create () in
   let output =
-    try Ok (Exp.with_tally stats (fun () -> e.Exp.run ~scale))
+    try Ok (Exp.with_tally stats (fun () -> e.Exp.run ~scale ~faults))
     with exn -> Error exn
   in
   { exp = e; output; stats }
 
-let run_all ~scale chosen =
+let run_all ~scale ~faults chosen =
   (* Each experiment builds its own engine/RNG/disk and returns a buffered
      string, so whole experiments fan out across domains; collecting with
      [Pool.map] keeps the results in registry order, making the printed
@@ -51,7 +51,7 @@ let run_all ~scale chosen =
      ([Exp.shard], [Exp.grid]) submit to the same worker set; [map] is
      re-entrant, so the nesting cannot deadlock. *)
   let results =
-    Parallel.Pool.map (Parallel.Pool.global ()) (run_one ~scale) chosen
+    Parallel.Pool.map (Parallel.Pool.global ()) (run_one ~scale ~faults) chosen
   in
   (* [run_one] already converts an experiment's exception into an [Error]
      outcome; a pool-level [Error] here means the job died outside that

@@ -20,13 +20,14 @@ type outcome = {
           count. *)
 }
 
-(** [run_all ~scale exps] runs the experiments, fanning them out over
-    the shared {!Parallel.Pool.global} pool, whose width the caller sets
-    with {!Parallel.Pool.set_global_jobs} ([Pool.default_jobs ()] if it
-    never does).  The heavy experiments additionally shard their machine
-    runs onto the same pool from inside their jobs — the pool's [map] is
-    re-entrant, so the nesting is safe.  Outcomes come back in the order
-    of [exps] regardless of completion order, and every experiment is
-    deterministic given its scale, so the rendered outputs are
-    byte-identical at any pool width. *)
-val run_all : scale:float -> Exp.t list -> outcome list
+(** [run_all ~scale ~faults exps] runs the experiments, fanning them
+    out over the shared {!Parallel.Pool.global} pool, whose width the
+    caller sets with {!Parallel.Pool.set_global_jobs}
+    ([Pool.default_jobs ()] if it never does).  The heavy experiments
+    additionally shard their machine runs onto the same pool from inside
+    their jobs — the pool's [map] is re-entrant, so the nesting is safe.
+    Outcomes come back in the order of [exps] regardless of completion
+    order, and every experiment is deterministic given its scale and
+    fault knobs, so the rendered outputs are byte-identical at any pool
+    width. *)
+val run_all : scale:float -> faults:Exp.faults -> Exp.t list -> outcome list

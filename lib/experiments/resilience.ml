@@ -11,16 +11,15 @@ let configs = [ Exp.Baseline; Exp.Vswapper_full ]
 
 (* Per-point fault plan: mostly transient (retryable) errors, a sliver
    of hard media errors, and degraded-latency batches at 5x the error
-   rate.  The seed comes from the --fault-seed knob so a sweep is
-   reproducible end to end. *)
-let plan_of_rate rate =
+   rate.  The seed is the sweep's fault seed, so a sweep is reproducible
+   end to end. *)
+let plan_of_rate ~seed rate =
   if rate <= 0.0 then Faults.Config.none
   else
-    Faults.Config.make ~seed:(Exp.fault_seed_knob ())
-      ~media_rate:(rate /. 100.) ~transient_rate:rate
+    Faults.Config.make ~seed ~media_rate:(rate /. 100.) ~transient_rate:rate
       ~degraded_rate:(rate *. 5.) ~degraded_mult:4.0 ()
 
-let run_point ~scale kind rate =
+let run_point ~scale ~seed kind rate =
   let file_mb = Exp.mb scale 200 in
   let workload = Workloads.Sysbench.workload ~iterations:3 ~file_mb () in
   let guest =
@@ -33,17 +32,17 @@ let run_point ~scale kind rate =
   let cfg =
     {
       (Exp.testbed kind ~limit_mb:(Exp.mb scale 100) guest) with
-      faults = plan_of_rate rate;
+      faults = plan_of_rate ~seed rate;
     }
   in
   Exp.run_machine (Vmm.Machine.build cfg)
 
-let run ~scale =
+let run ~scale ~(faults : Exp.faults) =
   let rates =
-    let r = Exp.fault_rate_knob () in
-    if r > 0.0 then [ 0.0; r ] else [ 0.0; 1e-4; 1e-3; 5e-3 ]
+    if faults.rate > 0.0 then [ 0.0; faults.rate ]
+    else [ 0.0; 1e-4; 1e-3; 5e-3 ]
   in
-  let results = Exp.grid (run_point ~scale) configs rates in
+  let results = Exp.grid (run_point ~scale ~seed:faults.seed) configs rates in
   let panel title f =
     Exp.series ~title ~x_label:"rate"
       ~x:(List.map (Printf.sprintf "%g") rates)

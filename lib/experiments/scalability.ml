@@ -91,7 +91,7 @@ let iops p =
   | Some w when w > 0.0 -> Some (float_of_int p.swapins /. w)
   | _ -> None
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let results = Exp.grid (run_point ~scale) regimes guest_counts in
   let panel title f =
     Exp.series ~title ~x_label:"guests"

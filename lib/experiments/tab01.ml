@@ -30,7 +30,7 @@ let component_loc root files =
       | _ -> None)
     (Some 0) files
 
-let run ~scale:_ =
+let run ~scale:_ ~faults:_ =
   let root = find_root (Sys.getcwd ()) 0 in
   let loc files =
     match root with

@@ -2,7 +2,7 @@
    host (no named-page preference, single-page swap readahead), with the
    balloon enabled vs disabled. *)
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let guest_mb = Exp.mb scale 440 in
   let reserve_mb = Exp.mb scale 350 in
   let file_mb = Exp.mb scale 1024 in

@@ -60,7 +60,7 @@ let run_point ~scale kind tiers =
 
 let runtime (o : Exp.run_out) = o.Exp.runtime_s
 
-let run ~scale =
+let run ~scale ~faults:_ =
   (* One grid over every panel's knobs, so the three panels' points run
      together; each panel then slices its own columns back out. *)
   let czram =

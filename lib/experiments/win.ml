@@ -32,7 +32,7 @@ let run_one ~scale kind ~misaligned ~workload_kind =
   let cfg = Exp.testbed kind ~limit_mb guest in
   (Exp.run_machine (Vmm.Machine.build cfg)).Exp.runtime_s
 
-let run ~scale =
+let run ~scale ~faults:_ =
   let cell = function
     | Some v -> Metrics.Table.fmt_float v
     | None -> "-"

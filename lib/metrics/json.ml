@@ -1,4 +1,4 @@
-(* Strict RFC 8259 JSON parser used to lint the bench summary files.
+(* Strict RFC 8259 JSON parser used to lint the --json summary files.
 
    The point of strictness: the bench writer once emitted positive
    deltas as [+2.943] (printf %+.3f), which stock parsers reject, so a

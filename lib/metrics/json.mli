@@ -1,4 +1,5 @@
-(** Strict RFC 8259 JSON parser, for linting the bench summary files.
+(** Strict RFC 8259 JSON parser, for linting the [vswapper_sim run
+    --json] summaries; [benchmark/] builds and parses its results on [t] too.
 
     Strictness is the point: the bench writer once emitted positive
     deltas as [+2.943] (printf [%+.3f]), which every stock parser

@@ -73,13 +73,16 @@ let fig3_headline_ordering () =
       check Alcotest.int (name ^ ": no silent writes") 0
         o.stats.Metrics.Stats.silent_swap_writes)
     [ Balloon_baseline; Mapper_only; Vswapper_full; Balloon_vswapper ];
-  let out = Experiments.Fig03.exp.run ~scale:0.125 in
+  let out = Experiments.Fig03.exp.run ~scale:0.125 ~faults:no_faults in
   Alcotest.(check bool) "has header" true (Test_util.contains out "FIG3");
   Alcotest.(check bool) "mentions configs" true
     (Test_util.contains out "vswapper" && Test_util.contains out "baseline")
 
 let tab1_reports_loc () =
-  let out = Experiments.Tab01.exp.Experiments.Exp.run ~scale:1.0 in
+  let out =
+    Experiments.Tab01.exp.Experiments.Exp.run ~scale:1.0
+      ~faults:Experiments.Exp.no_faults
+  in
   Alcotest.(check bool) "has mapper row" true
     (Test_util.contains out "Swap Mapper");
   Alcotest.(check bool) "has paper numbers" true (Test_util.contains out "1974")
@@ -90,9 +93,14 @@ let run_all_isolates_failures () =
   let mk id run =
     { Experiments.Exp.id; title = id; paper_claim = ""; run }
   in
-  let boom = mk "boom" (fun ~scale:_ -> failwith "injected failure") in
-  let fine = mk "fine" (fun ~scale:_ -> "ran fine") in
-  match Experiments.Registry.run_all ~scale:1.0 [ boom; fine ] with
+  let boom =
+    mk "boom" (fun ~scale:_ ~faults:_ -> failwith "injected failure")
+  in
+  let fine = mk "fine" (fun ~scale:_ ~faults:_ -> "ran fine") in
+  match
+    Experiments.Registry.run_all ~scale:1.0 ~faults:Experiments.Exp.no_faults
+      [ boom; fine ]
+  with
   | [ a; b ] ->
       Alcotest.(check string) "order kept" "boom" a.Experiments.Registry.exp.id;
       Alcotest.(check bool) "failure captured" true
@@ -101,6 +109,40 @@ let run_all_isolates_failures () =
         (b.Experiments.Registry.output = Ok "ran fine")
   | outs ->
       Alcotest.failf "expected 2 outcomes, got %d" (List.length outs)
+
+(* vswapper_sim's --fault-seed and --fault-rate reach the experiment as
+   its [~faults] argument: a non-zero rate replaces resilience's rate
+   grid with [0; rate], and the seed picks the fault plan. *)
+let fault_knobs_reach_experiment () =
+  let resilience = Option.get (Experiments.Registry.find "resilience") in
+  let run seed =
+    match
+      Experiments.Registry.run_all ~scale:0.05
+        ~faults:{ Experiments.Exp.seed; rate = 1e-3 }
+        [ resilience ]
+    with
+    | [ o ] -> (Result.get_ok o.output, o.stats)
+    | outs -> Alcotest.failf "expected 1 outcome, got %d" (List.length outs)
+  in
+  let out, stats3 = run 3 in
+  let _, stats4 = run 4 in
+  (* The first panel's x-axis: the first word of every row between the
+     panel's rule line and the blank line that ends it. *)
+  let rec to_rule = function
+    | l :: rest when String.starts_with ~prefix:"---" l -> axis rest
+    | _ :: rest -> to_rule rest
+    | [] -> []
+  and axis = function
+    | "" :: _ | [] -> []
+    | l :: rest -> List.hd (String.split_on_char ' ' l) :: axis rest
+  in
+  Alcotest.(check (list string))
+    "x-axis is [0; rate]" [ "0"; "0.001" ]
+    (to_rule (String.split_on_char '\n' out));
+  Alcotest.(check bool)
+    "seeds 3 and 4 inject different transients" true
+    (stats3.Metrics.Stats.faults_injected_transient
+    <> stats4.Metrics.Stats.faults_injected_transient)
 
 let mark_collector_works () =
   let mref = ref None in
@@ -118,6 +160,8 @@ let tests =
         Alcotest.test_case "config kinds" `Quick config_kinds;
         Alcotest.test_case "mark collector" `Quick mark_collector_works;
         Alcotest.test_case "failure isolation" `Quick run_all_isolates_failures;
+        Alcotest.test_case "fault knobs reach the experiment" `Quick
+          fault_knobs_reach_experiment;
         Alcotest.test_case "tab1 loc" `Quick tab1_reports_loc;
       ] );
     ( "experiments:shape",

@@ -73,7 +73,7 @@ let series_sampling () =
   Alcotest.(check (list (float 1e-9))) "values" [ 0.0; 5.0; 5.0 ] values;
   Alcotest.(check (list string)) "names" [ "probe" ] (Metrics.Series.names series)
 
-(* A faithful miniature of the bench writer's summary format: this
+(* A faithful miniature of the `run --json` summary format: this
    exact shape must parse. *)
 let json_bench_roundtrip () =
   let doc =

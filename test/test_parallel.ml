@@ -241,7 +241,7 @@ let fig4_sharded_equals_serial =
       let fig4 = Option.get (Experiments.Registry.find "fig4") in
       let render jobs =
         Parallel.Pool.set_global_jobs jobs;
-        fig4.Experiments.Exp.run ~scale
+        fig4.Experiments.Exp.run ~scale ~faults:Experiments.Exp.no_faults
       in
       let serial = render 1 in
       let sharded = render 4 in
@@ -258,7 +258,8 @@ let run_all_deterministic () =
   let chosen = List.filter_map Experiments.Registry.find ids in
   let render jobs =
     Parallel.Pool.set_global_jobs jobs;
-    Experiments.Registry.run_all ~scale:0.05 chosen
+    Experiments.Registry.run_all ~scale:0.05 ~faults:Experiments.Exp.no_faults
+      chosen
     |> List.map (fun (o : Experiments.Registry.outcome) ->
            (Result.get_ok o.output, Metrics.Stats.fields o.stats))
   in
