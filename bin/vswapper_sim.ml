@@ -31,10 +31,17 @@ module Exp = Experiments.Exp
 module Registry = Experiments.Registry
 
 let list_cmd =
-  let doc = "List the available experiments (one per paper figure/table)." in
+  let doc =
+    "List the available experiments: the paper's figures and tables, then \
+     the extension experiments."
+  in
   let run () =
+    let width =
+      List.fold_left (fun w (e : Exp.t) -> max w (String.length e.id)) 0
+        Registry.all
+    in
     List.iter
-      (fun (e : Exp.t) -> Printf.printf "%-6s %s\n" e.id e.title)
+      (fun (e : Exp.t) -> Printf.printf "%-*s %s\n" width e.id e.title)
       Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
@@ -62,7 +69,8 @@ let sweep_stats outcomes =
    fired, and each experiment's ok flag.  Every key but "date" and
    "jobs" is a function of the ids, the scale and the fault knobs, so
    the summaries of one sweep at two widths differ in those two lines
-   only.  Experiment ids are plain identifiers and need no escaping. *)
+   only.  Experiment ids are plain identifiers and need no escaping.
+   Nothing is printed: stdout depends on neither the width nor FILE. *)
 let write_json ~file ~scale ~jobs outcomes =
   (* Write to a temp file and rename over it: a crash mid-write never
      leaves a truncated summary behind. *)
@@ -103,8 +111,7 @@ let write_json ~file ~scale ~jobs outcomes =
     outcomes;
   out "\n  ]\n}\n";
   close_out oc;
-  Sys.rename tmp file;
-  Printf.printf "[bench summary written to %s]\n%!" file
+  Sys.rename tmp file
 
 let run_sweep chosen scale jobs json faults =
   (* --jobs beats the core-count default; size the shared pool once,
@@ -113,10 +120,8 @@ let run_sweep chosen scale jobs json faults =
   let jobs = Parallel.Pool.jobs (Parallel.Pool.global ()) in
   let chosen = match chosen with [] -> Registry.all | chosen -> chosen in
   Printf.printf
-    "VSwapper (ASPLOS'14) reproduction bench - scale %.2f, %d experiments, \
-     %d jobs\n\n\
-     %!"
-    scale (List.length chosen) jobs;
+    "VSwapper (ASPLOS'14) reproduction bench - scale %.2f, %d experiments\n\n%!"
+    scale (List.length chosen);
   let outcomes = Registry.run_all ~scale ~faults chosen in
   List.iter
     (fun (o : Registry.outcome) ->

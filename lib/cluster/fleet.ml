@@ -219,12 +219,9 @@ let arm shard vm ~at =
   vm.parked <- false;
   Sim.Engine.run_at shard.engine at chain
 
-(* Deterministic fingerprint: SplitMix64-style fold over the reduced
+(* Deterministic fingerprint: a SplitMix fold over the reduced
    counters, so "same everything" is one comparable int. *)
-let mix h v =
-  let h = h lxor (v * 0x9E3779B97F4A7C1) in
-  let h = (h lxor (h lsr 30)) * 0xBF58476D1CE4E5B in
-  (h lxor (h lsr 27)) * 0x94D049BB133111E land max_int
+let mix h v = Faults.Plan.mix_int (h lxor v)
 
 let validate cfg =
   let require ok field range =
@@ -536,7 +533,7 @@ let run ?pool (cfg : config) =
       :: !rows;
     if e = cfg.epochs - 1 then begin
       (* Last barrier: measure the live heap while every shard, frame
-         table and EPT is still reachable (the memscale discipline). *)
+         table and EPT is still reachable. *)
       Gc.full_major ();
       live_heap_words := (Gc.stat ()).Gc.live_words
     end

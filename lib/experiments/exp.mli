@@ -13,10 +13,10 @@ type faults = { seed : int; rate : float }
 (** [{ seed = 1; rate = 0.0 }]: seed 1 and the built-in rate grids. *)
 val no_faults : faults
 
-(** One reproducible experiment (a figure or table of the paper).  Its
-    [run] reads no process-global knob: the block is a function of its
-    arguments, except tab1's source-line counts (read from the working
-    directory) and the heap lines of fleet and memscale (measured with
+(** One reproducible experiment (a figure or table of the paper, or an
+    extension).  Its [run] reads no process-global knob: the block is a
+    function of its arguments, except tab1's source-line counts (read
+    from the working directory) and the fleet's heap line (measured with
     [Gc.stat]). *)
 type t = {
   id : string;  (** e.g. "fig3" *)

@@ -9,8 +9,9 @@
    1 and 4, and self-checks determinism: the deterministic report (and
    the stats fingerprint) must be byte-identical — the pool width may
    only change which domain steps each shard.  Only the heap line
-   varies between runs; it contains the word "heap" so the smoke matrix
-   can strip it before comparing serial vs --jobs 4 stdout.  Parallel
+   varies between runs, so the fleet stays out of the paper-figure
+   golden; the line contains the word "heap", and the smoke matrix
+   strips it before comparing serial vs --jobs 4 stdout.  Parallel
    scaling is measured by the repo benchmark's fleet workload
    (benchmark/), not here.
 

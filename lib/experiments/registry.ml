@@ -18,7 +18,6 @@ let all =
     Resilience.exp;
     Scalability.exp;
     Tiering.exp;
-    Memscale.exp;
     Degradation.exp;
     Fleet.exp;
   ]

@@ -1,4 +1,6 @@
-(** All reproducible experiments, keyed by the paper's figure/table ids. *)
+(** All reproducible experiments, keyed by the paper's figure/table ids
+    and then the extensions' ids, in the order [vswapper_sim run]
+    prints them when given no id. *)
 
 val all : Exp.t list
 
@@ -28,6 +30,6 @@ type outcome = {
     their jobs — the pool's [map] is re-entrant, so the nesting is safe.
     Outcomes come back in the order of [exps] regardless of completion
     order, and every experiment is deterministic given its scale and
-    fault knobs, so the rendered outputs are byte-identical at any pool
-    width. *)
+    fault knobs (but for the host measurements {!Exp.t} names), so the
+    rendered outputs are byte-identical at any pool width. *)
 val run_all : scale:float -> faults:Exp.faults -> Exp.t list -> outcome list

@@ -53,29 +53,22 @@ module Plan = struct
     none : bool;
   }
 
-  (* SplitMix64 finalizer.  Fault decisions are pure hashes of the
-     request coordinates under a per-stream key, never draws from a
-     shared mutable stream, so the pattern is independent of request
-     interleaving (and hence of the worker-pool schedule). *)
-  let mix64 z =
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-
   let golden = 0x9E3779B97F4A7C15L
 
-  (* Hash (key, a, b) to a float in [0, 1). *)
+  (* Hash (key, a, b) to a float in [0, 1) with the SplitMix64
+     finalizer.  Fault decisions are pure hashes of the request
+     coordinates under a per-stream key, never draws from a shared
+     mutable stream, so the pattern is independent of request
+     interleaving (and hence of the worker-pool schedule). *)
   let hash01 key a b =
     let z = Int64.add key (Int64.mul (Int64.of_int a) golden) in
-    let z = mix64 z in
-    let z = mix64 (Int64.add z (Int64.mul (Int64.of_int b) golden)) in
+    let z = Sim.Rng.mix z in
+    let z = Sim.Rng.mix (Int64.add z (Int64.mul (Int64.of_int b) golden)) in
     let bits = Int64.to_int (Int64.shift_right_logical z 11) in
     float_of_int bits /. 9007199254740992.0
 
-  (* [mix64]'s allocation-free native-int sibling.  The 64-bit
-     multipliers above don't fit a 63-bit OCaml int, so these use
+  (* [Sim.Rng.mix]'s allocation-free native-int sibling.  Its 64-bit
+     multipliers don't fit a 63-bit OCaml int, so these use
      smaller odd constants of the same character; overflow wraps, and
      the final mask keeps the result non-negative. *)
   let mix_int z =

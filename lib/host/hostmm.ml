@@ -119,8 +119,7 @@ type t = {
   hv_base_sector : int;
   frames : Frames.t;
   mutable guests : guest option array;  (* dense gids index directly *)
-  mutable guest_ids : int array;  (* growable; first [nguests] are live *)
-  mutable nguests : int;
+  mutable nguests : int;  (* gids 0 .. nguests - 1 are registered *)
   slot_owner : Itbl.t;  (* swap slot -> packed (guest, gpa) *)
   (* packed (guest, gpa) -> waiter-list index: continuations waiting for
      an in-flight fault live in [inflight_ws] at the index the slab
@@ -200,7 +199,6 @@ let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap ~hv_base_sector
     hv_base_sector;
     frames = Frames.create ~nframes:config.Hconfig.total_frames;
     guests = Array.make 8 None;
-    guest_ids = Array.make 8 0;
     nguests = 0;
     slot_owner = Itbl.create ~capacity:4096 ();
     inflight_idx = Itbl.create ~capacity:64 ();
@@ -251,12 +249,6 @@ let register_guest t ~vdisk ~gpa_pages ~resident_limit =
     t.guests <- bigger
   end;
   t.guests.(gid) <- Some g;
-  if t.nguests = Array.length t.guest_ids then begin
-    let bigger = Array.make (2 * t.nguests) 0 in
-    Array.blit t.guest_ids 0 bigger 0 t.nguests;
-    t.guest_ids <- bigger
-  end;
-  t.guest_ids.(t.nguests) <- gid;
   t.nguests <- t.nguests + 1;
   gid
 
@@ -431,6 +423,11 @@ let shrink_cgroup t g ~target =
      reclaims almost exclusively from the page cache, but never starves
      either list absolutely); without it, alternate. *)
   let rotor = ref 0 in
+  (* Once the swap area has refused a slot, no anonymous page can leave
+     in this call: scan the file lists only, as Linux's get_scan_count
+     does when no swap is free, instead of trying every anon page
+     until the scan budget runs out. *)
+  let swap_full = ref false in
   let victim_order () =
     incr rotor;
     let file_first =
@@ -440,13 +437,14 @@ let shrink_cgroup t g ~target =
         t.reclaim_toggle
       end
     in
-    if file_first then [ Cgroup.File_inactive; Cgroup.Anon_inactive ]
+    if !swap_full then [ Cgroup.File_inactive ]
+    else if file_first then [ Cgroup.File_inactive; Cgroup.Anon_inactive ]
     else [ Cgroup.Anon_inactive; Cgroup.File_inactive ]
   in
   let continue_ = ref true in
   while !continue_ && !freed < target do
     refill_inactive t g ~file:true ~scanned;
-    refill_inactive t g ~file:false ~scanned;
+    if not !swap_full then refill_inactive t g ~file:false ~scanned;
     let victim =
       let rec try_lists = function
         | [] -> None
@@ -479,6 +477,7 @@ let shrink_cgroup t g ~target =
              its active list so the scan moves past it; once even
              forced eviction fails there is nothing left to free. *)
           Cgroup.move g.cgroup active_of_list frame;
+          swap_full := true;
           if forced then continue_ := false
         end
   done;
@@ -507,9 +506,8 @@ let ensure_frames t g ~need =
     while Frames.nfree t.frames < goal && !consecutive_failures < max 1 n do
       if n = 0 then consecutive_failures := 1
       else begin
-        let gid = t.guest_ids.(t.global_rr mod n) in
+        let victim = guest t (t.global_rr mod n) in
         t.global_rr <- t.global_rr + 1;
-        let victim = guest t gid in
         if Cgroup.resident victim.cgroup * n < t.config.total_frames / 4 then
           incr consecutive_failures
         else begin
@@ -642,8 +640,7 @@ let emergency_reclaim t ~requester ~need =
   let rec kill_pass () =
     if Frames.nfree t.frames < need then begin
       let best = ref None in
-      for i = 0 to t.nguests - 1 do
-        let gid = t.guest_ids.(i) in
+      for gid = 0 to t.nguests - 1 do
         let g = guest t gid in
         if (not g.killed) && Cgroup.resident g.cgroup > 0 then begin
           let cand = (gid <> requester, Cgroup.resident g.cgroup, -gid) in

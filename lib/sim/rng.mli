@@ -12,6 +12,11 @@ val create : int64 -> t
 (** [of_int seed] is [create] on a native int seed. *)
 val of_int : int -> t
 
+(** [mix z] is the SplitMix64 finalizer: a bijection on 64 bits that
+    spreads every input bit over the output.  Pure, so it can hash
+    coordinates into a value without a generator. *)
+val mix : int64 -> int64
+
 (** [split t] derives an independent generator, advancing [t]. *)
 val split : t -> t
 

@@ -1,7 +1,8 @@
 (* Lint files with the strict Metrics.Json parser; exit 1 naming the
-   first offence.  The bench smoke matrix runs this over every summary
-   `vswapper_sim run --json` emits, so an invalid byte (like the old
-   `+2.943` delta) fails `dune runtest` instead of the next consumer. *)
+   first offence.  The paper-figure golden and the smoke matrix in
+   bench/ run this over every summary `vswapper_sim run --json` emits,
+   so an invalid byte (like the old `+2.943` delta) fails `dune
+   runtest` instead of the next consumer. *)
 let () =
   let ok = ref true in
   Array.iteri

@@ -655,7 +655,9 @@ let fault_plan ?(media = 0.0) ?(transient = 0.0) seed =
 
 (* Swap fills up under a tight cgroup cap: eviction must fall back to
    leaving pages resident (counted) instead of crashing, and the guest
-   must keep running with all its data intact. *)
+   must keep running with all its data intact.  Once the swap area has
+   refused a slot, the rest of that reclaim pass leaves anonymous pages
+   alone, so each of the 201 writes costs at most one refusal. *)
 let swap_full_falls_back_gracefully () =
   let rig = mk_rig ~swap_slots:64 ~limit:(Some 96) () in
   let c = C.fresh_anon () in
@@ -663,6 +665,8 @@ let swap_full_falls_back_gracefully () =
   fill_anon rig ~first:1 ~n:200;
   Alcotest.(check bool) "fallbacks counted" true
     (rig.stats.Metrics.Stats.swap_full_fallbacks > 0);
+  Alcotest.(check bool) "at most one refused slot per write" true
+    (rig.stats.Metrics.Stats.swap_full_fallbacks <= 201);
   Alcotest.(check bool) "resident overshoots the cap rather than failing"
     true
     (H.resident rig.host rig.gid > 96);
