@@ -54,7 +54,6 @@ type shard = {
   hid : int;
   engine : Sim.Engine.t;
   stats : Metrics.Stats.t;
-  disk : Storage.Disk.t;
   host : H.t;
   gid_vm : (int, vm) Hashtbl.t;  (* controller-maintained gid map *)
   mutable vms : vm list;  (* live VMs, stable placement order *)
@@ -121,7 +120,6 @@ let build_shard hid =
   (* Per-shard disk layout mirrors [Vmm.Machine]: hv region, host swap,
      then a cursor growing one image per placed VM (never reused —
      tenants are short-lived but sectors are cheap). *)
-  let hv_base_sector = 0 in
   let swap_base =
     Storage.Geom.sectors_of_pages (Storage.Geom.pages_of_mb hv_region_mb)
   in
@@ -135,14 +133,13 @@ let build_shard hid =
   in
   let host =
     H.create ~engine ~disk ~stats ~config:hconfig
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ~hv_base_sector ()
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
   in
   let shard =
     {
       hid;
       engine;
       stats;
-      disk;
       host;
       gid_vm = Hashtbl.create 64;
       vms = [];

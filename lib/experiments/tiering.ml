@@ -1,6 +1,6 @@
-(* Tiered swap backends: the fig3 overcommitted sequential read, re-run
-   with the host swap area split across a fast and a slow backend.  Not
-   a figure of the paper — a sweep validating this repo's backend work:
+(* Tiered swap: the fig3 overcommitted sequential read, re-run with the
+   host swap area split across a fast tier and the disk.  Not a figure
+   of the paper — a sweep validating this repo's tiering work:
    as the fast-tier share grows (compressed RAM or a low-RTT remote tier
    absorbing more of the swap traffic), swapping itself gets cheaper, so
    the baseline's penalty for its extra swap I/O (silent swap writes,
@@ -18,11 +18,10 @@ let configs = [ Exp.Baseline; Exp.Vswapper_full ]
    (1.25 is the compressibility-hash ceiling): the share knob is then
    the only thing moving, so each panel sweeps one variable.  Panel (b)
    sweeps the ratio itself. *)
-let tiers_cfg ~fast ~slow ?(share = 50) ?(ratio = 1.25) ?(rtt = 20) () =
+let tiers_cfg ~fast ?(share = 50) ?(ratio = 1.25) ?(rtt = 20) () =
   {
     Storage.Tiers.disk_only with
     Storage.Tiers.fast;
-    slow;
     fast_share_percent = share;
     czram_admit_ratio = ratio;
     remote_rtt_us = rtt;
@@ -63,16 +62,12 @@ let runtime (o : Exp.run_out) = o.Exp.runtime_s
 let run ~scale ~faults:_ =
   (* One grid over every panel's knobs, so the three panels' points run
      together; each panel then slices its own columns back out. *)
-  let czram =
-    tiers_cfg ~fast:Storage.Tiers.Czram ~slow:Storage.Tiers.Disk_tier
-  in
+  let czram = tiers_cfg ~fast:Storage.Tiers.Czram in
   let knobs =
     List.map (fun share -> czram ~share ()) fast_shares
     @ List.map (fun ratio -> czram ~ratio ()) admit_ratios
     @ List.map
-        (fun rtt ->
-          tiers_cfg ~fast:Storage.Tiers.Remote ~slow:Storage.Tiers.Disk_tier
-            ~rtt ())
+        (fun rtt -> tiers_cfg ~fast:Storage.Tiers.Remote ~rtt ())
         remote_rtts_us
   in
   let results = Exp.grid (run_point ~scale) configs knobs in

@@ -5,7 +5,6 @@ module Content = Storage.Content
 type slot_state = S_unmapped | S_mapped of int | S_swapped of int
 
 type region = {
-  rid : int;
   slots : slot_state array;
   mutable live : bool;
 }
@@ -42,7 +41,6 @@ type t = {
   swap_alloc : Slot_alloc.t;
   swap_rev : (int, region * int) Hashtbl.t;  (* slot -> (region, idx) *)
   mutable fs_cursor : int;  (* next unallocated data block *)
-  mutable next_rid : int;
   mutable next_fid : int;
   kernel_gpas : int array;
   mutable kernel_rr : int;
@@ -119,7 +117,6 @@ let create ~engine ~host ~gid ~stats ~config =
     swap_alloc = Slot_alloc.create ~nslots:config.Gconfig.swap_blocks;
     swap_rev = Hashtbl.create 4096;
     fs_cursor = config.Gconfig.swap_blocks;
-    next_rid = 0;
     next_fid = 0;
     (* pinned kernel text/data, unevictable *)
     kernel_gpas = Array.make (min (Storage.Geom.pages_of_mb 24) (n / 8)) (-1);
@@ -264,7 +261,10 @@ let evict_page t gpa k =
                 Hashtbl.remove t.swap_rev slot;
                 if Slot_alloc.is_allocated t.swap_alloc slot then
                   Slot_alloc.free t.swap_alloc slot;
-                if t.kinds.(gpa) = K_anon (r, idx) then free_gpa t gpa
+                match t.kinds.(gpa) with
+                | K_anon (r', idx') when r' == r && idx' = idx ->
+                    free_gpa t gpa
+                | _ -> ()
               end;
               k true))
   | K_free | K_kernel | K_balloon -> assert false
@@ -573,12 +573,7 @@ let fsync_file t f k =
 (* Anonymous memory                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_region t ~pages =
-  let r =
-    { rid = t.next_rid; slots = Array.make pages S_unmapped; live = true }
-  in
-  t.next_rid <- t.next_rid + 1;
-  r
+let alloc_region _t ~pages = { slots = Array.make pages S_unmapped; live = true }
 
 let region_pages r = Array.length r.slots
 

@@ -116,7 +116,6 @@ type t = {
   config : Hconfig.t;
   vs : Vswapper.Vsconfig.t;
   swap : Storage.Swap_area.t;
-  hv_base_sector : int;
   frames : Frames.t;
   mutable guests : guest option array;  (* dense gids index directly *)
   mutable nguests : int;  (* gids 0 .. nguests - 1 are registered *)
@@ -175,8 +174,7 @@ let validate (c : Hconfig.t) =
     (c.qos_rate = 0 || c.qos_burst >= 1)
     "qos_burst" ">= 1 when qos_rate > 0"
 
-let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap ~hv_base_sector
-    () =
+let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap () =
   validate config;
   (* Swap I/O always goes through a [Tiers]; without an explicit one we
      build the disk-only passthrough, which is call-for-call identical
@@ -196,7 +194,6 @@ let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap ~hv_base_sector
     config;
     vs = vsconfig;
     swap;
-    hv_base_sector;
     frames = Frames.create ~nframes:config.Hconfig.total_frames;
     guests = Array.make 8 None;
     nguests = 0;
@@ -383,7 +380,7 @@ let evict_frame t frame =
                 (* Fire-and-forget: nobody awaits the swap-out ack, so
                    skip the completion event entirely.  The tier
                    composite picks where the page lands. *)
-                Storage.Tiers.swap_out t.tiers ~slot ~queue:0;
+                Storage.Tiers.swap_out t.tiers ~slot;
                 true
           end
         end
@@ -1614,7 +1611,7 @@ let relocate_slot t slot =
             Itbl.remove t.slot_owner slot;
             Itbl.set t.slot_owner nslot owner;
             Storage.Swap_area.free t.swap slot;
-            Storage.Tiers.swap_out t.tiers ~slot:nslot ~queue:0;
+            Storage.Tiers.swap_out t.tiers ~slot:nslot;
             true
           end
     end

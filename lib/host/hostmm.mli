@@ -43,7 +43,6 @@ val create :
   config:Hconfig.t ->
   vsconfig:Vswapper.Vsconfig.t ->
   swap:Storage.Swap_area.t ->
-  hv_base_sector:int ->
   unit ->
   t
 

@@ -43,7 +43,7 @@ let rec verify t slot =
     t.stats.Metrics.Stats.scrub_verify_reads + 1;
   t.inflight <- t.inflight + 1;
   Storage.Tiers.verify_read t.tiers ~slot ~queue:0 ~attempt:0
-    (fun (reply : Storage.Backend.reply) ->
+    (fun (reply : Storage.Disk.reply) ->
       t.inflight <- t.inflight - 1;
       (match reply.result with
       | Ok () | Error Faults.Error.Transient ->

@@ -8,7 +8,6 @@ type config = {
   max_batch_sectors : int;
   num_queues : int;
   per_queue_depth : int;
-  destage_queues : int;
 }
 
 let default_config =
@@ -16,7 +15,6 @@ let default_config =
     max_batch_sectors = 8_192; (* 4 MiB read batches *)
     num_queues = 1;
     per_queue_depth = 1;
-    destage_queues = 1;
   }
 
 (* The paper's testbed drive: a 7200 RPM, ~2 TB Constellation. *)
@@ -42,20 +40,15 @@ type request = {
 
 (* One NVMe-style submission queue with its own service channel: a
    private sorted pending set, C-LOOK cursor (head), and up to
-   [per_queue_depth] batches on the media at once.  The first
-   [destage_queues] queues double as destage channels for the shared
-   write buffer — each with its own [flushing] flag, so a
-   writeback-heavy workload no longer serializes destaging behind
-   queue 0 while the other channels idle.  With the default
-   [destage_queues = 1], a single-queue device degenerates to the
-   classic one-spindle elevator. *)
+   [per_queue_depth] batches on the media at once.  Queue 0 doubles as
+   the destage channel for the shared write buffer, so a single-queue
+   device degenerates to the classic one-spindle elevator. *)
 type queue = {
   qid : int;
   mutable reads : request list;  (* sorted by (sector, seq) *)
   mutable nreads : int;
   mutable head : int;  (* sector just past this channel's last transfer *)
   mutable in_service : int;  (* batches currently on the media *)
-  mutable flushing : bool;  (* a destage chunk occupies this channel *)
   mutable batches : int;  (* lifetime media batches served here *)
   mutable depth_highwater : int;
 }
@@ -70,6 +63,7 @@ type t = {
   queues : queue array;
   mutable next_seq : int;
   write_runs : Write_runs.t;  (* the dirty sectors awaiting destage *)
+  mutable flushing : bool;  (* a destage chunk occupies queue 0 *)
   mutable flush_epoch : int;  (* destage count; keys transient write faults *)
   destage_attempts : (int, int) Hashtbl.t;
       (* sector -> failed destage count; never iterated (determinism) *)
@@ -87,9 +81,6 @@ let create ~engine ~stats ?(faults = Faults.Plan.none) config =
   require (config.max_batch_sectors >= 1) "max_batch_sectors" ">= 1";
   require (config.num_queues >= 1) "num_queues" ">= 1";
   require (config.per_queue_depth >= 1) "per_queue_depth" ">= 1";
-  require
-    (1 <= config.destage_queues && config.destage_queues <= config.num_queues)
-    "destage_queues" "in [1, num_queues]";
   {
     engine;
     stats;
@@ -103,12 +94,12 @@ let create ~engine ~stats ?(faults = Faults.Plan.none) config =
             nreads = 0;
             head = 0;
             in_service = 0;
-            flushing = false;
             batches = 0;
             depth_highwater = 0;
           });
     next_seq = 0;
     write_runs = Write_runs.create ();
+    flushing = false;
     flush_epoch = 0;
     destage_attempts = Hashtbl.create 64;
     idle_timer = Sim.Engine.null;
@@ -235,8 +226,9 @@ let take_batch t q =
 
 let total_in_service t =
   Array.fold_left
-    (fun acc q -> acc + q.in_service + if q.flushing then 1 else 0)
-    0 t.queues
+    (fun acc q -> acc + q.in_service)
+    (if t.flushing then 1 else 0)
+    t.queues
 
 let total_reads t = Array.fold_left (fun acc q -> acc + q.nreads) 0 t.queues
 
@@ -284,7 +276,7 @@ let enter_service t q =
    here iterates a hashtable — so output is byte-identical at any
    [--jobs] width. *)
 let rec pump t q =
-  if q.qid < t.config.destage_queues then pump0 t q else pump_reads t q
+  if q.qid = 0 then pump0 t q else pump_reads t q
 
 and pump_reads t q =
   if q.in_service < t.config.per_queue_depth && q.reads <> [] then
@@ -297,13 +289,13 @@ and pump_reads t q =
 and pump0 t q =
   let over_cap = Write_runs.sectors t.write_runs > write_buffer_sectors in
   if over_cap then begin
-    if (not q.flushing) && q.in_service = 0 then flush_chunk t q
+    if (not t.flushing) && q.in_service = 0 then flush_chunk t q
   end
   else if q.reads = [] then begin
-    if Write_runs.count t.write_runs > 0 && (not q.flushing) && q.in_service = 0
+    if Write_runs.count t.write_runs > 0 && (not t.flushing) && q.in_service = 0
     then arm_idle_timer t
   end
-  else if (not q.flushing) && q.in_service < t.config.per_queue_depth then
+  else if (not t.flushing) && q.in_service < t.config.per_queue_depth then
     match take_batch t q with
     | None -> ()
     | Some b ->
@@ -316,7 +308,7 @@ and flush_chunk t q =
   with
   | None -> pump0 t q
   | Some (sector, nsectors) ->
-      q.flushing <- true;
+      t.flushing <- true;
       (* Each destage draws a fresh epoch; transient write faults hash
          the epoch, so a re-queued sector re-rolls on its next destage
          and the retry loop converges geometrically. *)
@@ -326,7 +318,7 @@ and flush_chunk t q =
       let dt = service_time_from ~head:q.head ~sector ~nsectors in
       q.head <- sector + nsectors;
       (Sim.Engine.run_after t.engine dt (fun () ->
-             q.flushing <- false;
+             t.flushing <- false;
              inject_destage_faults t ~sector ~nsectors ~epoch;
              pump0 t q))
 
@@ -395,13 +387,12 @@ and arm_idle_timer t =
            (Sim.Time.us idle_flush_delay_us)
            (fun () ->
              t.idle_timer <- Sim.Engine.null;
-             (* Destage in the background only if idle right now; with
-                several destage channels, start one chunk on each. *)
-             if total_in_service t = 0 && total_reads t = 0 then
-               for qid = 0 to t.config.destage_queues - 1 do
-                 if Write_runs.count t.write_runs > 0 then
-                   flush_chunk t t.queues.(qid)
-               done))
+             (* Destage in the background only if idle right now. *)
+             if
+               total_in_service t = 0
+               && total_reads t = 0
+               && Write_runs.count t.write_runs > 0
+             then flush_chunk t t.queues.(0)))
 
 and start_batch t q = function
   | From_buffer req ->
@@ -488,21 +479,18 @@ let submit t ~sector ~nsectors ~kind ?(queue = 0) ?(attempt = 0) completion =
       let dt = Sim.Time.us write_ack_us in
       (* Buffered-write acks always succeed: the cache absorbed the data
          (media errors on destage are invisible to the submitter, as on
-         a real write-back drive).  The data lands in the shared buffer
-         regardless of [queue]; the argument picks which destage channel
-         gets kicked, folded into [0, destage_queues). *)
+         a real write-back drive).  The data lands in the shared buffer,
+         whatever [queue] says, and kicks the destage channel. *)
       (Sim.Engine.run_after t.engine dt (fun () ->
              completion { result = Ok (); service = dt }));
-      let dqs = t.config.destage_queues in
-      pump0 t t.queues.(((queue mod dqs) + dqs) mod dqs)
+      pump0 t t.queues.(0)
 
 (* Buffered write without a completion event: for fire-and-forget
    destaging traffic (e.g. swap-out) whose ack nobody awaits. *)
-let write_buffered ?(queue = 0) t ~sector ~nsectors =
+let write_buffered t ~sector ~nsectors =
   check_bounds ~who:"write_buffered" ~sector ~nsectors;
   Write_runs.add t.write_runs ~sector ~nsectors;
-  let dqs = t.config.destage_queues in
-  pump0 t t.queues.(((queue mod dqs) + dqs) mod dqs)
+  pump0 t t.queues.(0)
 
 let queue_depth t =
   total_reads t + Write_runs.count t.write_runs + total_in_service t

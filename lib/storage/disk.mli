@@ -47,10 +47,8 @@
     {!submit}, reduced mod [num_queues]), every queue runs its own
     C-LOOK elevator with a private head cursor, and queues service
     batches in parallel — up to [per_queue_depth] concurrent batches
-    per queue — like independent flash channels.  The first
-    [destage_queues] queues (default: just queue 0) double as destage
-    channels for the shared write buffer, each with its own
-    destage-in-flight flag.  Completion
+    per queue — like independent flash channels.  Queue 0 doubles as
+    the one destage channel for the shared write buffer.  Completion
     ordering stays deterministic: every batch completion is one engine
     event, same-tick events fire in schedule order, and no code path
     depends on hashtable iteration, so a sweep's output is
@@ -79,12 +77,6 @@ type config = {
       (** NVMe-style submission queues; 1 = classic elevator; [>= 1] *)
   per_queue_depth : int;
       (** concurrent in-service batches per queue; [>= 1] *)
-  destage_queues : int;
-      (** how many of the first queues double as destage channels for the
-          shared write buffer; in [1, num_queues].  The default 1
-          preserves the classic behaviour where only queue 0 destages; a
-          writeback-heavy workload can raise it so flushing no longer
-          serializes behind one channel. *)
 }
 
 (** A 7200 RPM enterprise drive, roughly the paper's Constellation:
@@ -114,11 +106,8 @@ val create :
     it, not when the media is updated).  Each submitted request's [k] runs
     exactly once, even when the request is coalesced into a batch.
     [queue] (default 0) steers a read to a submission queue (reduced mod
-    [num_queues]).  Writes land in the shared buffer regardless of
-    [queue] and the ack latency is queue-independent; the argument
-    instead selects which destage channel is kicked (reduced mod
-    [destage_queues], so with the default single channel every value is
-    equivalent to 0 rather than silently dropped).
+    [num_queues]); a write ignores it, landing in the shared buffer
+    with a queue-independent ack latency.
     [attempt] (default 0) is the resubmission count of a retried read; it
     keys the transient-fault hash, so a retry of a transiently failed
     sector can succeed while media errors persist.  Raises [Invalid_arg]
@@ -137,9 +126,8 @@ val submit :
 (** [write_buffered t ~sector ~nsectors] is [submit ~kind:Write] without a
     completion: the sectors enter the write buffer and no acknowledgment
     event is scheduled.  For fire-and-forget destaging traffic (swap-out)
-    whose ack nobody awaits.  [queue] selects the destage channel exactly
-    as in {!submit}.  Bounds-checked like {!submit}. *)
-val write_buffered : ?queue:int -> t -> sector:int -> nsectors:int -> unit
+    whose ack nobody awaits.  Bounds-checked like {!submit}. *)
+val write_buffered : t -> sector:int -> nsectors:int -> unit
 
 (** [queue_depth t] counts waiting reads (all queues), plus buffered
     write runs, plus every batch or flush currently occupying the

@@ -28,15 +28,15 @@ val alloc : t -> Content.t -> int option
     error. *)
 val free : t -> int -> unit
 
-(** {2 Backend-tier metadata}
+(** {2 Tier metadata}
 
-    A tiered swap backend ({!Tiers}) stores each page on one of its
-    tiers; the area records which, so swap-in, readahead grouping and
+    Tiered swap ({!Tiers}) stores each page on its fast tier or on the
+    disk; the area records which, so swap-in, readahead grouping and
     release all agree without shadow tables. *)
 
-(** [set_tier t slot tier] records the backend tier holding [slot]'s
-    page.  [alloc] resets a slot's tier to 0 (the fast tier / sole
-    disk). *)
+(** [set_tier t slot tier] records the tier holding [slot]'s page (0 the
+    fast tier, 1 the disk).  [alloc] resets a slot's tier to 0 (the
+    fast tier, or the sole disk in passthrough). *)
 val set_tier : t -> int -> int -> unit
 
 (** [tier t slot] is the backend tier recorded for [slot] (0 unless a

@@ -59,7 +59,7 @@ val default_guest : workload:Workload.t -> guest_spec
     (one queue), the sync fault path, disk-only swap, no faults, no
     scrubber and no QoS, seed 42.  It reads nothing from the
     environment: every knob is a field of the record, so an experiment
-    selects async faults, a multi-queue disk, a tier pair, the
+    selects async faults, a multi-queue disk, a fast swap tier, the
     scrubber or QoS admission by overriding [async_faults], [disk],
     [tiers] or [hbase] on the result. *)
 val default : guests:guest_spec list -> t

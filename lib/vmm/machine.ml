@@ -46,7 +46,35 @@ type result = {
   hit_time_limit : bool;
 }
 
+(* Reject an out-of-range config field up front, naming it, instead of
+   clamping it or failing downstream under a derived name. *)
+let validate (cfg : Config.t) =
+  let require ok field range =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Machine.build: Vmm.Config.%s must be %s" field range)
+  in
+  require (cfg.host_mem_mb >= 1) "host_mem_mb" ">= 1";
+  require (cfg.host_swap_mb >= 1) "host_swap_mb" ">= 1";
+  require (cfg.time_limit > Sim.Time.zero) "time_limit" "> 0";
+  List.iter
+    (fun (g : Config.guest_spec) ->
+      require (g.mem_mb >= 1) "guest_spec.mem_mb" ">= 1";
+      require (g.vcpus >= 1) "guest_spec.vcpus" ">= 1";
+      require (g.data_mb >= 0) "guest_spec.data_mb" ">= 0";
+      Option.iter
+        (fun mb -> require (mb >= 1) "guest_spec.resident_limit_mb" ">= 1")
+        g.resident_limit_mb;
+      Option.iter
+        (fun mb ->
+          require
+            (1 <= mb && mb <= g.mem_mb)
+            "guest_spec.balloon_static_mb" "in [1, mem_mb]")
+        g.balloon_static_mb)
+    cfg.guests
+
 let build (cfg : Config.t) =
+  validate cfg;
   let engine = Sim.Engine.create () in
   let stats = Metrics.Stats.create () in
   let faults = Faults.Plan.create cfg.faults in
@@ -57,7 +85,6 @@ let build (cfg : Config.t) =
   let disk_faults = if cfg.epoch_faults then Faults.Plan.none else faults in
   let disk = Storage.Disk.create ~engine ~stats ~faults:disk_faults cfg.disk in
   (* Physical disk layout: [hv region | guest images ... | host swap]. *)
-  let hv_base_sector = 0 in
   let cursor = ref (Storage.Geom.sectors_of_pages (Storage.Geom.pages_of_mb 64)) in
   let vdisks =
     List.mapi
@@ -88,7 +115,7 @@ let build (cfg : Config.t) =
   in
   let host =
     Host.Hostmm.create ~engine ~disk ~tiers ~stats ~config:hconfig
-      ~vsconfig:cfg.vs ~swap ~hv_base_sector ()
+      ~vsconfig:cfg.vs ~swap ()
   in
   let gruns =
     Array.of_list
@@ -107,7 +134,7 @@ let build (cfg : Config.t) =
              spec;
              os;
              gid;
-             idle_vcpus = max 1 spec.vcpus;
+             idle_vcpus = spec.vcpus;
              ready = Queue.create ();
              threads = [];
              live_threads = 0;
@@ -319,7 +346,7 @@ let boot_guest t g () =
           let target =
             gcfg.Guest.Gconfig.mem_pages - Storage.Geom.pages_of_mb usable_mb
           in
-          Guestos.set_balloon_target g.os ~pages:(max 0 target)
+          Guestos.set_balloon_target g.os ~pages:target
       | None -> ());
       wait_balloon t g
         (fun () ->

@@ -26,6 +26,11 @@ type result = {
   hit_time_limit : bool;
 }
 
+(** Raises [Invalid_argument] naming the first {!Config.t} field out of
+    range: [host_mem_mb], [host_swap_mb] and each guest's [mem_mb] and
+    [vcpus] must be [>= 1], [time_limit > 0], a guest's [data_mb >= 0],
+    its [resident_limit_mb], when set, [>= 1] and its
+    [balloon_static_mb], when set, in [\[1, mem_mb\]]. *)
 val build : Config.t -> t
 
 (** {2 Accessors for probes and tests; valid after [build]} *)

@@ -98,7 +98,7 @@ let manager_stop_freezes_targets () =
   let host =
     Host.Hostmm.create ~engine ~disk ~stats
       ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default 16)
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ~hv_base_sector:0 ()
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
   in
   let gid = Host.Hostmm.register_guest host ~vdisk ~gpa_pages:4096 ~resident_limit:None in
   let os =

@@ -29,7 +29,7 @@ let mk_rig ?(mem_mb = 16) ?resident_limit_mb () =
   let hconfig = Host.Hconfig.with_memory_mb Host.Hconfig.default 128 in
   let host =
     H.create ~engine ~disk ~stats ~config:hconfig
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ~hv_base_sector:0 ()
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
   in
   let gid =
     H.register_guest host ~vdisk ~gpa_pages:gcfg.Guest.Gconfig.mem_pages
@@ -254,7 +254,7 @@ let bad_config_fails_loudly () =
   let host =
     H.create ~engine ~disk ~stats
       ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default 16)
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ~hv_base_sector:0 ()
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
   in
   let create config = ignore (G.create ~engine ~host ~gid:0 ~stats ~config) in
   let d = Guest.Gconfig.default ~mem_mb:4 in

@@ -42,8 +42,7 @@ let mk_rig ?(vs = Vswapper.Vsconfig.baseline) ?(limit = Some 96)
     }
   in
   let host =
-    H.create ~engine ~disk ~stats ~config ~vsconfig:vs ~swap ~hv_base_sector:0
-      ()
+    H.create ~engine ~disk ~stats ~config ~vsconfig:vs ~swap ()
   in
   let gid =
     H.register_guest host ~vdisk ~gpa_pages:512 ~resident_limit:limit
@@ -175,7 +174,7 @@ let bad_config_fails_loudly () =
     let swap = Storage.Swap_area.create ~base_sector:1_000_000 ~nslots:64 in
     ignore
       (H.create ~engine ~disk ~stats ~config
-         ~vsconfig:Vswapper.Vsconfig.baseline ~swap ~hv_base_sector:0 ())
+         ~vsconfig:Vswapper.Vsconfig.baseline ~swap ())
   in
   let d = Host.Hconfig.default in
   List.iter create
@@ -504,7 +503,7 @@ let two_guests_are_isolated () =
   in
   let host =
     H.create ~engine ~disk ~stats ~config ~vsconfig:Vswapper.Vsconfig.mapper_only
-      ~swap ~hv_base_sector:0 ()
+      ~swap ()
   in
   let g0 = H.register_guest host ~vdisk:vd0 ~gpa_pages:128 ~resident_limit:(Some 48) in
   let g1 = H.register_guest host ~vdisk:vd1 ~gpa_pages:128 ~resident_limit:(Some 48) in

@@ -304,7 +304,7 @@ let disk_bad_config_fails_loudly () =
   in
   let d = Storage.Disk.default_config in
   create d;
-  create { d with num_queues = 8; per_queue_depth = 4; destage_queues = 8 };
+  create { d with num_queues = 8; per_queue_depth = 4 };
   List.iter
     (fun (config, msg) ->
       Alcotest.check_raises msg
@@ -314,10 +314,6 @@ let disk_bad_config_fails_loudly () =
       ({ d with max_batch_sectors = 0 }, "max_batch_sectors must be >= 1");
       ({ d with num_queues = 0 }, "num_queues must be >= 1");
       ({ d with per_queue_depth = 0 }, "per_queue_depth must be >= 1");
-      ( { d with destage_queues = 0 },
-        "destage_queues must be in [1, num_queues]" );
-      ( { d with num_queues = 2; destage_queues = 3 },
-        "destage_queues must be in [1, num_queues]" );
     ]
 
 let disk_injects_typed_errors () =
@@ -992,97 +988,6 @@ let destage_retry_budget_bounds_livelock () =
   Alcotest.(check bool) "retries happened first" true
     (stats.Metrics.Stats.destage_transient_retries >= 64)
 
-(* With destage_queues = 2, two distant dirty runs destage on separate
-   queues concurrently, so the drain finishes sooner than the global
-   single-channel destage. *)
-let destage_parallel_queues_faster () =
-  let run destage_queues =
-    let engine = Sim.Engine.create () in
-    let stats = Metrics.Stats.create () in
-    let disk =
-      Storage.Disk.create ~engine ~stats
-        { Storage.Disk.default_config with num_queues = 2; destage_queues }
-    in
-    Storage.Disk.write_buffered ~queue:0 disk ~sector:100_000_000
-      ~nsectors:256;
-    Storage.Disk.write_buffered ~queue:1 disk ~sector:400_000_000
-      ~nsectors:256;
-    Test_util.drain engine;
-    check Alcotest.int "drained" 0 (Storage.Disk.buffered_write_sectors disk);
-    Sim.Time.to_us (Sim.Engine.now engine)
-  in
-  let serial = run 1 in
-  let parallel = run 2 in
-  Alcotest.(check bool)
-    (Printf.sprintf "2 destage queues (%d us) beat 1 (%d us)" parallel serial)
-    true (parallel < serial)
-
-(* ------------------------------------------------------------------ *)
-(* Swap-backend implementations                                        *)
-(* ------------------------------------------------------------------ *)
-
-let czram_admission_latency_serialization () =
-  let engine = Sim.Engine.create () in
-  let b =
-    Storage.Backend.czram ~engine ~seed:0 ~admit_ratio:0.6
-      ~pool_bytes:(1 lsl 30) ~compress_us:10 ~decompress_us:5 ()
-  in
-  (* Admission is a pure per-page property: some pages compress well
-     enough, others are rejected as incompressible. *)
-  let admitted =
-    List.filter
-      (fun p -> Storage.Backend.admit b ~sector:(p * 8))
-      (List.init 100 Fun.id)
-  in
-  let n = List.length admitted in
-  Alcotest.(check bool) "some admitted, some rejected" true (n > 0 && n < 100);
-  (* A lone page-in costs exactly the decompression time... *)
-  let s1 = ref 0 and s2 = ref 0 in
-  Storage.Backend.read b ~sector:0 ~nsectors:8 ~queue:0 ~attempt:0 (fun r ->
-      s1 := Sim.Time.to_us r.Storage.Backend.service);
-  (* ...and a concurrent one queues on the single compressor CPU. *)
-  Storage.Backend.read b ~sector:8 ~nsectors:8 ~queue:1 ~attempt:0 (fun r ->
-      s2 := Sim.Time.to_us r.Storage.Backend.service);
-  Test_util.drain engine;
-  check Alcotest.int "first read = decompress cost" 5 !s1;
-  check Alcotest.int "second serialized behind it" 10 !s2;
-  (* Pool accounting: writes grow the pool by the compressed size,
-     release returns exactly that size. *)
-  check Alcotest.int "empty pool" 0 (Storage.Backend.used_bytes b);
-  Storage.Backend.write b ~queue:0 ~sector:0 ~nsectors:8;
-  let used = Storage.Backend.used_bytes b in
-  Alcotest.(check bool) "compressed: between 0 and a page" true
-    (used > 0 && used < Storage.Geom.page_bytes);
-  Storage.Backend.release b ~sector:0 ~nsectors:8;
-  check Alcotest.int "release returns the same size" 0
-    (Storage.Backend.used_bytes b)
-
-let czram_pool_cap_rejects () =
-  let engine = Sim.Engine.create () in
-  (* Pool of one page: the second write cannot be admitted. *)
-  let b =
-    Storage.Backend.czram ~engine ~seed:0 ~admit_ratio:1.25
-      ~pool_bytes:Storage.Geom.page_bytes ~compress_us:10 ~decompress_us:5 ()
-  in
-  Alcotest.(check bool) "first fits" true (Storage.Backend.admit b ~sector:0);
-  Storage.Backend.write b ~queue:0 ~sector:0 ~nsectors:8;
-  Alcotest.(check bool) "overflow rejected" false
-    (Storage.Backend.admit b ~sector:800)
-
-let remote_rtt_and_link_queueing () =
-  let engine = Sim.Engine.create () in
-  (* 4 bytes/us: a 4 KiB page takes 1024 us on the link; RTT 100 us. *)
-  let b = Storage.Backend.remote ~engine ~rtt_us:100 ~bytes_per_us:4.0 () in
-  let s1 = ref 0 and s2 = ref 0 in
-  Storage.Backend.read b ~sector:0 ~nsectors:8 ~queue:0 ~attempt:0 (fun r ->
-      s1 := Sim.Time.to_us r.Storage.Backend.service);
-  Storage.Backend.read b ~sector:8 ~nsectors:8 ~queue:1 ~attempt:0 (fun r ->
-      s2 := Sim.Time.to_us r.Storage.Backend.service);
-  Test_util.drain engine;
-  check Alcotest.int "transfer + rtt" (1024 + 100) !s1;
-  check Alcotest.int "second queues on the link, rtt in parallel"
-    (2048 + 100) !s2
-
 (* ------------------------------------------------------------------ *)
 (* Tiered composite                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1110,6 +1015,123 @@ let mk_tiers ?faults cfg =
   let t = Storage.Tiers.create ?faults ~engine ~stats ~disk ~swap cfg in
   (engine, stats, swap, t)
 
+(* ------------------------------------------------------------------ *)
+(* Fast-tier backends: the czram and remote models, through Tiers      *)
+(* ------------------------------------------------------------------ *)
+
+let fresh_slot swap i =
+  Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon i))
+
+(* Read two fast-tier slots at the same instant, 1 ms from now, once the
+   swap-outs' own compress or link time has cleared; returns the two
+   reads' service times in µs. *)
+let concurrent_fast_reads engine swap t a b =
+  let service = Array.make 2 0 in
+  let read i slot =
+    Storage.Tiers.swap_in t ~slot
+      ~sector:(Storage.Swap_area.sector_of_slot swap slot)
+      ~nsectors:8 ~queue:0 ~attempt:0 (fun r ->
+        service.(i) <- Sim.Time.to_us r.Storage.Disk.service)
+  in
+  Sim.Engine.run_after engine (Sim.Time.ms 1) (fun () ->
+      read 0 a;
+      read 1 b);
+  Test_util.drain engine;
+  (service.(0), service.(1))
+
+let czram_admission_latency_serialization () =
+  let engine, stats, swap, t =
+    mk_tiers
+      {
+        Storage.Tiers.disk_only with
+        Storage.Tiers.fast = Storage.Tiers.Czram;
+        czram_admit_ratio = 0.6;
+      }
+  in
+  (* Admission is a pure per-page property: some pages compress well
+     enough, others are rejected as incompressible (128 fast slots and a
+     pool of 128 pages at ratio 0.6 leave compressibility the only
+     gate). *)
+  let slots = List.init 100 (fresh_slot swap) in
+  List.iter (fun slot -> Storage.Tiers.swap_out t ~slot) slots;
+  let n = stats.Metrics.Stats.tier_admissions in
+  Alcotest.(check bool) "some admitted, some rejected" true (n > 0 && n < 100);
+  check Alcotest.int "the rest went to the disk" (100 - n)
+    stats.Metrics.Stats.tier_rejects;
+  (* A lone page-in costs exactly the decompression time, and a
+     concurrent one queues on the single compressor CPU. *)
+  let fast = List.filter (fun s -> Storage.Swap_area.tier swap s = 0) slots in
+  let s1, s2 =
+    concurrent_fast_reads engine swap t (List.nth fast 0) (List.nth fast 1)
+  in
+  check Alcotest.int "first read = decompress cost" 5 s1;
+  check Alcotest.int "second serialized behind it" 10 s2
+
+(* A 1% share is 2 of the 256 slots, and the pool is sized to them at a
+   3/5 compressed ratio: a page can overflow it while a fast slot is
+   still free, so the rejection is the pool's. *)
+let czram_pool_cap_rejects () =
+  let cfg =
+    {
+      Storage.Tiers.disk_only with
+      Storage.Tiers.fast = Storage.Tiers.Czram;
+      czram_admit_ratio = 1.25;
+      fast_share_percent = 1;
+    }
+  in
+  (* Pages compressing to at most 0.6 fill both slots of this 1.2-page
+     pool: each page is charged its compressed size, not a page. *)
+  let _, _, swap6, t6 = mk_tiers { cfg with czram_admit_ratio = 0.6 } in
+  List.iter
+    (fun slot -> Storage.Tiers.swap_out t6 ~slot)
+    (List.init 16 (fresh_slot swap6));
+  check Alcotest.int "two compressed pages fit" 2 (Storage.Tiers.fast_slots t6);
+  let engine, stats, swap, t = mk_tiers cfg in
+  let first = fresh_slot swap 0 in
+  Storage.Tiers.swap_out t ~slot:first;
+  (* Offer pages beside [first] one at a time, freeing each that fits
+     (its bytes go back to the pool), until one overflows. *)
+  let rec overflowing i =
+    if i > 100 then Alcotest.fail "no page overflowed the pool";
+    let s = fresh_slot swap i in
+    Storage.Tiers.swap_out t ~slot:s;
+    if Storage.Swap_area.tier swap s = 1 then s
+    else begin
+      Storage.Swap_area.free swap s;
+      overflowing (i + 1)
+    end
+  in
+  let over = overflowing 1 in
+  Alcotest.(check (pair int int)) "overflow rejected beside a free slot"
+    (1, 2)
+    (Storage.Tiers.fast_slots t, Storage.Tiers.fast_capacity t);
+  (* Freeing [first] returns its bytes, so the rejected page now fits:
+     its next swap-in promotes it. *)
+  Storage.Swap_area.free swap first;
+  Storage.Tiers.swap_in t ~slot:over
+    ~sector:(Storage.Swap_area.sector_of_slot swap over)
+    ~nsectors:8 ~queue:0 ~attempt:0 ignore;
+  Test_util.drain engine;
+  check Alcotest.int "freed bytes let it in" 1
+    stats.Metrics.Stats.tier_promotions
+
+(* RTT 100 µs over the 10 Gbit/s link, where a page takes 3 µs. *)
+let remote_rtt_and_link_queueing () =
+  let engine, _, swap, t =
+    mk_tiers
+      {
+        Storage.Tiers.disk_only with
+        Storage.Tiers.fast = Storage.Tiers.Remote;
+        remote_rtt_us = 100;
+      }
+  in
+  let a = fresh_slot swap 0 and b = fresh_slot swap 1 in
+  Storage.Tiers.swap_out t ~slot:a;
+  Storage.Tiers.swap_out t ~slot:b;
+  let s1, s2 = concurrent_fast_reads engine swap t a b in
+  check Alcotest.int "transfer + rtt" (3 + 100) s1;
+  check Alcotest.int "second queues on the link, rtt in parallel" (6 + 100) s2
+
 (* Same for the tier composite: [fast_share_percent = 101] used to be
    clamped to 100. *)
 let tiers_bad_config_fails_loudly () =
@@ -1131,9 +1153,7 @@ let tiers_bad_config_fails_loudly () =
         "czram_admit_ratio must be >= 0" );
       ({ d with remote_rtt_us = -1 }, "remote_rtt_us must be >= 0");
       ({ d with writeback_idle_us = -1 }, "writeback_idle_us must be >= 0");
-      ({ d with writeback_batch = 0 }, "writeback_batch must be >= 1");
       ({ d with tier_error_budget = -1 }, "tier_error_budget must be >= 0");
-      ({ d with tier_probe_us = 0 }, "tier_probe_us must be >= 1");
     ]
 
 let tiers_routing_promotion_demotion () =
@@ -1144,10 +1164,8 @@ let tiers_routing_promotion_demotion () =
       (* remote admits everything (no compressibility, no pool), so the
          slot-share cap is the only admission gate — which is exactly
          what this test pins down. *)
-      slow = Storage.Tiers.Disk_tier;
       fast_share_percent = 25;
       writeback_idle_us = 1_000;
-      writeback_batch = 256;
     }
   in
   let engine, stats, swap, t = mk_tiers cfg in
@@ -1156,11 +1174,8 @@ let tiers_routing_promotion_demotion () =
   check Alcotest.int "fast cap is the share" 64 (Storage.Tiers.fast_capacity t);
   (* 80 swap-outs against a 64-slot fast tier: the cap binds (nothing is
      demotion-cold yet, all pages were written just now). *)
-  let slots =
-    List.init 80 (fun i ->
-        Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon i)))
-  in
-  List.iter (fun slot -> Storage.Tiers.swap_out t ~slot ~queue:0) slots;
+  let slots = List.init 80 (fresh_slot swap) in
+  List.iter (fun slot -> Storage.Tiers.swap_out t ~slot) slots;
   Test_util.drain engine;
   check Alcotest.int "first 64 admitted fast" 64
     stats.Metrics.Stats.tier_admissions;
@@ -1191,10 +1206,8 @@ let tiers_routing_promotion_demotion () =
   (* Let every fast page go cold, then swap out under a full fast tier:
      capacity pressure sweeps the clock hand and demotes. *)
   Sim.Engine.run_after engine (Sim.Time.us 5_000) (fun () ->
-      let s =
-        Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon 99))
-      in
-      Storage.Tiers.swap_out t ~slot:s ~queue:0);
+      let s = fresh_slot swap 99 in
+      Storage.Tiers.swap_out t ~slot:s);
   Test_util.drain engine;
   Alcotest.(check bool) "cold slots demoted under pressure" true
     (stats.Metrics.Stats.tier_demotions > 0);
@@ -1217,9 +1230,7 @@ let tiers_failover_trip_drain_recover () =
          decide which slots participate in the failover drill *)
       czram_admit_ratio = 1.25;
       fast_share_percent = 50;
-      writeback_batch = 64;
       tier_error_budget = 2;
-      tier_probe_us = 50_000;
     }
   in
   (* media_rate 1.0 corrupts every pool page: each fast-tier read is a
@@ -1228,11 +1239,8 @@ let tiers_failover_trip_drain_recover () =
     Faults.Plan.create (Faults.Config.make ~seed:11 ~media_rate:1.0 ())
   in
   let engine, stats, swap, t = mk_tiers ~faults cfg in
-  let slots =
-    List.init 16 (fun i ->
-        Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon i)))
-  in
-  List.iter (fun slot -> Storage.Tiers.swap_out t ~slot ~queue:0) slots;
+  let slots = List.init 16 (fresh_slot swap) in
+  List.iter (fun slot -> Storage.Tiers.swap_out t ~slot) slots;
   Test_util.drain engine;
   let resident = Storage.Tiers.fast_slots t in
   Alcotest.(check bool) "some pages admitted fast" true (resident > 0);
@@ -1257,10 +1265,8 @@ let tiers_failover_trip_drain_recover () =
     >= cfg.Storage.Tiers.tier_error_budget);
   (* An admission while degraded routes straight to the slow tier. *)
   let routes0 = stats.Metrics.Stats.tier_failover_routes in
-  let s =
-    Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon 99))
-  in
-  Storage.Tiers.swap_out t ~slot:s ~queue:0;
+  let s = fresh_slot swap 99 in
+  Storage.Tiers.swap_out t ~slot:s;
   check Alcotest.int "degraded admission rerouted" (routes0 + 1)
     stats.Metrics.Stats.tier_failover_routes;
   check Alcotest.int "rerouted slot lands on tier 1" 1
@@ -1276,11 +1282,9 @@ let tiers_failover_trip_drain_recover () =
   check Alcotest.int "one recovery event" 1
     stats.Metrics.Stats.tier_recovered_events;
   (* A healthy tier admits again. *)
-  let s2 =
-    Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon 123))
-  in
+  let s2 = fresh_slot swap 123 in
   let adm0 = stats.Metrics.Stats.tier_admissions in
-  Storage.Tiers.swap_out t ~slot:s2 ~queue:0;
+  Storage.Tiers.swap_out t ~slot:s2;
   Test_util.drain engine;
   check Alcotest.int "admission reopened" (adm0 + 1)
     stats.Metrics.Stats.tier_admissions
@@ -1295,18 +1299,14 @@ let tiers_remote_flap_degrades_and_recovers () =
       Storage.Tiers.fast = Storage.Tiers.Remote;
       fast_share_percent = 25;
       tier_error_budget = 1;
-      tier_probe_us = 10_000;
     }
   in
   let faults =
     Faults.Plan.create (Faults.Config.make ~seed:5 ~transient_rate:0.6 ())
   in
   let engine, stats, swap, t = mk_tiers ~faults cfg in
-  let slots =
-    List.init 8 (fun i ->
-        Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon i)))
-  in
-  List.iter (fun slot -> Storage.Tiers.swap_out t ~slot ~queue:0) slots;
+  let slots = List.init 8 (fresh_slot swap) in
+  List.iter (fun slot -> Storage.Tiers.swap_out t ~slot) slots;
   Test_util.drain engine;
   Alcotest.(check bool) "remote admits everything" true
     (Storage.Tiers.fast_slots t = 8);
@@ -1356,8 +1356,7 @@ let tiers_passthrough_differential =
           (fun (slot, out) ->
             let sector = slot * 8 in
             if out then
-              Storage.Disk.write_buffered ~queue:(slot mod 4) disk ~sector
-                ~nsectors:8
+              Storage.Disk.write_buffered disk ~sector ~nsectors:8
             else
               Storage.Disk.submit disk ~sector ~nsectors:8
                 ~kind:Storage.Disk.Read ~queue:(slot mod 4) (fun _ ->
@@ -1383,7 +1382,7 @@ let tiers_passthrough_differential =
         let log = ref [] in
         List.iter
           (fun (slot, out) ->
-            if out then Storage.Tiers.swap_out t ~slot ~queue:(slot mod 4)
+            if out then Storage.Tiers.swap_out t ~slot
             else
               Storage.Tiers.swap_in t ~slot ~sector:(slot * 8) ~nsectors:8
                 ~queue:(slot mod 4) ~attempt:0 (fun _ ->
@@ -1484,8 +1483,6 @@ let tests =
           destage_transient_retries_then_succeeds;
         Alcotest.test_case "retry budget bounds livelock" `Quick
           destage_retry_budget_bounds_livelock;
-        Alcotest.test_case "parallel destage queues faster" `Quick
-          destage_parallel_queues_faster;
       ] );
     ( "storage:backend",
       [

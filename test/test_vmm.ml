@@ -193,6 +193,45 @@ let machine_runs_twice_rejected () =
     (Invalid_argument "Machine.run: already ran") (fun () ->
       ignore (Vmm.Machine.run machine))
 
+(* An out-of-range Vmm.Config field fails at [build], naming the field:
+   a 0-vCPU guest or a static balloon larger than its guest is an
+   error, not clamped into range. *)
+let machine_bad_config_fails_loudly () =
+  let g =
+    {
+      (Vmm.Config.default_guest ~workload:(tiny_workload ~marks:(ref 0))) with
+      mem_mb = 32;
+      data_mb = 16;
+    }
+  in
+  let base =
+    { (Vmm.Config.default ~guests:[ g ]) with host_mem_mb = 128; host_swap_mb = 64 }
+  in
+  let with_guest g = { base with guests = [ g ] } in
+  let build cfg = ignore (Vmm.Machine.build cfg) in
+  build
+    (with_guest
+       { g with resident_limit_mb = Some 1; balloon_static_mb = Some 32 });
+  List.iter
+    (fun (cfg, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Machine.build: Vmm.Config." ^ msg)) (fun () ->
+          build cfg))
+    [
+      ({ base with host_mem_mb = 0 }, "host_mem_mb must be >= 1");
+      ({ base with host_swap_mb = 0 }, "host_swap_mb must be >= 1");
+      ({ base with time_limit = Sim.Time.zero }, "time_limit must be > 0");
+      (with_guest { g with mem_mb = 0 }, "guest_spec.mem_mb must be >= 1");
+      (with_guest { g with vcpus = 0 }, "guest_spec.vcpus must be >= 1");
+      (with_guest { g with data_mb = -1 }, "guest_spec.data_mb must be >= 0");
+      ( with_guest { g with resident_limit_mb = Some 0 },
+        "guest_spec.resident_limit_mb must be >= 1" );
+      ( with_guest { g with balloon_static_mb = Some 0 },
+        "guest_spec.balloon_static_mb must be in [1, mem_mb]" );
+      ( with_guest { g with balloon_static_mb = Some 33 },
+        "guest_spec.balloon_static_mb must be in [1, mem_mb]" );
+    ]
+
 let config_names () =
   let w = tiny_workload ~marks:(ref 0) in
   let g = Vmm.Config.default_guest ~workload:w in
@@ -277,6 +316,8 @@ let tests =
         Alcotest.test_case "time limit" `Quick machine_time_limit;
         Alcotest.test_case "single run" `Quick machine_runs_twice_rejected;
         Alcotest.test_case "config names" `Quick config_names;
+        Alcotest.test_case "bad config fails loudly" `Quick
+          machine_bad_config_fails_loudly;
         Test_util.qcheck async_sync_differential;
       ] );
   ]
