@@ -18,7 +18,6 @@ let default_policy =
   }
 
 type t = {
-  engine : Sim.Engine.t;
   host : Host.Hostmm.t;
   guests : Guest.Guestos.t list;
   policy : policy;
@@ -26,8 +25,29 @@ type t = {
   mutable timer : Sim.Engine.event;  (* the armed tick, for stop *)
 }
 
-let create ~engine ~host ~guests policy =
-  { engine; host; guests; policy; running = false; timer = Sim.Engine.null }
+(* A zero period would re-arm the tick at the same instant forever:
+   virtual time, and with it a machine's time limit, would stall. *)
+let validate p =
+  let require ok field range =
+    if not ok then
+      invalid_arg
+        (Printf.sprintf "Manager.create: Manager.policy.%s must be %s" field
+           range)
+  in
+  require (p.period > Sim.Time.zero) "period" "> 0";
+  require (p.host_reserve_frames >= 0) "host_reserve_frames" ">= 0";
+  require (p.guest_min_pages >= 0) "guest_min_pages" ">= 0";
+  require
+    (Float.is_finite p.guest_free_low && p.guest_free_low >= 0.0)
+    "guest_free_low" "finite and >= 0";
+  require
+    (Float.is_finite p.guest_free_high && p.guest_free_high >= p.guest_free_low)
+    "guest_free_high" "finite and >= guest_free_low";
+  require (p.step_pages >= 1) "step_pages" ">= 1"
+
+let create ~host ~guests policy =
+  validate policy;
+  { host; guests; policy; running = false; timer = Sim.Engine.null }
 
 (* One adjustment round.  Roughly MOM's Balloon rule: compute each
    guest's "slack" (free + clean page cache); under host pressure, grow
@@ -70,7 +90,9 @@ let rec tick t () =
   end
 
 and arm t =
-  t.timer <- Sim.Engine.schedule_after t.engine t.policy.period (tick t)
+  t.timer <-
+    Sim.Engine.schedule_after (Host.Hostmm.engine t.host) t.policy.period
+      (tick t)
 
 let start t =
   if not t.running then begin
@@ -82,5 +104,5 @@ let start t =
    fire into a stopped manager. *)
 let stop t =
   t.running <- false;
-  Sim.Engine.cancel t.engine t.timer;
+  Sim.Engine.cancel (Host.Hostmm.engine t.host) t.timer;
   t.timer <- Sim.Engine.null

@@ -9,27 +9,30 @@
     bounded rate — the reaction latency that makes ballooning "take
     time" under changing load (paper Section 2.3). *)
 
+(** {!create} rejects a field outside its stated range with
+    [Invalid_argument] naming it. *)
 type policy = {
-  period : Sim.Time.t;  (** sampling/adjustment interval *)
-  host_reserve_frames : int;  (** desired host free-frame cushion *)
-  guest_min_pages : int;  (** never balloon a guest below this *)
+  period : Sim.Time.t;  (** sampling/adjustment interval; [> 0] *)
+  host_reserve_frames : int;
+      (** desired host free-frame cushion; [>= 0] *)
+  guest_min_pages : int;  (** never balloon a guest below this; [>= 0] *)
   guest_free_low : float;
-      (** deflate when a guest's free fraction drops below this *)
+      (** deflate when a guest's free fraction drops below this; finite
+          and [>= 0] *)
   guest_free_high : float;
-      (** a guest with more free fraction than this is an inflation donor *)
-  step_pages : int;  (** max target change per guest per period *)
+      (** a guest with more free fraction than this is an inflation
+          donor; finite and [>= guest_free_low] *)
+  step_pages : int;  (** max target change per guest per period; [>= 1] *)
 }
 
 val default_policy : policy
 
 type t
 
-val create :
-  engine:Sim.Engine.t ->
-  host:Host.Hostmm.t ->
-  guests:Guest.Guestos.t list ->
-  policy ->
-  t
+(** [create ~host ~guests policy] builds a manager of [guests] that
+    runs on [host]'s engine.  Raises [Invalid_argument] naming the
+    first [policy] field out of range. *)
+val create : host:Host.Hostmm.t -> guests:Guest.Guestos.t list -> policy -> t
 
 (** [start t] begins the periodic adjustment loop. *)
 val start : t -> unit

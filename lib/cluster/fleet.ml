@@ -52,13 +52,10 @@ type vm = {
 
 type shard = {
   hid : int;
-  engine : Sim.Engine.t;
-  stats : Metrics.Stats.t;
   host : H.t;
   gid_vm : (int, vm) Hashtbl.t;  (* controller-maintained gid map *)
   mutable vms : vm list;  (* live VMs, stable placement order *)
   mutable committed_mb : int;
-  mutable image_cursor : int;  (* next free sector for a vdisk *)
   mutable run_to : Sim.Time.t;  (* epoch boundary for the step thunk *)
   mutable swapins_prev : int;  (* barrier snapshots for rate deltas *)
   mutable swapouts_prev : int;
@@ -109,42 +106,24 @@ type result = {
   live_heap_words : int;
 }
 
-let hv_region_mb = 64
-
+(* A shard's host starts with no image: [admit] lays one out past the
+   swap area per placed VM (never reused — tenants are short-lived but
+   sectors are cheap). *)
 let build_shard hid =
-  let engine = Sim.Engine.create () in
-  let stats = Metrics.Stats.create () in
-  let disk =
-    Storage.Disk.create ~engine ~stats Storage.Disk.default_config
-  in
-  (* Per-shard disk layout mirrors [Vmm.Machine]: hv region, host swap,
-     then a cursor growing one image per placed VM (never reused —
-     tenants are short-lived but sectors are cheap). *)
-  let swap_base =
-    Storage.Geom.sectors_of_pages (Storage.Geom.pages_of_mb hv_region_mb)
-  in
-  let nslots = Storage.Geom.pages_of_mb host_swap_mb in
-  let swap = Storage.Swap_area.create ~base_sector:swap_base ~nslots in
-  let image_cursor =
-    swap_base + Storage.Geom.sectors_of_pages nslots
-  in
-  let hconfig =
-    Host.Hconfig.with_memory_mb Host.Hconfig.default host_mem_mb
-  in
   let host =
-    H.create ~engine ~disk ~stats ~config:hconfig
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
+    H.create
+      ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default host_mem_mb)
+      ~vsconfig:Vswapper.Vsconfig.baseline
+      ~swap_slots:(Storage.Geom.pages_of_mb host_swap_mb)
+      ~images:[] ()
   in
   let shard =
     {
       hid;
-      engine;
-      stats;
       host;
       gid_vm = Hashtbl.create 64;
       vms = [];
       committed_mb = 0;
-      image_cursor;
       run_to = Sim.Time.zero;
       swapins_prev = 0;
       swapouts_prev = 0;
@@ -163,14 +142,9 @@ let build_shard hid =
 
 (* Register [vm] on [shard]: a fresh vdisk region, a fresh guest id. *)
 let admit shard vm =
-  let nblocks = vm.pages in
-  let vd =
-    Storage.Vdisk.create ~id:vm.tenant ~base_sector:shard.image_cursor
-      ~nblocks
-  in
-  shard.image_cursor <- Storage.Vdisk.end_sector vd;
+  let vdisk = H.add_image shard.host ~id:vm.tenant ~nblocks:vm.pages in
   let gid =
-    H.register_guest shard.host ~vdisk:vd ~gpa_pages:vm.pages
+    H.register_guest shard.host ~vdisk ~gpa_pages:vm.pages
       ~resident_limit:None
   in
   vm.gid <- gid;
@@ -191,6 +165,7 @@ let admit shard vm =
    or dying) when the quota is gone, the VM migrates away, or the host
    killed it; the controller re-arms parked chains at the barrier. *)
 let arm shard vm ~at =
+  let engine = H.engine shard.host in
   let rec chain () =
     if vm.dead || vm.host <> shard.hid then ()
     else if vm.migrating || vm.quota <= 0 then vm.parked <- true
@@ -203,7 +178,7 @@ let arm shard vm ~at =
         vm.populated <- true
       end;
       let next () =
-        Sim.Engine.run_after shard.engine (Sim.Time.us vm.gap_us) chain
+        Sim.Engine.run_after engine (Sim.Time.us vm.gap_us) chain
       in
       if not vm.populated then begin
         vm.anon_next <- vm.anon_next + 1;
@@ -214,7 +189,7 @@ let arm shard vm ~at =
     end
   in
   vm.parked <- false;
-  Sim.Engine.run_at shard.engine at chain
+  Sim.Engine.run_at engine at chain
 
 (* Deterministic fingerprint: a SplitMix fold over the reduced
    counters, so "same everything" is one comparable int. *)
@@ -249,7 +224,9 @@ let run ?pool (cfg : config) =
      allocation while the pool is stepping. *)
   let thunks =
     Array.map
-      (fun shard -> fun () -> ignore (Sim.Engine.run_until shard.engine shard.run_to))
+      (fun shard ->
+        let engine = H.engine shard.host in
+        fun () -> ignore (Sim.Engine.run_until engine shard.run_to))
       shards
   in
   let committed_ok = ref true in
@@ -408,8 +385,9 @@ let run ?pool (cfg : config) =
     let swapouts_epoch = ref 0 in
     Array.iter
       (fun shard ->
-        let si = shard.stats.Metrics.Stats.host_swapins in
-        let so = shard.stats.Metrics.Stats.host_swapouts in
+        let stats = H.stats shard.host in
+        let si = stats.Metrics.Stats.host_swapins in
+        let so = stats.Metrics.Stats.host_swapouts in
         let d_si = si - shard.swapins_prev in
         swapins_epoch := !swapins_epoch + d_si;
         swapouts_epoch := !swapouts_epoch + (so - shard.swapouts_prev);
@@ -462,13 +440,12 @@ let run ?pool (cfg : config) =
                   incr migs_started;
                   (* The copy runs inside the source's epoch, its reads
                      contending with the guests still running there; the
-                     dirty-rate throttle in [migrate_host] paces it if
-                     the source disk is struggling. *)
-                  Sim.Engine.run_at shard.engine t_start (fun () ->
-                      Migration.Migrate.migrate_host ~engine:shard.engine
-                        ~host:shard.host ~guest:vm.gid link
-                        Migration.Migrate.Full_copy (fun o ->
-                          m.outcome <- Some o))
+                     dirty-rate throttle in [Migrate.migrate] paces it
+                     if the source disk is struggling. *)
+                  Sim.Engine.run_at (H.engine shard.host) t_start (fun () ->
+                      Migration.Migrate.migrate ~host:shard.host
+                        ~guest:vm.gid link Migration.Migrate.Full_copy
+                        (fun o -> m.outcome <- Some o))
         end)
       shards;
     (* 5. Grant touch quotas and re-arm parked driver chains. *)
@@ -539,16 +516,7 @@ let run ?pool (cfg : config) =
      telemetry fold into one fleet-wide [Stats.t]. *)
   let totals = Metrics.Stats.create () in
   Array.iter
-    (fun shard ->
-      let tel = Sim.Engine.telemetry shard.engine in
-      shard.stats.Metrics.Stats.engine_events_fired <-
-        shard.stats.Metrics.Stats.engine_events_fired + tel.events_fired;
-      shard.stats.Metrics.Stats.engine_cancels_reclaimed <-
-        shard.stats.Metrics.Stats.engine_cancels_reclaimed
-        + tel.cancels_reclaimed;
-      shard.stats.Metrics.Stats.engine_cascades <-
-        shard.stats.Metrics.Stats.engine_cascades + tel.cascades;
-      Metrics.Stats.add totals shard.stats)
+    (fun shard -> Metrics.Stats.add totals (H.tally shard.host))
     shards;
   let fingerprint =
     List.fold_left

@@ -1,9 +1,9 @@
 (** Fleet simulator: N independent host simulations stepped in parallel
     epochs under a cluster controller.
 
-    Each host shard owns a full simulation stack — its own
-    {!Sim.Engine}, {!Storage.Disk}, swap area, {!Host.Hostmm} and
-    guests — and shares nothing mutable with any other shard, so an
+    Each host shard is one {!Host.Hostmm.create} host — its own
+    engine, stats, disk, swap area and guests — and shares nothing
+    mutable with any other shard, so an
     epoch steps all hosts concurrently on a {!Parallel.Pool} with zero
     cross-shard synchronization.  Between epochs a serial barrier runs
     the controller: it harvests OOM kills and tenant departures,

@@ -50,7 +50,8 @@ let mark_collector machine_ref =
           {
             index;
             at = Sim.Engine.now (Vmm.Machine.engine m);
-            snapshot = Metrics.Stats.copy (Vmm.Machine.stats m);
+            snapshot =
+              Metrics.Stats.copy (Host.Hostmm.stats (Vmm.Machine.host m));
           }
           :: !acc
   in

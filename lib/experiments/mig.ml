@@ -21,8 +21,9 @@ let prepare ~scale kind =
 
 let migrate_now machine link strategy =
   let result = ref None in
-  Migration.Migrate.migrate ~machine ~guest:0 link strategy (fun r ->
-      result := Some r);
+  Migration.Migrate.migrate ~host:(Vmm.Machine.host machine)
+    ~guest:(Guest.Guestos.gid (Vmm.Machine.os machine 0))
+    link strategy (fun r -> result := Some r);
   let engine = Vmm.Machine.engine machine in
   let steps = ref 0 in
   while !result = None && Sim.Engine.step engine && !steps < 10_000_000 do

@@ -92,15 +92,15 @@ let validate (c : Gconfig.t) =
     (0 <= c.misaligned_io_percent && c.misaligned_io_percent <= 100)
     "misaligned_io_percent" "in [0, 100]"
 
-let create ~engine ~host ~gid ~stats ~config =
+let create ~host ~gid ~config =
   validate config;
   let n = config.Gconfig.mem_pages in
   let arena = Mem.Flru.arena ~nodes:n () in
   {
-    engine;
+    engine = Hostmm.engine host;
     host;
     gid;
-    stats;
+    stats = Hostmm.stats host;
     cfg = config;
     min_free_pages = max 64 (n / 100);
     high_free_pages = max 128 (n * 3 / 100);

@@ -23,19 +23,15 @@ type file
 (** An anonymous memory region (heap/stack of a process). *)
 type region
 
-(** [create ~engine ~host ~gid ~stats ~config] builds guest [gid] on
-    [host] with every page free; {!boot} then touches its kernel.  The
-    kernel takes [min (24 MiB) (mem_pages / 8)] pages; reclaim starts
-    below [max 64 (mem_pages / 100)] free pages and refills to
+(** [create ~host ~gid ~config] builds guest [gid] on [host], running
+    on the host's engine and counting into its stats, with every page
+    free; {!boot} then touches its kernel.  The kernel takes
+    [min (24 MiB) (mem_pages / 8)] pages; reclaim starts below
+    [max 64 (mem_pages / 100)] free pages and refills to
     [max 128 (3 * mem_pages / 100)].  Raises [Invalid_argument] naming
     the first [config] field out of range. *)
 val create :
-  engine:Sim.Engine.t ->
-  host:Host.Hostmm.t ->
-  gid:Host.Hostmm.guest_id ->
-  stats:Metrics.Stats.t ->
-  config:Gconfig.t ->
-  t
+  host:Host.Hostmm.t -> gid:Host.Hostmm.guest_id -> config:Gconfig.t -> t
 
 val gid : t -> int
 val config : t -> Gconfig.t

@@ -4,7 +4,6 @@ type t = {
   high_watermark_frames : int;
   page_cluster : int;
   named_preference : bool;
-  hv_pages_per_guest : int;
   max_inflight_faults : int;
   scrub_rate_pages_s : int;
   scrub_repair_budget : int;
@@ -19,7 +18,6 @@ let default =
     high_watermark_frames = 128;
     page_cluster = 3;
     named_preference = true;
-    hv_pages_per_guest = 64;
     max_inflight_faults = 0;
     scrub_rate_pages_s = 0;
     scrub_repair_budget = 8;

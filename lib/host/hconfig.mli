@@ -1,11 +1,11 @@
 (** Hypervisor-side tunables.
 
     Only what callers vary lives here: memory size and watermarks, swap
-    readahead, the reclaim preference, the hosted hypervisor's
-    footprint, and the async-fault, scrubber and QoS switches.  The CPU
-    cost model and the I/O retry policy are constants of
-    {!Hostmm}.  {!Hostmm.create} rejects a field outside its stated
-    range with [Invalid_argument] naming it. *)
+    readahead, the reclaim preference, and the async-fault, scrubber
+    and QoS switches.  The CPU cost model, the hosted hypervisor's
+    footprint and the I/O retry policy are constants of {!Hostmm}.
+    {!Hostmm.create} rejects a field outside its stated range with
+    [Invalid_argument] naming it. *)
 
 type t = {
   total_frames : int;  (** host physical memory, in pages; [>= 1] *)
@@ -20,9 +20,6 @@ type t = {
   named_preference : bool;
       (** reclaim prefers file-backed pages over anonymous ones, like
           Linux; turning this off is the D3 ablation *)
-  hv_pages_per_guest : int;
-      (** named pages of the hosted hypervisor (QEMU) serving each guest;
-          the false-page-anonymity substrate; [>= 1] *)
   max_inflight_faults : int;
       (** per-guest bound on concurrently in-flight target faults; starts
           beyond it are queued and released as completions drain.  0 means

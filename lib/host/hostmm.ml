@@ -21,6 +21,16 @@ let reclaim_batch = 32
 let hv_touch_per_vio = 2
 let hv_touch_per_fault = 1
 
+(* Named pages of the hosted hypervisor (QEMU) serving each guest: the
+   false-page-anonymity substrate. *)
+let hv_pages_per_guest = 64
+
+(* The disk region in front of every host's images and swap area: a
+   hypervisor-page refault reads no disk, but the region keeps seek
+   distances where the paper's testbed has them. *)
+let hv_region_sectors =
+  Storage.Geom.sectors_of_pages (Storage.Geom.pages_of_mb 64)
+
 (* Cost of refaulting an evicted hypervisor page (usually still in the
    host's own file cache, so no disk read is charged). *)
 let hv_refault_us = 80
@@ -132,6 +142,8 @@ type t = {
   mutable global_rr : int;  (* round-robin cursor for global reclaim *)
   mutable kill_handler : guest_id -> unit;  (* VMM notification on kill *)
   qos : Qos.t option;  (* per-guest swap-in admission; None = disabled *)
+  images : Storage.Vdisk.t array;  (* laid out by [create], id = index *)
+  mutable image_cursor : int;  (* next free sector past the swap area *)
   mutable swapin_probe : (gid:int -> us:int -> unit) option;
       (* observer of per-guest swap-in fault latency (QoS wait included) *)
 }
@@ -149,9 +161,7 @@ let owner_gid key = key lsr owner_gpa_bits
 let owner_gpa key = key land owner_gpa_mask
 
 (* Reject an out-of-range config field up front, naming it, rather than
-   fail somewhere downstream (a zero [hv_pages_per_guest] would divide
-   by zero on the first virtual I/O).  [named_preference] takes either
-   value. *)
+   fail somewhere downstream.  [named_preference] takes either value. *)
 let validate (c : Hconfig.t) =
   let require ok field range =
     if not ok then
@@ -165,7 +175,6 @@ let validate (c : Hconfig.t) =
     "high_watermark_frames" ">= low_watermark_frames";
   require (0 <= c.page_cluster && c.page_cluster <= 16) "page_cluster"
     "in [0, 16]";
-  require (c.hv_pages_per_guest >= 1) "hv_pages_per_guest" ">= 1";
   require (c.max_inflight_faults >= 0) "max_inflight_faults" ">= 0";
   require (c.scrub_rate_pages_s >= 0) "scrub_rate_pages_s" ">= 0";
   require (c.scrub_repair_budget >= 0) "scrub_repair_budget" ">= 0";
@@ -174,18 +183,28 @@ let validate (c : Hconfig.t) =
     (c.qos_rate = 0 || c.qos_burst >= 1)
     "qos_burst" ">= 1 when qos_rate > 0"
 
-let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap () =
-  validate config;
-  (* Swap I/O always goes through a [Tiers]; without an explicit one we
-     build the disk-only passthrough, which is call-for-call identical
-     to hitting the disk directly. *)
-  let tiers =
-    match tiers with
-    | Some tiers -> tiers
-    | None ->
-        Storage.Tiers.create ~engine ~stats ~disk ~swap
-          Storage.Tiers.disk_only
+(* Disk layout: [hv region | [images] | swap area | [add_image]s]. *)
+let create ?(faults = Faults.Plan.none) ?(disk = Storage.Disk.default_config)
+    ?(tiers = Storage.Tiers.disk_only) ~config ~vsconfig ~swap_slots ~images
+    () =
+  let engine = Sim.Engine.create () in
+  let stats = Metrics.Stats.create () in
+  let disk = Storage.Disk.create ~engine ~stats ~faults disk in
+  let cursor = ref hv_region_sectors in
+  let images =
+    Array.of_list
+      (List.mapi
+         (fun id nblocks ->
+           let vd = Storage.Vdisk.create ~id ~base_sector:!cursor ~nblocks in
+           cursor := Storage.Vdisk.end_sector vd;
+           vd)
+         images)
   in
+  let swap =
+    Storage.Swap_area.create ~base_sector:!cursor ~nslots:swap_slots
+  in
+  let tiers = Storage.Tiers.create ~faults ~engine ~stats ~disk ~swap tiers in
+  validate config;
   {
     engine;
     disk;
@@ -211,8 +230,28 @@ let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap () =
            (Qos.create ~engine ~stats ~rate:config.Hconfig.qos_rate
               ~burst:config.Hconfig.qos_burst)
        else None);
+    images;
+    image_cursor = !cursor + Storage.Geom.sectors_of_pages swap_slots;
     swapin_probe = None;
   }
+
+let image t i = t.images.(i)
+
+let add_image t ~id ~nblocks =
+  let vd = Storage.Vdisk.create ~id ~base_sector:t.image_cursor ~nblocks in
+  t.image_cursor <- Storage.Vdisk.end_sector vd;
+  vd
+
+let engine t = t.engine
+let stats t = t.stats
+let config t = t.config
+
+let tally t =
+  let tel = Sim.Engine.telemetry t.engine in
+  t.stats.engine_events_fired <- tel.events_fired;
+  t.stats.engine_cancels_reclaimed <- tel.cancels_reclaimed;
+  t.stats.engine_cascades <- tel.cascades;
+  t.stats
 
 let set_kill_handler t f = t.kill_handler <- f
 
@@ -230,7 +269,7 @@ let register_guest t ~vdisk ~gpa_pages ~resident_limit =
       preventer =
         Preventer.create ~stats:t.stats ~window:t.vs.preventer_window
           ~max_buffers:t.vs.preventer_max_buffers;
-      hv_frames = Array.make t.config.hv_pages_per_guest (-1);
+      hv_frames = Array.make hv_pages_per_guest (-1);
       hv_rr = 0;
       timer = None;
       pending_gen = Itbl.create ~capacity:64 ();
@@ -482,13 +521,16 @@ let shrink_cgroup t g ~target =
 
 (* Make room for [need] frames for guest [g]: first enforce its cgroup
    limit, then the global watermarks (shrinking the largest cgroups).
-   Returns the CPU cost in microseconds of the scanning performed. *)
+   Returns the CPU cost in microseconds of the scanning performed.
+   The batch a cgroup reclaim adds is at most half its limit: a full
+   batch would empty a small cgroup, pages just faulted in for a virtual
+   I/O still awaiting its other buffers included, and refault forever. *)
 let ensure_frames t g ~need =
   let scanned_total = ref 0 in
   (match Cgroup.limit g.cgroup with
   | Some lim when Cgroup.resident g.cgroup + need > lim ->
       let target =
-        Cgroup.resident g.cgroup + need - lim + reclaim_batch
+        Cgroup.resident g.cgroup + need - lim + min reclaim_batch (lim / 2)
       in
       let _, scanned = shrink_cgroup t g ~target in
       scanned_total := !scanned_total + scanned
@@ -717,7 +759,7 @@ let alloc_frame t g ~gpa ~content ~named ~active ~referenced =
 let hv_touch t g n =
   let cost = ref 0 in
   for _ = 1 to n do
-    let idx = g.hv_rr mod t.config.hv_pages_per_guest in
+    let idx = g.hv_rr mod hv_pages_per_guest in
     g.hv_rr <- g.hv_rr + 1;
     let hv_frame = g.hv_frames.(idx) in
     if hv_frame >= 0 then Frames.set_referenced t.frames hv_frame true

@@ -28,23 +28,39 @@ type page_state =
   | In_swap  (** reclaimed into the host swap area *)
   | In_image  (** Mapper-discarded; backed by a virtual-disk block *)
 
-(** [tiers] routes swap traffic (swap-out writes, swap-in reads); when
-    omitted, a disk-only passthrough {!Storage.Tiers} is built
-    internally, which is call-for-call identical to hitting [disk]
-    directly.  Virtual-disk image I/O always goes straight to [disk] —
-    only anonymous pages live on swap tiers.  Raises [Invalid_argument]
-    naming the field when a [config] field is outside the range
-    {!Hconfig.t} states for it. *)
+(** [create ~config ~vsconfig ~swap_slots ~images ()] builds a whole
+    host: its own engine and stats, a disk with the [faults] plan, and
+    on the disk a 64 MB hypervisor region, one image per [images] size
+    (in blocks; vdisk id = index), then a swap area of [swap_slots].
+    Swap traffic routes through a {!Storage.Tiers} composite built from
+    [tiers] (default the disk-only passthrough) with the same [faults];
+    image I/O goes straight to the disk.  Raises [Invalid_argument]
+    naming the first [disk], [tiers] or [config] field out of range. *)
 val create :
-  engine:Sim.Engine.t ->
-  disk:Storage.Disk.t ->
-  ?tiers:Storage.Tiers.t ->
-  stats:Metrics.Stats.t ->
+  ?faults:Faults.Plan.t ->
+  ?disk:Storage.Disk.config ->
+  ?tiers:Storage.Tiers.config ->
   config:Hconfig.t ->
   vsconfig:Vswapper.Vsconfig.t ->
-  swap:Storage.Swap_area.t ->
+  swap_slots:int ->
+  images:int list ->
   unit ->
   t
+
+(** [image t i] is the [i]-th image laid out by {!create}. *)
+val image : t -> int -> Storage.Vdisk.t
+
+(** [add_image t ~id ~nblocks] lays an image out past the swap area
+    and every image added before it. *)
+val add_image : t -> id:int -> nblocks:int -> Storage.Vdisk.t
+
+val engine : t -> Sim.Engine.t
+val stats : t -> Metrics.Stats.t
+val config : t -> Hconfig.t
+
+(** [tally t] copies the engine's own counters into the host's stats
+    and returns them. *)
+val tally : t -> Metrics.Stats.t
 
 (** [register_guest t ~vdisk ~gpa_pages ~resident_limit] admits a guest
     with [gpa_pages] of guest-physical memory, its disk image, and an
@@ -181,8 +197,7 @@ val swap_slot_sector : t -> int -> int
 
 val disk : t -> Storage.Disk.t
 
-(** The tier composite routing this host's swap traffic (the internal
-    passthrough when none was passed to {!create}). *)
+(** The tier composite routing this host's swap traffic. *)
 val tiers : t -> Storage.Tiers.t
 
 (** The host swap area (the region the background scrubber patrols). *)

@@ -14,11 +14,8 @@
    tick ([Machine.run] exits on completion, not on queue drain). *)
 
 type t = {
-  engine : Sim.Engine.t;
+  host : Hostmm.t;
   stats : Metrics.Stats.t;
-  swap : Storage.Swap_area.t;
-  tiers : Storage.Tiers.t;
-  relocate : int -> bool;
   chunk : int;  (* slot positions examined per tick *)
   tick_us : int;
   repair_budget : int;
@@ -26,7 +23,6 @@ type t = {
   mutable repairs_left : int;
   mutable budget : int;  (* slot positions this tick may still examine *)
   mutable inflight : int;  (* verify reads awaiting completion *)
-  mutable stopped : bool;
 }
 
 (* "Low priority" is enforced as back-pressure, not queue position: at
@@ -42,7 +38,7 @@ let rec verify t slot =
   t.stats.Metrics.Stats.scrub_verify_reads <-
     t.stats.Metrics.Stats.scrub_verify_reads + 1;
   t.inflight <- t.inflight + 1;
-  Storage.Tiers.verify_read t.tiers ~slot ~queue:0 ~attempt:0
+  Storage.Tiers.verify_read (Hostmm.tiers t.host) ~slot ~queue:0 ~attempt:0
     (fun (reply : Storage.Disk.reply) ->
       t.inflight <- t.inflight - 1;
       (match reply.result with
@@ -53,7 +49,7 @@ let rec verify t slot =
       | Error Faults.Error.Media ->
           t.stats.Metrics.Stats.scrub_media_found <-
             t.stats.Metrics.Stats.scrub_media_found + 1;
-          if t.repairs_left > 0 && t.relocate slot then begin
+          if t.repairs_left > 0 && Hostmm.relocate_slot t.host slot then begin
             t.repairs_left <- t.repairs_left - 1;
             t.stats.Metrics.Stats.scrub_relocations <-
               t.stats.Metrics.Stats.scrub_relocations + 1
@@ -63,10 +59,11 @@ let rec verify t slot =
                and repair (freed, re-faulted, guest killed). *)
             t.stats.Metrics.Stats.scrub_reloc_failed <-
               t.stats.Metrics.Stats.scrub_reloc_failed + 1);
-      if not t.stopped then pump t)
+      pump t)
 
 and pump t =
-  let n = Storage.Swap_area.nslots t.swap in
+  let swap = Hostmm.swap_area t.host in
+  let n = Storage.Swap_area.nslots swap in
   while t.budget > 0 && t.inflight < max_inflight do
     t.budget <- t.budget - 1;
     let slot = t.cursor in
@@ -78,7 +75,7 @@ and pump t =
       t.stats.Metrics.Stats.scrub_scans <-
         t.stats.Metrics.Stats.scrub_scans + 1
     end;
-    if Storage.Swap_area.is_allocated t.swap slot then verify t slot
+    if Storage.Swap_area.is_allocated swap slot then verify t slot
   done
 
 let tick t =
@@ -89,36 +86,28 @@ let tick t =
   pump t
 
 let rec arm t =
-  Sim.Engine.run_after t.engine (Sim.Time.us t.tick_us) (fun () ->
-      if not t.stopped then begin
-        tick t;
-        arm t
-      end)
+  Sim.Engine.run_after (Hostmm.engine t.host) (Sim.Time.us t.tick_us) (fun () ->
+      tick t;
+      arm t)
 
-let start ~engine ~stats ~swap ~tiers ~relocate ~rate ~repair_budget =
-  let rate = max 1 rate in
-  (* Examine ~1% of the per-second rate per tick, so the scan is spread
-     over ~100 ticks a second instead of one burst. *)
-  let chunk = max 1 (rate / 100) in
-  let tick_us = max 1 (chunk * 1_000_000 / rate) in
-  let t =
-    {
-      engine;
-      stats;
-      swap;
-      tiers;
-      relocate;
-      chunk;
-      tick_us;
-      repair_budget = max 0 repair_budget;
-      cursor = 0;
-      repairs_left = max 0 repair_budget;
-      budget = 0;
-      inflight = 0;
-      stopped = false;
-    }
+let start host =
+  let { Hconfig.scrub_rate_pages_s = rate; scrub_repair_budget; _ } =
+    Hostmm.config host
   in
-  arm t;
-  t
-
-let stop t = t.stopped <- true
+  if rate > 0 then begin
+    (* Examine ~1% of the per-second rate per tick, so the scan is
+       spread over ~100 ticks a second instead of one burst. *)
+    let chunk = max 1 (rate / 100) in
+    arm
+      {
+        host;
+        stats = Hostmm.stats host;
+        chunk;
+        tick_us = max 1 (chunk * 1_000_000 / rate);
+        repair_budget = scrub_repair_budget;
+        cursor = 0;
+        repairs_left = scrub_repair_budget;
+        budget = 0;
+        inflight = 0;
+      }
+  end

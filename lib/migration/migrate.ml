@@ -70,18 +70,16 @@ let classify ~host ~gid ~vdisk strategy plan ~gpa =
             :: plan.reads;
           plan.copy_pages <- plan.copy_pages + 1)
 
-(* Read-back pacing: reads per batch, the first transient retry's
-   backoff (doubling per attempt) and how many batches a parked read
-   may stall before the migration gives up. *)
+(* Read-back pacing: reads per batch, in-batch retries of a transient
+   error, the first retry's backoff (doubling per attempt) and how many
+   batches a parked read may stall before the migration gives up. *)
 let batch = 64
+let retry_limit = 4
 let retry_base_us = 500
 let max_stalled_batches = 8
 
-(* Machine-free transfer core: everything it needs (engine, disk, tiers,
-   vdisk, address-space size) is resolved from the host memory manager,
-   so the fleet rebalancer can evacuate a guest from a bare
-   [Engine]+[Hostmm] shard with no [Vmm.Machine] wrapping it. *)
-let migrate_host ?(retry_limit = 4) ~engine ~host ~guest:gid link strategy k =
+let migrate ~host ~guest:gid link strategy k =
+  let engine = H.engine host in
   let disk = H.disk host in
   let tiers = H.tiers host in
   let vdisk = H.vdisk host gid in
@@ -263,13 +261,6 @@ let migrate_host ?(retry_limit = 4) ~engine ~host ~guest:gid link strategy k =
                      retries = !retries_total;
                      throttled_batches = !throttled_batches;
                    })))
-
-let migrate ?retry_limit ~machine ~guest link strategy k =
-  let engine = Vmm.Machine.engine machine in
-  let host = Vmm.Machine.host machine in
-  let os = Vmm.Machine.os machine guest in
-  let gid = Guest.Guestos.gid os in
-  migrate_host ?retry_limit ~engine ~host ~guest:gid link strategy k
 
 let pp_report fmt r =
   Format.fprintf fmt

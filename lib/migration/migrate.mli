@@ -53,16 +53,16 @@ type abort = {
 
 type outcome = Completed of report | Aborted of abort
 
-(** [migrate ~machine ~guest link strategy k] computes the transfer on
-    the machine's engine (the source's disk reads contend with whatever
-    else the machine is doing) and passes the outcome to [k].  The guest
-    is treated as paused for the duration; its memory state is not
-    modified.
+(** [migrate ~host ~guest link strategy k] computes the transfer of
+    [host]'s guest [guest] on the host's engine (the source's disk reads
+    contend with whatever else the host is doing) and passes the outcome
+    to [k].  The guest is treated as paused for the duration; its memory
+    state is not modified.
 
     Source read-back I/O is issued in bounded batches of 64 reads and
     follows the typed-error discipline from {!Faults}: a [Transient]
-    failure is retried up to [retry_limit] (default 4) times with
-    exponential backoff starting at 500 microseconds.  When a read's
+    failure is retried up to 4 times with exponential backoff starting
+    at 500 microseconds.  When a read's
     in-batch retry budget runs dry it is parked and reissued with a
     later batch instead of aborting, and a batch that saw any transient
     error doubles an inter-batch delay (reset by the next clean batch) —
@@ -78,23 +78,6 @@ type outcome = Completed of report | Aborted of abort
     flapping remote link, a degraded fast tier) flow through the same
     retry/throttle/abort discipline as raw disk errors. *)
 val migrate :
-  ?retry_limit:int ->
-  machine:Vmm.Machine.t ->
-  guest:int ->
-  link ->
-  strategy ->
-  (outcome -> unit) ->
-  unit
-
-(** [migrate_host ~engine ~host ~guest …] is {!migrate} for a guest
-    living on a bare [Engine] + {!Host.Hostmm} pair with no
-    {!Vmm.Machine} around it — the shape of a fleet shard.  [guest] is
-    the {!Host.Hostmm.guest_id} itself (not a VMM guest index); disk,
-    tiers, vdisk and the address-space size are all resolved from
-    [host].  Same semantics, same defaults. *)
-val migrate_host :
-  ?retry_limit:int ->
-  engine:Sim.Engine.t ->
   host:Host.Hostmm.t ->
   guest:Host.Hostmm.guest_id ->
   link ->

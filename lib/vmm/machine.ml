@@ -26,11 +26,8 @@ type grun = {
 
 type t = {
   cfg : Config.t;
-  engine : Sim.Engine.t;
-  disk : Storage.Disk.t;
-  stats : Metrics.Stats.t;
+  engine : Sim.Engine.t;  (* the host's, bound once for the VCPU loop *)
   host : Host.Hostmm.t;
-  mutable scrub : Host.Scrub.t option;
   gruns : grun array;
   manager : Balloon.Manager.t option;
   mutable epoch : Sim.Time.t option;
@@ -73,63 +70,46 @@ let validate (cfg : Config.t) =
         g.balloon_static_mb)
     cfg.guests
 
+let gconfig (g : Config.guest_spec) =
+  {
+    (Guest.Gconfig.default ~mem_mb:g.mem_mb) with
+    misaligned_io_percent = g.misaligned_io_percent;
+  }
+
 let build (cfg : Config.t) =
   validate cfg;
-  let engine = Sim.Engine.create () in
-  let stats = Metrics.Stats.create () in
-  let faults = Faults.Plan.create cfg.faults in
+  let host =
+    Host.Hostmm.create ~faults:(Faults.Plan.create cfg.faults) ~disk:cfg.disk
+      ~tiers:cfg.tiers
+      ~config:(Host.Hconfig.with_memory_mb cfg.hbase cfg.host_mem_mb)
+      ~vsconfig:cfg.vs
+      ~swap_slots:(Storage.Geom.pages_of_mb cfg.host_swap_mb)
+      ~images:
+        (List.map
+           (fun (g : Config.guest_spec) ->
+             (gconfig g).swap_blocks + Storage.Geom.pages_of_mb g.data_mb)
+           cfg.guests)
+      ()
+  in
   (* With [epoch_faults] the disk starts clean and the plan is installed
      when the workload epoch opens — boot-time image I/O never faults.
      Tier backends keep the plan from build in both modes: their error
      streams fire only on swap traffic, which is post-epoch anyway. *)
-  let disk_faults = if cfg.epoch_faults then Faults.Plan.none else faults in
-  let disk = Storage.Disk.create ~engine ~stats ~faults:disk_faults cfg.disk in
-  (* Physical disk layout: [hv region | guest images ... | host swap]. *)
-  let cursor = ref (Storage.Geom.sectors_of_pages (Storage.Geom.pages_of_mb 64)) in
-  let vdisks =
-    List.mapi
-      (fun i (g : Config.guest_spec) ->
-        let gcfg =
-          {
-            (Guest.Gconfig.default ~mem_mb:g.mem_mb) with
-            misaligned_io_percent = g.misaligned_io_percent;
-          }
-        in
-        let nblocks =
-          gcfg.Guest.Gconfig.swap_blocks + Storage.Geom.pages_of_mb g.data_mb
-        in
-        let vd =
-          Storage.Vdisk.create ~id:i ~base_sector:!cursor ~nblocks
-        in
-        cursor := Storage.Vdisk.end_sector vd;
-        (gcfg, vd))
-      cfg.guests
-  in
-  let swap =
-    Storage.Swap_area.create ~base_sector:!cursor
-      ~nslots:(Storage.Geom.pages_of_mb cfg.host_swap_mb)
-  in
-  let hconfig = Host.Hconfig.with_memory_mb cfg.hbase cfg.host_mem_mb in
-  let tiers =
-    Storage.Tiers.create ~engine ~stats ~disk ~swap ~faults cfg.tiers
-  in
-  let host =
-    Host.Hostmm.create ~engine ~disk ~tiers ~stats ~config:hconfig
-      ~vsconfig:cfg.vs ~swap ()
-  in
+  if cfg.epoch_faults then
+    Storage.Disk.set_faults (Host.Hostmm.disk host) Faults.Plan.none;
   let gruns =
     Array.of_list
-      (List.map2
-         (fun (spec : Config.guest_spec) (gcfg, vd) ->
+      (List.mapi
+         (fun i (spec : Config.guest_spec) ->
+           let gcfg = gconfig spec in
            let gid =
-             Host.Hostmm.register_guest host ~vdisk:vd
+             Host.Hostmm.register_guest host
+               ~vdisk:(Host.Hostmm.image host i)
                ~gpa_pages:gcfg.Guest.Gconfig.mem_pages
                ~resident_limit:
                  (Option.map Storage.Geom.pages_of_mb spec.resident_limit_mb)
            in
-           let os =
-             Guestos.create ~engine ~host ~gid ~stats ~config:gcfg
-           in
+           let os = Guestos.create ~host ~gid ~config:gcfg in
            {
              spec;
              os;
@@ -144,23 +124,20 @@ let build (cfg : Config.t) =
              finished_at = None;
              ready_for_epoch = false;
            })
-         cfg.guests vdisks)
+         cfg.guests)
   in
   let manager =
     Option.map
       (fun policy ->
-        Balloon.Manager.create ~engine ~host
+        Balloon.Manager.create ~host
           ~guests:(Array.to_list (Array.map (fun g -> g.os) gruns))
           policy)
       cfg.manager
   in
   {
     cfg;
-    engine;
-    disk;
-    stats;
+    engine = Host.Hostmm.engine host;
     host;
-    scrub = None;
     gruns;
     manager;
     epoch = None;
@@ -168,9 +145,7 @@ let build (cfg : Config.t) =
   }
 
 let engine (t : t) = t.engine
-let stats (t : t) = t.stats
 let host (t : t) = t.host
-let disk (t : t) = t.disk
 let os (t : t) i = t.gruns.(i).os
 
 (* ------------------------------------------------------------------ *)
@@ -280,34 +255,18 @@ let start_workload t g () =
 
 let all_ready t = Array.for_all (fun g -> g.ready_for_epoch) t.gruns
 
-(* The background scrubber is armed at the workload epoch, not at
-   build: its verify reads would otherwise keep the disk queue busy
-   during the boot sequence's disk-settle wait (which polls for an idle
-   queue) and the epoch would never open.  With the default rate of 0
-   nothing is scheduled and the run is event-for-event identical to a
-   scrubber-less build. *)
-let arm_scrub t =
-  let hconfig = Host.Hconfig.with_memory_mb t.cfg.hbase t.cfg.host_mem_mb in
-  if hconfig.Host.Hconfig.scrub_rate_pages_s > 0 then
-    match t.scrub with
-    | Some _ -> ()
-    | None ->
-        t.scrub <-
-          Some
-            (Host.Scrub.start ~engine:t.engine ~stats:t.stats
-               ~swap:(Host.Hostmm.swap_area t.host)
-               ~tiers:(Host.Hostmm.tiers t.host)
-               ~relocate:(fun slot -> Host.Hostmm.relocate_slot t.host slot)
-               ~rate:hconfig.Host.Hconfig.scrub_rate_pages_s
-               ~repair_budget:hconfig.Host.Hconfig.scrub_repair_budget)
-
 let open_epoch t =
   if t.epoch = None && all_ready t then begin
     let now = Sim.Engine.now t.engine in
     t.epoch <- Some now;
     if t.cfg.epoch_faults then
-      Storage.Disk.set_faults t.disk (Faults.Plan.create t.cfg.faults);
-    arm_scrub t;
+      Storage.Disk.set_faults (Host.Hostmm.disk t.host)
+        (Faults.Plan.create t.cfg.faults);
+    (* The background scrubber is armed here, not at build: its verify
+       reads would otherwise keep the disk queue busy during the boot
+       sequence's disk-settle wait (which polls for an idle queue) and
+       the epoch would never open. *)
+    Host.Scrub.start t.host;
     (match t.manager with Some m -> Balloon.Manager.start m | None -> ());
     Array.iter
       (fun g ->
@@ -321,7 +280,7 @@ let open_epoch t =
    full-memory warmup (uncooperative configs only; a ballooned guest
    never dirties memory beyond its allowance) -> disk settle -> ready. *)
 let rec wait_settled t g () =
-  if Storage.Disk.queue_depth t.disk > 0 then
+  if Storage.Disk.queue_depth (Host.Hostmm.disk t.host) > 0 then
     (Sim.Engine.run_after t.engine (Sim.Time.ms 50) (wait_settled t g))
   else begin
     g.ready_for_epoch <- true;
@@ -388,17 +347,9 @@ let run t =
         { runtime; oomed = Guestos.oomed g.os })
       t.gruns
   in
-  (* Fold the engine's own counters into the machine stats, so telemetry
-     flows to the bench summary through the same channel as every other
-     counter. *)
-  let tel = Sim.Engine.telemetry t.engine in
-  t.stats.Metrics.Stats.engine_events_fired <- tel.Sim.Engine.events_fired;
-  t.stats.Metrics.Stats.engine_cancels_reclaimed <-
-    tel.Sim.Engine.cancels_reclaimed;
-  t.stats.Metrics.Stats.engine_cascades <- tel.Sim.Engine.cascades;
   {
     guests;
-    stats = t.stats;
+    stats = Host.Hostmm.tally t.host;
     wall = Sim.Engine.now t.engine;
     hit_time_limit = !hit_limit;
   }

@@ -1,8 +1,9 @@
 (** Machine assembly and execution.
 
-    Builds the whole simulated testbed from a {!Config.t} — engine, one
-    shared physical disk (hypervisor region, then one image per guest,
-    then the host swap area), the hypervisor, the guests — and drives it:
+    Builds the whole simulated testbed from a {!Config.t} — one
+    {!Host.Hostmm.create} host (its engine, its disk with one image per
+    guest, image [i] for guest [i], laid out before the host swap area),
+    the guests on it — and drives it:
 
     boot (+ optional full-memory warmup) -> static balloon convergence ->
     disk settle -> epoch -> each guest's workload at its offset ->
@@ -36,9 +37,9 @@ val build : Config.t -> t
 (** {2 Accessors for probes and tests; valid after [build]} *)
 
 val engine : t -> Sim.Engine.t
-val stats : t -> Metrics.Stats.t
+
+(** The host, whose stats and disk are the machine's. *)
 val host : t -> Host.Hostmm.t
-val disk : t -> Storage.Disk.t
 
 (** [os t i] is guest [i]'s OS (by index in the config's guest list). *)
 val os : t -> int -> Guest.Guestos.t

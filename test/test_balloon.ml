@@ -90,26 +90,23 @@ let manager_respects_guest_min () =
     (Guest.Guestos.balloon_target os)
 
 let manager_stop_freezes_targets () =
-  let engine = Sim.Engine.create () in
-  let stats = Metrics.Stats.create () in
-  let disk = Storage.Disk.create ~engine ~stats Storage.Disk.default_config in
-  let vdisk = Storage.Vdisk.create ~id:0 ~base_sector:0 ~nblocks:1024 in
-  let swap = Storage.Swap_area.create ~base_sector:100_000 ~nslots:4096 in
   let host =
-    Host.Hostmm.create ~engine ~disk ~stats
+    Host.Hostmm.create
       ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default 16)
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap_slots:4096 ~images:[ 1024 ] ()
   in
-  let gid = Host.Hostmm.register_guest host ~vdisk ~gpa_pages:4096 ~resident_limit:None in
+  let gid =
+    Host.Hostmm.register_guest host ~vdisk:(Host.Hostmm.image host 0)
+      ~gpa_pages:4096 ~resident_limit:None
+  in
   let os =
-    Guest.Guestos.create ~engine ~host ~gid ~stats
-      ~config:(Guest.Gconfig.default ~mem_mb:16)
+    Guest.Guestos.create ~host ~gid ~config:(Guest.Gconfig.default ~mem_mb:16)
   in
-  let m = M.create ~engine ~host ~guests:[ os ] M.default_policy in
+  let m = M.create ~host ~guests:[ os ] M.default_policy in
   M.start m;
   M.stop m;
   (* A stopped manager schedules nothing further; the engine drains. *)
-  Test_util.drain engine;
+  Test_util.drain (Host.Hostmm.engine host);
   check Alcotest.int "no target set" 0 (Guest.Guestos.balloon_target os)
 
 let manager_deflates_squeezed_guest () =
@@ -163,6 +160,37 @@ let manager_deflates_squeezed_guest () =
   Alcotest.(check bool) "finished" true
     (result.Vmm.Machine.guests.(0).Vmm.Machine.runtime <> None)
 
+(* An out-of-range policy field fails at [create], naming the field and
+   its range; a zero period used to livelock [Machine.run]. *)
+let bad_policy_fails_loudly () =
+  let host =
+    Host.Hostmm.create ~config:Host.Hconfig.default
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap_slots:64 ~images:[] ()
+  in
+  let create policy = ignore (M.create ~host ~guests:[] policy) in
+  let d = M.default_policy in
+  (* The default, [Metis_sweep]'s 4 s period, and low = high. *)
+  create d;
+  create { d with period = Sim.Time.sec 4 };
+  create { d with guest_free_low = 0.1; guest_free_high = 0.1 };
+  List.iter
+    (fun (policy, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Manager.create: Manager.policy." ^ msg)) (fun () ->
+          create policy))
+    [
+      ({ d with period = Sim.Time.zero }, "period must be > 0");
+      ({ d with host_reserve_frames = -1 }, "host_reserve_frames must be >= 0");
+      ({ d with guest_min_pages = -1 }, "guest_min_pages must be >= 0");
+      ({ d with guest_free_low = -0.01 }, "guest_free_low must be finite and >= 0");
+      ({ d with guest_free_low = nan }, "guest_free_low must be finite and >= 0");
+      ( { d with guest_free_high = infinity },
+        "guest_free_high must be finite and >= guest_free_low" );
+      ( { d with guest_free_high = 0.01 },
+        "guest_free_high must be finite and >= guest_free_low" );
+      ({ d with step_pages = 0 }, "step_pages must be >= 1");
+    ]
+
 let tests =
   [
     ( "balloon:manager",
@@ -171,5 +199,6 @@ let tests =
         Alcotest.test_case "respects guest min" `Quick manager_respects_guest_min;
         Alcotest.test_case "stop freezes" `Quick manager_stop_freezes_targets;
         Alcotest.test_case "deflates squeezed guest" `Quick manager_deflates_squeezed_guest;
+        Alcotest.test_case "bad policy fails loudly" `Quick bad_policy_fails_loudly;
       ] );
   ]

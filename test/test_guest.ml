@@ -17,29 +17,27 @@ type rig = {
 (* Guest with 16 MiB of believed memory on a roomy host (the host only
    pressures the guest when a test sets a resident limit). *)
 let mk_rig ?(mem_mb = 16) ?resident_limit_mb () =
-  let engine = Sim.Engine.create () in
-  let stats = Metrics.Stats.create () in
-  let disk = Storage.Disk.create ~engine ~stats Storage.Disk.default_config in
   let gcfg =
     { (Guest.Gconfig.default ~mem_mb) with swap_blocks = 2048 }
   in
   let nblocks = gcfg.Guest.Gconfig.swap_blocks + Storage.Geom.pages_of_mb 32 in
-  let vdisk = Storage.Vdisk.create ~id:0 ~base_sector:10_000 ~nblocks in
-  let swap = Storage.Swap_area.create ~base_sector:10_000_000 ~nslots:16_384 in
-  let hconfig = Host.Hconfig.with_memory_mb Host.Hconfig.default 128 in
   let host =
-    H.create ~engine ~disk ~stats ~config:hconfig
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
+    H.create
+      ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default 128)
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap_slots:16_384
+      ~images:[ nblocks ] ()
   in
   let gid =
-    H.register_guest host ~vdisk ~gpa_pages:gcfg.Guest.Gconfig.mem_pages
+    H.register_guest host ~vdisk:(H.image host 0)
+      ~gpa_pages:gcfg.Guest.Gconfig.mem_pages
       ~resident_limit:(Option.map Storage.Geom.pages_of_mb resident_limit_mb)
   in
-  let os = G.create ~engine ~host ~gid ~stats ~config:gcfg in
+  let os = G.create ~host ~gid ~config:gcfg in
+  let engine = H.engine host in
   let booted = ref false in
   G.boot os (fun () -> booted := true);
   Test_util.drain_until engine (fun () -> !booted);
-  { engine; stats; host; os }
+  { engine; stats = H.stats host; host; os }
 
 let sync rig f =
   let done_ = ref false in
@@ -247,16 +245,12 @@ let oom_fires_when_starved () =
 (* An out-of-range Gconfig field fails at [create], naming the field
    and its range; a 101 % misaligned share used to be accepted. *)
 let bad_config_fails_loudly () =
-  let engine = Sim.Engine.create () in
-  let stats = Metrics.Stats.create () in
-  let disk = Storage.Disk.create ~engine ~stats Storage.Disk.default_config in
-  let swap = Storage.Swap_area.create ~base_sector:10_000_000 ~nslots:64 in
   let host =
-    H.create ~engine ~disk ~stats
+    H.create
       ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default 16)
-      ~vsconfig:Vswapper.Vsconfig.baseline ~swap ()
+      ~vsconfig:Vswapper.Vsconfig.baseline ~swap_slots:64 ~images:[] ()
   in
-  let create config = ignore (G.create ~engine ~host ~gid:0 ~stats ~config) in
+  let create config = ignore (G.create ~host ~gid:0 ~config) in
   let d = Guest.Gconfig.default ~mem_mb:4 in
   create { d with misaligned_io_percent = 100 };
   List.iter

@@ -11,7 +11,6 @@ module C = Storage.Content
 type rig = {
   engine : Sim.Engine.t;
   stats : Metrics.Stats.t;
-  disk : Storage.Disk.t;
   host : H.t;
   gid : H.guest_id;
   vdisk : Storage.Vdisk.t;
@@ -22,32 +21,23 @@ type rig = {
 let mk_rig ?(vs = Vswapper.Vsconfig.baseline) ?(limit = Some 96)
     ?(frames = 256) ?(swap_slots = 2048) ?(faults = Faults.Plan.none)
     ?(max_inflight = 0) () =
-  let engine = Sim.Engine.create () in
-  let stats = Metrics.Stats.create () in
-  let disk =
-    Storage.Disk.create ~engine ~stats ~faults Storage.Disk.default_config
-  in
-  let vdisk = Storage.Vdisk.create ~id:0 ~base_sector:10_000 ~nblocks:1024 in
-  let swap =
-    Storage.Swap_area.create ~base_sector:1_000_000 ~nslots:swap_slots
-  in
   let config =
     {
       Host.Hconfig.default with
       total_frames = frames;
       low_watermark_frames = 8;
       high_watermark_frames = 16;
-      hv_pages_per_guest = 4;
       max_inflight_faults = max_inflight;
     }
   in
   let host =
-    H.create ~engine ~disk ~stats ~config ~vsconfig:vs ~swap ()
+    H.create ~faults ~config ~vsconfig:vs ~swap_slots ~images:[ 1024 ] ()
   in
+  let vdisk = H.image host 0 in
   let gid =
     H.register_guest host ~vdisk ~gpa_pages:512 ~resident_limit:limit
   in
-  { engine; stats; disk; host; gid; vdisk }
+  { engine = H.engine host; stats = H.stats host; host; gid; vdisk }
 
 (* Synchronous wrappers: issue the CPS operation and drain the engine. *)
 let sync_read rig ~gpa =
@@ -108,6 +98,15 @@ let write_read_roundtrip () =
   Alcotest.(check bool) "reads back" true (C.equal (sync_read rig ~gpa:7) c);
   H.check_invariants rig.host
 
+(* An overflowing cgroup smaller than two reclaim batches frees half its
+   limit, not every page: emptying it made a multi-page virtual I/O
+   refault its own buffers forever. *)
+let small_cgroup_reclaim_keeps_half () =
+  let rig = mk_rig ~limit:(Some 24) () in
+  fill_anon rig ~first:0 ~n:25;
+  check Alcotest.int "resident after one overflow" 12
+    (H.resident rig.host rig.gid)
+
 let swap_roundtrip_preserves_content () =
   let rig = mk_rig () in
   let c = C.fresh_anon () in
@@ -164,17 +163,12 @@ let writes_to_present_pages_are_cheap () =
     rig.stats.Metrics.Stats.guest_context_faults
 
 (* An out-of-range config field fails at [create], naming the field,
-   instead of surfacing later (hv_pages_per_guest = 0 would raise
-   Division_by_zero on the first virtual I/O). *)
+   instead of surfacing later. *)
 let bad_config_fails_loudly () =
   let create config =
-    let engine = Sim.Engine.create () in
-    let stats = Metrics.Stats.create () in
-    let disk = Storage.Disk.create ~engine ~stats Storage.Disk.default_config in
-    let swap = Storage.Swap_area.create ~base_sector:1_000_000 ~nslots:64 in
     ignore
-      (H.create ~engine ~disk ~stats ~config
-         ~vsconfig:Vswapper.Vsconfig.baseline ~swap ())
+      (H.create ~config ~vsconfig:Vswapper.Vsconfig.baseline ~swap_slots:64
+         ~images:[] ())
   in
   let d = Host.Hconfig.default in
   List.iter create
@@ -195,13 +189,37 @@ let bad_config_fails_loudly () =
        { d with high_watermark_frames = d.low_watermark_frames - 1 });
       ("page_cluster", { d with page_cluster = 17 });
       ("page_cluster", { d with page_cluster = -1 });
-      ("hv_pages_per_guest", { d with hv_pages_per_guest = 0 });
       ("max_inflight_faults", { d with max_inflight_faults = -1 });
       ("scrub_rate_pages_s", { d with scrub_rate_pages_s = -1 });
       ("scrub_repair_budget", { d with scrub_repair_budget = -1 });
       ("qos_rate", { d with qos_rate = -1 });
       ("qos_burst", { d with qos_rate = 10; qos_burst = 0 });
     ]
+
+(* The one layout rule of every host, on which the golden's seek
+   distances and the fleet's fingerprint depend: [64 MB hv region |
+   images given to [create] | swap area | images added later]. *)
+let disk_layout () =
+  let create images =
+    H.create ~config:Host.Hconfig.default ~vsconfig:Vswapper.Vsconfig.baseline
+      ~swap_slots:100 ~images ()
+  in
+  let host = create [ 10; 20 ] in
+  let start vd = Storage.Vdisk.sector_of_block vd 0
+  and end_ = Storage.Vdisk.end_sector in
+  let img0 = H.image host 0 and img1 = H.image host 1 in
+  let added = H.add_image host ~id:7 ~nblocks:5 in
+  check Alcotest.(list int) "image ids" [ 0; 1; 7 ]
+    (List.map Storage.Vdisk.id [ img0; img1; added ]);
+  check Alcotest.int "image 0 after the hv region" 131_072 (start img0);
+  check Alcotest.int "image 1 where image 0 ends" (end_ img0) (start img1);
+  check Alcotest.int "swap where image 1 ends" (end_ img1)
+    (H.swap_slot_sector host 0);
+  check Alcotest.int "added image where the swap ends"
+    (H.swap_slot_sector host 0 + (100 * Storage.Geom.sectors_per_page))
+    (start added);
+  check Alcotest.int "no images: swap after the hv region" 131_072
+    (H.swap_slot_sector (create []) 0)
 
 let misaligned_vio_bypasses_mapper () =
   let rig = mk_rig ~vs:Vswapper.Vsconfig.mapper_only () in
@@ -491,20 +509,16 @@ let false_anonymity_hits_hypervisor_pages () =
   H.check_invariants rig.host
 
 let two_guests_are_isolated () =
-  let engine = Sim.Engine.create () in
-  let stats = Metrics.Stats.create () in
-  let disk = Storage.Disk.create ~engine ~stats Storage.Disk.default_config in
-  let vd0 = Storage.Vdisk.create ~id:0 ~base_sector:10_000 ~nblocks:256 in
-  let vd1 = Storage.Vdisk.create ~id:1 ~base_sector:50_000 ~nblocks:256 in
-  let swap = Storage.Swap_area.create ~base_sector:1_000_000 ~nslots:2048 in
   let config =
     { Host.Hconfig.default with total_frames = 256; low_watermark_frames = 8;
-      high_watermark_frames = 16; hv_pages_per_guest = 4 }
+      high_watermark_frames = 16 }
   in
   let host =
-    H.create ~engine ~disk ~stats ~config ~vsconfig:Vswapper.Vsconfig.mapper_only
-      ~swap ()
+    H.create ~config ~vsconfig:Vswapper.Vsconfig.mapper_only ~swap_slots:2048
+      ~images:[ 256; 256 ] ()
   in
+  let engine = H.engine host in
+  let vd0 = H.image host 0 and vd1 = H.image host 1 in
   let g0 = H.register_guest host ~vdisk:vd0 ~gpa_pages:128 ~resident_limit:(Some 48) in
   let g1 = H.register_guest host ~vdisk:vd1 ~gpa_pages:128 ~resident_limit:(Some 48) in
   let sync_read_g g gpa =
@@ -771,13 +785,13 @@ let kill_guest_is_idempotent_and_complete () =
    nsectors), first to last. *)
 let media_reads rig f =
   let reads = ref [] in
-  Storage.Disk.set_trace rig.disk
+  Storage.Disk.set_trace (H.disk rig.host)
     (Some
        (fun kind ~head:_ ~sector ~nsectors ->
          if kind = Storage.Disk.Read then
            reads := (sector, nsectors) :: !reads));
   f ();
-  Storage.Disk.set_trace rig.disk None;
+  Storage.Disk.set_trace (H.disk rig.host) None;
   List.rev !reads
 
 let slot_of rig gpa =
@@ -881,11 +895,11 @@ let image_refetch_transient_error_narrows () =
     then plan
     else pick (seed + 1)
   in
-  Storage.Disk.set_faults rig.disk (pick 0);
+  Storage.Disk.set_faults (H.disk rig.host) (pick 0);
   let retries0 = rig.stats.Metrics.Stats.fault_retries in
   let refetches0 = rig.stats.Metrics.Stats.mapper_refetches in
   let reads = media_reads rig (fun () -> ignore (sync_read rig ~gpa:0)) in
-  Storage.Disk.set_faults rig.disk Faults.Plan.none;
+  Storage.Disk.set_faults (H.disk rig.host) Faults.Plan.none;
   check
     Alcotest.(list (pair int int))
     "the window read, then the target page alone"
@@ -911,7 +925,7 @@ let image_refetch_transient_error_narrows () =
 let image_refetch_media_error_kills () =
   let rig = mk_rig ~vs:Vswapper.Vsconfig.mapper_only () in
   discard_to_image rig ~n:16;
-  Storage.Disk.set_faults rig.disk (fault_plan ~media:1.0 11);
+  Storage.Disk.set_faults (H.disk rig.host) (fault_plan ~media:1.0 11);
   ignore (sync_read rig ~gpa:0);
   Alcotest.(check bool) "guest abandoned" true
     (H.guest_killed rig.host rig.gid);
@@ -947,7 +961,7 @@ let async_concurrent_faults_coalesce () =
   let c, slot_sector = swap_out_gpa0 rig in
   let merges0 = rig.stats.Metrics.Stats.async_waiter_merges in
   let hits = ref 0 in
-  Storage.Disk.set_trace rig.disk
+  Storage.Disk.set_trace (H.disk rig.host)
     (Some
        (fun kind ~head:_ ~sector ~nsectors ->
          if
@@ -962,7 +976,7 @@ let async_concurrent_faults_coalesce () =
     H.touch_read rig.host ~guest:rig.gid ~gpa:0 (fun c -> got := c :: !got)
   done;
   Test_util.drain_until rig.engine (fun () -> List.length !got = 3);
-  Storage.Disk.set_trace rig.disk None;
+  Storage.Disk.set_trace (H.disk rig.host) None;
   check Alcotest.int "one media access covered the slot" 1 !hits;
   check Alcotest.int "two waiters merged" (merges0 + 2)
     rig.stats.Metrics.Stats.async_waiter_merges;
@@ -1183,9 +1197,12 @@ let tests =
         Alcotest.test_case "swap roundtrip" `Quick swap_roundtrip_preserves_content;
         Alcotest.test_case "partial write merge" `Quick partial_write_merges_old_content;
         Alcotest.test_case "resident limit" `Quick resident_limit_enforced;
+        Alcotest.test_case "small cgroup reclaim keeps half" `Quick
+          small_cgroup_reclaim_keeps_half;
         Alcotest.test_case "full touch_write" `Quick full_touch_write_is_a_plain_overwrite;
         Alcotest.test_case "present writes cheap" `Quick writes_to_present_pages_are_cheap;
         Alcotest.test_case "bad config fails loudly" `Quick bad_config_fails_loudly;
+        Alcotest.test_case "disk layout" `Quick disk_layout;
       ] );
     ( "host:alignment",
       [

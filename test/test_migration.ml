@@ -31,13 +31,15 @@ let tiny_machine ?(faults = Faults.Config.none) ~vs () =
   in
   let machine = Vmm.Machine.build cfg in
   ignore (Vmm.Machine.run machine);
-  Storage.Disk.set_faults (Vmm.Machine.disk machine)
+  Storage.Disk.set_faults (Host.Hostmm.disk (Vmm.Machine.host machine))
     (Faults.Plan.create faults);
   machine
 
-let migrate_outcome ?retry_limit machine link strategy =
+let migrate_outcome machine link strategy =
   let result = ref None in
-  M.migrate ?retry_limit ~machine ~guest:0 link strategy
+  M.migrate ~host:(Vmm.Machine.host machine)
+    ~guest:(Guest.Guestos.gid (Vmm.Machine.os machine 0))
+    link strategy
     (fun r -> result := Some r);
   let engine = Vmm.Machine.engine machine in
   let steps = ref 0 in
@@ -104,7 +106,7 @@ let transient_reads_retry_to_completion () =
      low enough that a request's retries cannot plausibly exhaust. *)
   let faults = Faults.Config.make ~seed:7 ~transient_rate:0.02 () in
   let m = tiny_machine ~faults ~vs:Vswapper.Vsconfig.baseline () in
-  match migrate_outcome ~retry_limit:10 m M.gbe M.Full_copy with
+  match migrate_outcome m M.gbe M.Full_copy with
   | M.Aborted _ -> Alcotest.fail "transient faults must not abort"
   | M.Completed r ->
       Alcotest.(check bool) "reads happened" true (r.M.source_disk_reads > 0);
@@ -117,7 +119,7 @@ let transient_reads_retry_to_completion () =
 let transient_faults_throttle_copy_rate () =
   let faults = Faults.Config.make ~seed:7 ~transient_rate:0.02 () in
   let m = tiny_machine ~faults ~vs:Vswapper.Vsconfig.baseline () in
-  (match migrate_outcome ~retry_limit:10 m M.gbe M.Full_copy with
+  (match migrate_outcome m M.gbe M.Full_copy with
   | M.Aborted _ -> Alcotest.fail "transient faults must not abort"
   | M.Completed r ->
       Alcotest.(check bool) "dirty batches backed off" true
@@ -158,13 +160,13 @@ let tiny_tiered_machine ?(faults = Faults.Config.none) () =
   in
   let machine = Vmm.Machine.build cfg in
   ignore (Vmm.Machine.run machine);
-  Storage.Disk.set_faults (Vmm.Machine.disk machine)
+  Storage.Disk.set_faults (Host.Hostmm.disk (Vmm.Machine.host machine))
     (Faults.Plan.create faults);
   machine
 
 let tiered_swap_reads_route_through_tiers () =
   let m = tiny_tiered_machine () in
-  let stats = Vmm.Machine.stats m in
+  let stats = Host.Hostmm.stats (Vmm.Machine.host m) in
   let fast0 = stats.Metrics.Stats.tier_fast_swapins in
   (match migrate_outcome m M.gbe M.Full_copy with
   | M.Aborted _ -> Alcotest.fail "clean tiers must not abort"
