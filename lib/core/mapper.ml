@@ -26,17 +26,20 @@ type t = {
   mutable count : int; (* incrementally-tracked live mappings *)
 }
 
+(* Every table starts small and doubles as it fills: a guest whose
+   Mapper is off, or that reads little of its image, pays next to
+   nothing. *)
 let create ~stats () =
   {
     stats;
-    by_gpa = Mem.Itbl.create ~capacity:1024 ();
-    by_block = Mem.Itbl.create ~capacity:1024 ();
+    by_gpa = Mem.Itbl.create ();
+    by_block = Mem.Itbl.create ();
     slab = Mem.Itbl.Slab.create ();
-    b_gpa = Array.make 1024 0;
-    b_disk = Array.make 1024 0;
-    b_block = Array.make 1024 0;
-    b_version = Array.make 1024 0;
-    b_next = Array.make 1024 (-1);
+    b_gpa = Array.make 16 0;
+    b_disk = Array.make 16 0;
+    b_block = Array.make 16 0;
+    b_version = Array.make 16 0;
+    b_next = Array.make 16 (-1);
     count = 0;
   }
 

@@ -23,7 +23,9 @@ type t
 (** Backing-store location of a tracked page. *)
 type backing = { disk : int; block : int; version : int }
 
-(** [create ~stats ()] makes an empty per-guest mapper.  [stats]'s
+(** [create ~stats ()] makes an empty per-guest mapper whose tables
+    start at 16 entries and double as mappings arrive, so a guest with
+    the Mapper off holds a few hundred words of them.  [stats]'s
     [mapper_tracked] gauge is kept in sync. *)
 val create : stats:Metrics.Stats.t -> unit -> t
 

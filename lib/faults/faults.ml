@@ -78,7 +78,29 @@ module Plan = struct
     let z = z * 0x1B03738712FAD5C9 in
     (z lxor (z lsr 31)) land max_int
 
+  (* Reject a rate or multiplier out of range up front, naming it: a NaN
+     rate would otherwise compare false everywhere and inject nothing.
+     Rates above 1 act as 1 (sweeps pass a multiple of --fault-rate). *)
+  let validate (c : Config.t) =
+    let require ok field range =
+      if not ok then
+        invalid_arg
+          (Printf.sprintf "Faults.Plan.create: Faults.Config.%s must be %s"
+             field range)
+    in
+    let rate field r =
+      require (Float.is_finite r && r >= 0.0) field "finite and >= 0"
+    in
+    rate "media_rate" c.media_rate;
+    rate "transient_rate" c.transient_rate;
+    rate "degraded_rate" c.degraded_rate;
+    rate "czram_rate" c.czram_rate;
+    require
+      (Float.is_finite c.degraded_mult && c.degraded_mult >= 1.0)
+      "degraded_mult" "finite and >= 1"
+
   let create cfg =
+    validate cfg;
     let rng = Sim.Rng.of_int cfg.Config.seed in
     let media_key = Sim.Rng.next_int64 rng in
     let transient_key = Sim.Rng.next_int64 rng in

@@ -54,6 +54,9 @@ module Plan : sig
   (** Plan that never injects a fault (fast path, no hashing). *)
 
   val create : Config.t -> t
+  (** Raises [Invalid_argument] naming the first field out of range: a
+      rate must be finite and [>= 0] (a rate above 1 acts as 1), and
+      [degraded_mult] finite and [>= 1]. *)
 
   val config : t -> Config.t
 

@@ -13,7 +13,11 @@
      the gpa (guest page) or the hv-page index.
    - [c_main]: anon generation, or the block number of block content.
    - [c_disk] / [c_version]: the remaining block-content fields.
-   - [backing]: swap-cache slot, or -1 for none. *)
+   - [backing]: swap-cache slot, or -1 for none.
+
+   The arrays cover frames [0, capacity) and grow by [reserve]; free
+   frames are the [released] stack plus the never-used [fresh, nframes)
+   range, so no array need be longer than what the guests can hold. *)
 
 type owner_kind = Free | Guest_page | Hv_page
 
@@ -33,65 +37,107 @@ let ctag_block = 0x20
 let ctag_mask = 0x30
 
 type t = {
-  flags : Bytes.t;
-  owner_data : int array;
-  c_main : int array;
-  c_disk : int array;
-  c_version : int array;
-  backing : int array;
+  nframes : int;
+  (* Per-frame state covers frames [0, capacity); every frame above is
+     free and was never handed out, so it needs none. *)
+  mutable flags : Bytes.t;
+  mutable owner_data : int array;
+  mutable c_main : int array;
+  mutable c_disk : int array;
+  mutable c_version : int array;
+  mutable backing : int array;
   arena : Mem.Flru.arena;
-  free_stack : int array;
-  mutable nfree : int;
+  mutable released : int array;  (* LIFO stack of released frames *)
+  mutable nreleased : int;
+  mutable fresh : int;  (* frames [fresh, nframes) were never handed out *)
 }
 
 let create ~nframes =
   if nframes <= 0 then invalid_arg "Frames.create: nframes must be positive";
-  (* Stack ordered so the first pops return frames 0, 1, 2, ... —
-     the same allocation order as the original list-based free list. *)
-  let free_stack = Array.init nframes (fun i -> nframes - 1 - i) in
   {
-    flags = Bytes.make nframes '\000';
-    owner_data = Array.make nframes 0;
-    c_main = Array.make nframes 0;
-    c_disk = Array.make nframes 0;
-    c_version = Array.make nframes 0;
-    backing = Array.make nframes (-1);
-    arena = Mem.Flru.arena ~nodes:nframes ();
-    free_stack;
-    nfree = nframes;
+    nframes;
+    flags = Bytes.empty;
+    owner_data = [||];
+    c_main = [||];
+    c_disk = [||];
+    c_version = [||];
+    backing = [||];
+    arena = Mem.Flru.arena ~nodes:0 ();
+    released = [||];
+    nreleased = 0;
+    fresh = 0;
   }
 
-let nframes t = Bytes.length t.flags
-let nfree t = t.nfree
+let nframes t = t.nframes
+let nfree t = t.nreleased + (t.nframes - t.fresh)
+let high_water t = t.fresh
 let arena t = t.arena
+let capacity t = Bytes.length t.flags
+
+let grow t cap =
+  let old = capacity t in
+  let extend a fill =
+    let bigger = Array.make cap fill in
+    Array.blit a 0 bigger 0 old;
+    bigger
+  in
+  let flags = Bytes.make cap '\000' in
+  Bytes.blit t.flags 0 flags 0 old;
+  t.flags <- flags;
+  t.owner_data <- extend t.owner_data 0;
+  t.c_main <- extend t.c_main 0;
+  t.c_disk <- extend t.c_disk 0;
+  t.c_version <- extend t.c_version 0;
+  t.backing <- extend t.backing (-1);
+  t.released <- extend t.released 0;
+  Mem.Flru.grow_nodes t.arena ~nodes:cap
+
+(* Geometric, so registering guests one by one copies the table a
+   logarithmic number of times; never past [nframes], so a table that
+   covers the host is never copied again. *)
+let reserve t n =
+  let cap = capacity t in
+  if min n t.nframes > cap then grow t (min t.nframes (max n (2 * cap)))
+
 let flag_byte t f = Char.code (Bytes.unsafe_get t.flags f)
 
 let set_flag_bits t f ~mask bits =
   Bytes.unsafe_set t.flags f
     (Char.unsafe_chr (flag_byte t f land lnot mask lor bits))
 
+(* Released frames first, most recent on top, then the never-used ones
+   in ascending order: the order a stack pre-filled with every frame,
+   0 on top, would yield. *)
 let alloc t =
-  if t.nfree = 0 then None
-  else begin
-    t.nfree <- t.nfree - 1;
-    Some t.free_stack.(t.nfree)
+  if t.nreleased > 0 then begin
+    t.nreleased <- t.nreleased - 1;
+    Some t.released.(t.nreleased)
   end
+  else if t.fresh < t.nframes then begin
+    let f = t.fresh in
+    if f = capacity t then reserve t (f + 1);
+    t.fresh <- f + 1;
+    Some f
+  end
+  else None
 
 let is_free t f = flag_byte t f land otag_mask = tag_free
+
+let push_released t f =
+  t.released.(t.nreleased) <- f;
+  t.nreleased <- t.nreleased + 1
 
 let release t f =
   if is_free t f then
     invalid_arg (Printf.sprintf "Frames.release: frame %d is free" f);
   Bytes.unsafe_set t.flags f '\000';
   t.backing.(f) <- -1;
-  t.free_stack.(t.nfree) <- f;
-  t.nfree <- t.nfree + 1
+  push_released t f
 
 let put_back t f =
   if not (is_free t f) then
     invalid_arg (Printf.sprintf "Frames.put_back: frame %d is installed" f);
-  t.free_stack.(t.nfree) <- f;
-  t.nfree <- t.nfree + 1
+  push_released t f
 
 let owner_kind t f =
   match flag_byte t f land otag_mask with

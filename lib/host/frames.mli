@@ -6,7 +6,13 @@
     frame number, so the fault and reclaim paths never allocate to read
     or update frame metadata.  LRU placement is managed by {!Cgroup};
     the LRU links live in a shared {!Mem.Flru} arena whose node ids are
-    the frame numbers themselves. *)
+    the frame numbers themselves.
+
+    The table is sized by use: it holds state for frames
+    [0 .. capacity - 1] only, and every frame above that is free and was
+    never handed out.  {!Hostmm.register_guest} {!reserve}s what its
+    guests can hold, so a host whose cgroups are small never builds
+    metadata for the rest of its memory. *)
 
 (** Who owns a frame.  The owning guest and the gpa or hv-page index
     are read separately ({!owner_guest}, {!owner_payload}), so no view
@@ -18,16 +24,33 @@ type owner_kind =
 
 type t
 
+(** [create ~nframes] is a host of [nframes] free frames; it holds
+    state for none of them until {!reserve} or {!alloc} needs it. *)
 val create : nframes:int -> t
+
 val nframes : t -> int
 val nfree : t -> int
+
+(** [reserve t n] makes the table hold state for frames
+    [0 .. min n nframes - 1], growing it geometrically (to at least twice
+    its size, capped at [nframes]) when it is smaller.  Frame numbers do
+    not move, and neither does the order {!alloc} hands them out in.
+    Grow in serial code: a table grown inside a pool domain leaves its
+    old arrays in that domain's allocator arena. *)
+val reserve : t -> int -> unit
+
+(** [high_water t] is one past the highest frame ever handed out: every
+    frame at or above it is [Free]. *)
+val high_water : t -> int
 
 (** The shared LRU arena; {!Cgroup.create} lists draw nodes from it. *)
 val arena : t -> Mem.Flru.arena
 
-(** [alloc t] takes a frame off the free list.  The caller must have
-    ensured free frames exist (reclaim is the caller's job).  The frame
-    comes back still [Free]; callers fill in its owner. *)
+(** [alloc t] takes a free frame: the most recently released one, or
+    else the lowest never handed out (growing the table, as a fallback,
+    when that frame lies past it).  [None] when no frame is free; reclaim
+    is the caller's job.  The frame comes back still [Free]; callers
+    fill in its owner. *)
 val alloc : t -> int option
 
 (** [release t f] resets [f]'s metadata and returns it to the free

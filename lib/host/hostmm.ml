@@ -129,6 +129,7 @@ type t = {
   frames : Frames.t;
   mutable guests : guest option array;  (* dense gids index directly *)
   mutable nguests : int;  (* gids 0 .. nguests - 1 are registered *)
+  mutable holdable : int;  (* frames the registered guests can hold *)
   slot_owner : Itbl.t;  (* swap slot -> packed (guest, gpa) *)
   (* packed (guest, gpa) -> waiter-list index: continuations waiting for
      an in-flight fault live in [inflight_ws] at the index the slab
@@ -162,12 +163,13 @@ let owner_gpa key = key land owner_gpa_mask
 
 (* Reject an out-of-range config field up front, naming it, rather than
    fail somewhere downstream.  [named_preference] takes either value. *)
-let validate (c : Hconfig.t) =
-  let require ok field range =
+let validate (c : Hconfig.t) (vs : Vswapper.Vsconfig.t) =
+  let check record ok field range =
     if not ok then
       invalid_arg
-        (Printf.sprintf "Hostmm.create: Hconfig.%s must be %s" field range)
+        (Printf.sprintf "Hostmm.create: %s.%s must be %s" record field range)
   in
+  let require = check "Hconfig" in
   require (c.total_frames >= 1) "total_frames" ">= 1";
   require (c.low_watermark_frames >= 0) "low_watermark_frames" ">= 0";
   require
@@ -181,7 +183,11 @@ let validate (c : Hconfig.t) =
   require (c.qos_rate >= 0) "qos_rate" ">= 0";
   require
     (c.qos_rate = 0 || c.qos_burst >= 1)
-    "qos_burst" ">= 1 when qos_rate > 0"
+    "qos_burst" ">= 1 when qos_rate > 0";
+  check "Vsconfig" (vs.preventer_window > Sim.Time.zero) "preventer_window"
+    "> 0";
+  check "Vsconfig" (vs.preventer_max_buffers >= 1) "preventer_max_buffers"
+    ">= 1"
 
 (* Disk layout: [hv region | [images] | swap area | [add_image]s]. *)
 let create ?(faults = Faults.Plan.none) ?(disk = Storage.Disk.default_config)
@@ -204,7 +210,7 @@ let create ?(faults = Faults.Plan.none) ?(disk = Storage.Disk.default_config)
     Storage.Swap_area.create ~base_sector:!cursor ~nslots:swap_slots
   in
   let tiers = Storage.Tiers.create ~faults ~engine ~stats ~disk ~swap tiers in
-  validate config;
+  validate config vsconfig;
   {
     engine;
     disk;
@@ -216,6 +222,7 @@ let create ?(faults = Faults.Plan.none) ?(disk = Storage.Disk.default_config)
     frames = Frames.create ~nframes:config.Hconfig.total_frames;
     guests = Array.make 8 None;
     nguests = 0;
+    holdable = 0;
     slot_owner = Itbl.create ~capacity:4096 ();
     inflight_idx = Itbl.create ~capacity:64 ();
     inflight_ws = Array.make 64 [];
@@ -256,6 +263,14 @@ let tally t =
 let set_kill_handler t f = t.kill_handler <- f
 
 let register_guest t ~vdisk ~gpa_pages ~resident_limit =
+  (* The frame table grows here, in set-up code, to what the guests can
+     hold: a capped guest its cap (or its memory, if smaller) plus its
+     hypervisor pages, an uncapped one the whole host. *)
+  t.holdable <-
+    (match resident_limit with
+    | Some limit -> t.holdable + min limit gpa_pages + hv_pages_per_guest
+    | None -> Frames.nframes t.frames);
+  Frames.reserve t.frames t.holdable;
   let gid = t.nguests in
   let g =
     {
@@ -659,9 +674,9 @@ let guest_killed t gid = (guest t gid).killed
    whole guests, largest resident first (preferring a guest other than
    the requester), until [need] frames are free or nobody is left. *)
 let emergency_reclaim t ~requester ~need =
-  let nframes = Frames.nframes t.frames in
   let frame = ref 0 in
-  while Frames.nfree t.frames < need && !frame < nframes do
+  (* Frames at or above the high water are free: nothing to steal. *)
+  while Frames.nfree t.frames < need && !frame < Frames.high_water t.frames do
     (match Frames.owner_kind t.frames !frame with
     | Frames.Free -> ()
     | Frames.Hv_page ->

@@ -35,7 +35,8 @@ type page_state =
     Swap traffic routes through a {!Storage.Tiers} composite built from
     [tiers] (default the disk-only passthrough) with the same [faults];
     image I/O goes straight to the disk.  Raises [Invalid_argument]
-    naming the first [disk], [tiers] or [config] field out of range. *)
+    naming the first [disk], [tiers], [config] or [vsconfig] field out
+    of range. *)
 val create :
   ?faults:Faults.Plan.t ->
   ?disk:Storage.Disk.config ->
@@ -65,7 +66,12 @@ val tally : t -> Metrics.Stats.t
 (** [register_guest t ~vdisk ~gpa_pages ~resident_limit] admits a guest
     with [gpa_pages] of guest-physical memory, its disk image, and an
     optional cgroup resident-set cap (in frames, covering both guest
-    memory and the per-guest hypervisor pages). *)
+    memory and the per-guest hypervisor pages).  It also grows the host
+    frame table ({!Frames.reserve}) to what the guests registered so far
+    can hold: a capped guest adds [min resident_limit gpa_pages] plus
+    its 64 hypervisor pages, an uncapped one reserves the whole host.
+    Registering is set-up work: call it from serial code, not from a
+    pool domain. *)
 val register_guest :
   t ->
   vdisk:Storage.Vdisk.t ->

@@ -7,12 +7,17 @@ type arena = {
   mutable prev : int array;
   mutable next : int array;
   mutable owner : int array; (* 0 = detached, else owning list id *)
-  mutable nslots : int;
-  mutable next_sentinel : int; (* first free sentinel slot *)
-  mutable next_list_id : int;
+  mutable nodes : int; (* node ids are [0, nodes); sentinels sit above *)
+  mutable lists : t list; (* every list, so a move can re-point [s] *)
+  mutable nlists : int; (* list [id]'s sentinel is slot [nodes + id - 1] *)
 }
 
-type t = { a : arena; s : int; (* sentinel slot *) id : int; mutable length : int }
+and t = {
+  a : arena;
+  mutable s : int; (* sentinel slot; moves with the sentinel region *)
+  id : int;
+  mutable length : int;
+}
 
 let init_detached a lo hi =
   for i = lo to hi - 1 do
@@ -21,7 +26,7 @@ let init_detached a lo hi =
     a.owner.(i) <- 0
   done
 
-(* Sentinel headroom reserved up front; the region grows on demand. *)
+(* Sentinel headroom reserved up front; the region doubles on demand. *)
 let extra_lists = 8
 
 let arena ~nodes () =
@@ -31,38 +36,54 @@ let arena ~nodes () =
       prev = Array.make nslots 0;
       next = Array.make nslots 0;
       owner = Array.make nslots 0;
-      nslots;
-      next_sentinel = nodes;
-      next_list_id = 1;
+      nodes;
+      lists = [];
+      nlists = 0;
     }
   in
   init_detached a 0 nslots;
   a
 
-let grow a =
-  let nslots = 2 * a.nslots in
-  let extend arr =
-    let bigger = Array.make nslots 0 in
-    Array.blit arr 0 bigger 0 a.nslots;
-    bigger
-  in
-  a.prev <- extend a.prev;
-  a.next <- extend a.next;
-  a.owner <- extend a.owner;
-  let old = a.nslots in
-  a.nslots <- nslots;
-  init_detached a old nslots
+(* Lay the arena out again with [nodes] node slots and room for
+   [sentinels] lists.  Node slots keep their index; the sentinel region
+   moves up by the node region's growth, so every link naming a
+   sentinel, and every list's [s], shifts with it. *)
+let relayout a ~nodes ~sentinels =
+  let old_nodes = a.nodes and used = a.nodes + a.nlists in
+  let shift = nodes - old_nodes in
+  let moved i = if i >= old_nodes then i + shift else i in
+  let prev = a.prev and next = a.next and owner = a.owner in
+  let nslots = nodes + sentinels in
+  a.prev <- Array.make nslots 0;
+  a.next <- Array.make nslots 0;
+  a.owner <- Array.make nslots 0;
+  a.nodes <- nodes;
+  for i = 0 to used - 1 do
+    let j = moved i in
+    a.prev.(j) <- moved prev.(i);
+    a.next.(j) <- moved next.(i);
+    a.owner.(j) <- owner.(i)
+  done;
+  init_detached a old_nodes nodes;
+  init_detached a (nodes + a.nlists) nslots;
+  if shift <> 0 then List.iter (fun l -> l.s <- l.s + shift) a.lists
+
+let grow_nodes a ~nodes =
+  if nodes > a.nodes then
+    relayout a ~nodes ~sentinels:(Array.length a.prev - a.nodes)
 
 let list a =
-  if a.next_sentinel >= a.nslots then grow a;
-  let s = a.next_sentinel in
-  a.next_sentinel <- s + 1;
-  let id = a.next_list_id in
-  a.next_list_id <- id + 1;
+  let room = Array.length a.prev - a.nodes in
+  if a.nlists = room then relayout a ~nodes:a.nodes ~sentinels:(2 * room);
+  let s = a.nodes + a.nlists in
+  a.nlists <- a.nlists + 1;
+  let id = a.nlists in
   (* The sentinel carries the list id so [in_some_list] stays a plain
      owner check for node slots. *)
   a.owner.(s) <- id;
-  { a; s; id; length = 0 }
+  let l = { a; s; id; length = 0 } in
+  a.lists <- l :: a.lists;
+  l
 
 let length t = t.length
 let is_empty t = t.length = 0

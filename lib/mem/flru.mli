@@ -9,7 +9,11 @@
 
     Multiple lists share one arena; each list gets a sentinel slot
     carved from the region above the caller's node ids and a non-zero
-    owner id, so [mem] is an O(1) array read. *)
+    owner id, so [mem] is an O(1) array read.  Both regions grow: the
+    sentinel region doubles when a list finds it full, and
+    {!grow_nodes} extends the node region, moving the sentinels up
+    past it (each list follows its sentinel, so the link operations
+    never pay for the move). *)
 
 type arena
 type t
@@ -17,7 +21,12 @@ type t
 val arena : nodes:int -> unit -> arena
 (** [arena ~nodes ()] builds an arena whose node ids are
     [0 .. nodes - 1], all initially detached, with sentinel headroom for
-    eight lists (the sentinel region also grows on demand). *)
+    eight lists (the sentinel region doubles on demand, alone). *)
+
+val grow_nodes : arena -> nodes:int -> unit
+(** [grow_nodes a ~nodes] extends the node ids to [0 .. nodes - 1];
+    the new nodes start detached, and every list keeps its nodes in
+    order.  No-op unless [nodes] exceeds the current node count. *)
 
 val list : arena -> t
 (** A new empty list drawing nodes from [arena]. *)

@@ -7,13 +7,18 @@
     pages is detectable and (b) data written by the guest — including to
     its own swap partition, which is just a block range the guest
     reserves — reads back as exactly what was written, letting tests
-    chain correctness through arbitrary I/O. *)
+    chain correctness through arbitrary I/O.
+
+    Only written blocks need state, and an image keeps it in chunks of
+    1,024 blocks, allocated on a chunk's first {!write}: a large image
+    whose guest touches little of it (a swap partition it never swaps
+    to) costs a few hundred words. *)
 
 type t
 
 (** [create ~id ~base_sector ~nblocks] makes an image whose blocks
     initially hold their pristine image data ([Content.Block] at version
-    0). *)
+    0), with no per-block state allocated yet. *)
 val create : id:int -> base_sector:int -> nblocks:int -> t
 
 val id : t -> int

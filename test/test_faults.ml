@@ -190,6 +190,42 @@ let remote_stream_transient_retryable () =
   Alcotest.(check bool) "remote pattern differs from the disk's" true
     (disk <> remote)
 
+(* A rate or multiplier out of range fails at [Plan.create], naming the
+   field; a NaN rate would otherwise compare false and inject nothing.
+   Rates above 1 pass: the sweeps scale a --fault-rate in [0, 1] by up
+   to 10. *)
+let bad_config_fails_loudly () =
+  let create cfg = ignore (Faults.Plan.create cfg) in
+  let d = Faults.Config.none in
+  List.iter create
+    [
+      d;
+      Faults.Config.make ~seed:3 ~media_rate:0.01 ~transient_rate:1.0
+        ~degraded_rate:10.0 ~degraded_mult:1.0 ~czram_rate:5.0 ();
+    ];
+  List.iter
+    (fun (field, cfg) ->
+      match create cfg with
+      | () -> Alcotest.failf "%s: out-of-range value accepted" field
+      | exception Invalid_argument msg ->
+          check Alcotest.string field
+            (Printf.sprintf "Faults.Plan.create: Faults.Config.%s must be %s"
+               field
+               (if field = "degraded_mult" then "finite and >= 1"
+                else "finite and >= 0"))
+            msg)
+    [
+      ("media_rate", { d with media_rate = -0.1 });
+      ("media_rate", { d with media_rate = Float.nan });
+      ("transient_rate", { d with transient_rate = Float.infinity });
+      ("transient_rate", { d with transient_rate = -1e-9 });
+      ("degraded_rate", { d with degraded_rate = Float.nan });
+      ("czram_rate", { d with czram_rate = Float.neg_infinity });
+      ("degraded_mult", { d with degraded_mult = 0.5 });
+      ("degraded_mult", { d with degraded_mult = Float.nan });
+      ("degraded_mult", { d with degraded_mult = Float.infinity });
+    ]
+
 let tests =
   [
     ( "faults:plan",
@@ -208,5 +244,7 @@ let tests =
           czram_stream_independent_and_persistent;
         Alcotest.test_case "remote stream" `Quick
           remote_stream_transient_retryable;
+        Alcotest.test_case "bad config fails loudly" `Quick
+          bad_config_fails_loudly;
       ] );
   ]

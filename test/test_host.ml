@@ -165,23 +165,42 @@ let writes_to_present_pages_are_cheap () =
 (* An out-of-range config field fails at [create], naming the field,
    instead of surfacing later. *)
 let bad_config_fails_loudly () =
-  let create config =
-    ignore
-      (H.create ~config ~vsconfig:Vswapper.Vsconfig.baseline ~swap_slots:64
-         ~images:[] ())
+  let create ?(vsconfig = Vswapper.Vsconfig.baseline) config =
+    ignore (H.create ~config ~vsconfig ~swap_slots:64 ~images:[] ())
   in
-  let d = Host.Hconfig.default in
+  let d = Host.Hconfig.default and v = Vswapper.Vsconfig.vswapper in
   List.iter create
     [ d; Host.Hconfig.workstation_flavour d; Host.Hconfig.with_memory_mb d 16 ];
+  (* The presets and the ends of ablation D2's window/cap sweep. *)
+  List.iter
+    (fun vsconfig -> create ~vsconfig d)
+    [
+      Vswapper.Vsconfig.baseline;
+      Vswapper.Vsconfig.mapper_only;
+      v;
+      { v with preventer_window = Sim.Time.us 250; preventer_max_buffers = 8 };
+      { v with preventer_window = Sim.Time.ms 4; preventer_max_buffers = 128 };
+    ];
+  let fails name f =
+    match f () with
+    | () -> Alcotest.failf "%s: out-of-range value accepted" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %s" msg name)
+          true
+          (Test_util.contains msg name)
+  in
+  List.iter
+    (fun (field, vsconfig) ->
+      fails ("Vsconfig." ^ field) (fun () -> create ~vsconfig d))
+    [
+      ("preventer_window", { v with preventer_window = Sim.Time.zero });
+      ("preventer_window", { v with preventer_window = Sim.Time.us (-1) });
+      ("preventer_max_buffers", { v with preventer_max_buffers = 0 });
+    ];
   List.iter
     (fun (field, config) ->
-      match create config with
-      | () -> Alcotest.failf "%s: out-of-range value accepted" field
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S names %s" msg field)
-            true
-            (Test_util.contains msg field))
+      fails ("Hconfig." ^ field) (fun () -> create config))
     [
       ("total_frames", { d with total_frames = 0 });
       ("low_watermark_frames", { d with low_watermark_frames = -1 });
@@ -195,6 +214,148 @@ let bad_config_fails_loudly () =
       ("qos_rate", { d with qos_rate = -1 });
       ("qos_burst", { d with qos_rate = 10; qos_burst = 0 });
     ]
+
+(* The host's metadata follows what its guests can use, not what it is
+   configured with: one 42 MB-capped guest with a 278,528-block image
+   and 1,152 MB of swap costs the same on a 256 MB host as on a
+   2,304 MB one, and an image holds per-block state only for the
+   chunks written to it. *)
+let footprint_follows_use () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let host mem_mb =
+    let host =
+      H.create
+        ~config:(Host.Hconfig.with_memory_mb Host.Hconfig.default mem_mb)
+        ~vsconfig:Vswapper.Vsconfig.baseline
+        ~swap_slots:(Storage.Geom.pages_of_mb 1152)
+        ~images:[ 278_528 ] ()
+    in
+    ignore
+      (H.register_guest host ~vdisk:(H.image host 0)
+         ~gpa_pages:(Storage.Geom.pages_of_mb 256)
+         ~resident_limit:(Some (Storage.Geom.pages_of_mb 42)));
+    host
+  in
+  check Alcotest.int "same words at 256 MB and 2,304 MB of host memory"
+    (words (host 256)) (words (host 2304));
+  let vd = Storage.Vdisk.create ~id:0 ~base_sector:0 ~nblocks:278_528 in
+  let fresh = words vd in
+  if fresh >= 1_000 then Alcotest.failf "a fresh image holds %d words" fresh;
+  let write b = ignore (Storage.Vdisk.write vd b (C.fresh_anon ())) in
+  write 5;
+  let one = words vd in
+  write 6;
+  let same_chunk = words vd in
+  write 200_000;
+  let two = words vd in
+  if one - fresh >= 4_096 then
+    Alcotest.failf "one write costs %d words" (one - fresh);
+  check Alcotest.int "each written chunk costs the same" (one - fresh)
+    (two - same_chunk)
+
+(* The frame allocator that [Frames] replaced, kept as the model of
+   its allocation order: every frame sits on one stack, frame 0 on top,
+   and a released frame goes back on top.  Frame numbers reach EPT
+   entries, owner keys and LRU order, so the golden and the benchmark
+   fingerprints depend on [Frames.alloc] returning what this did. *)
+module Prefilled_frames = struct
+  type t = {
+    installed : bool array;
+    free_stack : int array;
+    mutable nfree : int;
+  }
+
+  let create ~nframes =
+    {
+      installed = Array.make nframes false;
+      free_stack = Array.init nframes (fun i -> nframes - 1 - i);
+      nfree = nframes;
+    }
+
+  let alloc t =
+    if t.nfree = 0 then None
+    else begin
+      t.nfree <- t.nfree - 1;
+      Some t.free_stack.(t.nfree)
+    end
+
+  let push t f =
+    t.free_stack.(t.nfree) <- f;
+    t.nfree <- t.nfree + 1
+
+  let set_guest_owner t f = t.installed.(f) <- true
+
+  let release t f =
+    assert t.installed.(f);
+    t.installed.(f) <- false;
+    push t f
+
+  let put_back t f =
+    assert (not t.installed.(f));
+    push t f
+end
+
+(* Random alloc / release / put_back / reserve sequences over a 40-frame
+   table: the grow-on-use table hands out the model's frames, keeps its
+   free count, and every frame out keeps its owner, whatever [reserve]
+   does in between. *)
+let frames_alloc_order =
+  QCheck.Test.make ~name:"frames: allocation order matches the prefilled stack"
+    ~count:500
+    QCheck.(list (pair (int_range 0 4) (int_range 0 60)))
+    (fun ops ->
+      let nframes = 40 in
+      let t = Host.Frames.create ~nframes in
+      let m = Prefilled_frames.create ~nframes in
+      (* Frames handed out: installed (a guest owns them) or not yet. *)
+      let installed = ref [] and held = ref [] in
+      let take l i =
+        let f = List.nth !l (i mod List.length !l) in
+        l := List.filter (( <> ) f) !l;
+        f
+      in
+      let owner_agrees f =
+        Host.Frames.owner_kind t f
+        = if m.installed.(f) then Host.Frames.Guest_page else Host.Frames.Free
+      in
+      List.for_all
+        (fun (op, arg) ->
+          let same_frame =
+            match op with
+            | 0 | 1 -> (
+                let got = Host.Frames.alloc t in
+                got = Prefilled_frames.alloc m
+                &&
+                match got with
+                | None -> true
+                | Some f when op = 1 ->
+                    Host.Frames.set_guest_owner t f ~guest:1 ~gpa:arg;
+                    Prefilled_frames.set_guest_owner m f;
+                    installed := f :: !installed;
+                    true
+                | Some f ->
+                    held := f :: !held;
+                    true)
+            | 2 when !installed <> [] ->
+                let f = take installed arg in
+                Host.Frames.release t f;
+                Prefilled_frames.release m f;
+                true
+            | 3 when !held <> [] ->
+                let f = take held arg in
+                Host.Frames.put_back t f;
+                Prefilled_frames.put_back m f;
+                true
+            | 4 ->
+                Host.Frames.reserve t arg;
+                true
+            | _ -> true
+          in
+          same_frame
+          && Host.Frames.nfree t = m.nfree
+          && List.for_all owner_agrees !installed
+          && List.for_all owner_agrees !held)
+        ops)
 
 (* The one layout rule of every host, on which the golden's seek
    distances and the fleet's fingerprint depend: [64 MB hv region |
@@ -1203,6 +1364,8 @@ let tests =
         Alcotest.test_case "present writes cheap" `Quick writes_to_present_pages_are_cheap;
         Alcotest.test_case "bad config fails loudly" `Quick bad_config_fails_loudly;
         Alcotest.test_case "disk layout" `Quick disk_layout;
+        Alcotest.test_case "footprint follows use" `Quick footprint_follows_use;
+        qcheck frames_alloc_order;
       ] );
     ( "host:alignment",
       [

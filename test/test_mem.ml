@@ -237,6 +237,49 @@ let flru_two_list_model =
         ops;
       !ok)
 
+(* Lists keep their nodes, in order, while the arena grows under them:
+   the sentinel region doubling as lists arrive, then the node region
+   growing past it (which moves every sentinel).  Sentinel growth alone
+   must not double the node region: 100 lists over 4,096 nodes take
+   fewer words than the link arrays of 8,192 nodes. *)
+let flru_many_lists () =
+  let a = Mem.Flru.arena ~nodes:8 () in
+  let first = Mem.Flru.list a in
+  List.iter (Mem.Flru.push_front first) [ 0; 1; 2 ];
+  let lists = Array.init 99 (fun _ -> Mem.Flru.list a) in
+  let last = lists.(98) in
+  List.iter (Mem.Flru.push_back last) [ 3; 4; 5 ];
+  let expect what =
+    Alcotest.(check (list int)) (what ^ ": first") [ 2; 1; 0 ]
+      (Mem.Flru.to_list first);
+    Alcotest.(check (list int)) (what ^ ": last") [ 3; 4; 5 ]
+      (Mem.Flru.to_list last);
+    Array.iteri
+      (fun i l ->
+        if i < 98 && not (Mem.Flru.is_empty l) then
+          Alcotest.failf "%s: list %d not empty" what i)
+      lists
+  in
+  expect "after 100 lists";
+  Mem.Flru.grow_nodes a ~nodes:64;
+  expect "after node growth";
+  Alcotest.(check bool) "new node detached" false (Mem.Flru.in_some_list a 63);
+  Mem.Flru.push_back first 63;
+  Mem.Flru.push_front lists.(50) 40;
+  check Alcotest.(option int) "pop_back" (Some 5) (Mem.Flru.pop_back last);
+  Alcotest.(check (list int)) "first takes a new node" [ 2; 1; 0; 63 ]
+    (Mem.Flru.to_list first);
+  Alcotest.(check (list int)) "a middle list" [ 40 ]
+    (Mem.Flru.to_list lists.(50));
+  Alcotest.(check (list int)) "last" [ 3; 4 ] (Mem.Flru.to_list last);
+  let b = Mem.Flru.arena ~nodes:4096 () in
+  for _ = 1 to 100 do
+    ignore (Mem.Flru.list b)
+  done;
+  let words = Obj.reachable_words (Obj.repr b) in
+  if words >= 3 * 2 * 4096 then
+    Alcotest.failf "100 lists over 4,096 nodes take %d words" words
+
 let tests =
   [
     ( "mem:itbl",
@@ -251,6 +294,8 @@ let tests =
     ( "mem:flru",
       [
         Alcotest.test_case "basic ops and errors" `Quick flru_basic;
+        Alcotest.test_case "many lists and growth keep order" `Quick
+          flru_many_lists;
         qcheck flru_two_list_model;
       ] );
   ]
