@@ -32,7 +32,7 @@ type t = {
   referenced : Bytes.t;
   arena : Mem.Flru.arena;  (* node id = gpa *)
   lru : Cgroup.t;  (* guest-side active/inactive lists *)
-  mutable free : int list;
+  free : int array;  (* stack of free gpas, [nfree] deep; top last *)
   mutable nfree : int;
   cache : (int, int) Hashtbl.t;  (* block -> gpa *)
   dirty : (int, unit) Hashtbl.t;  (* gpa set *)
@@ -108,7 +108,7 @@ let create ~host ~gid ~config =
     referenced = Bytes.make n '\000';
     arena;
     lru = Cgroup.create ~arena ~limit_frames:None;
-    free = List.init n (fun i -> i);
+    free = Array.init n (fun i -> n - 1 - i);  (* gpa 0 on top *)
     nfree = n;
     cache = Hashtbl.create 4096;
     dirty = Hashtbl.create 256;
@@ -154,16 +154,15 @@ let is_ref t gpa = Bytes.get t.referenced gpa <> '\000'
 let free_gpa t gpa =
   t.kinds.(gpa) <- K_free;
   clear_ref t gpa;
-  t.free <- gpa :: t.free;
+  t.free.(t.nfree) <- gpa;
   t.nfree <- t.nfree + 1
 
 let pop_free t =
-  match t.free with
-  | [] -> None
-  | gpa :: rest ->
-      t.free <- rest;
-      t.nfree <- t.nfree - 1;
-      Some gpa
+  if t.nfree = 0 then None
+  else begin
+    t.nfree <- t.nfree - 1;
+    Some t.free.(t.nfree)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reclaim (guest kswapd / direct reclaim)                             *)
@@ -824,13 +823,10 @@ let dirty_cache_pages t = Hashtbl.length t.dirty
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
-  let free_count = List.length t.free in
-  if free_count <> t.nfree then
-    fail "free list length %d <> nfree %d" free_count t.nfree;
-  List.iter
-    (fun gpa ->
-      if t.kinds.(gpa) <> K_free then fail "gpa %d on free list but not K_free" gpa)
-    t.free;
+  for i = 0 to t.nfree - 1 do
+    let gpa = t.free.(i) in
+    if t.kinds.(gpa) <> K_free then fail "gpa %d on free list but not K_free" gpa
+  done;
   Hashtbl.iter
     (fun block gpa ->
       match t.kinds.(gpa) with

@@ -130,7 +130,6 @@ type t = {
   mutable guests : guest option array;  (* dense gids index directly *)
   mutable nguests : int;  (* gids 0 .. nguests - 1 are registered *)
   mutable holdable : int;  (* frames the registered guests can hold *)
-  slot_owner : Itbl.t;  (* swap slot -> packed (guest, gpa) *)
   (* packed (guest, gpa) -> waiter-list index: continuations waiting for
      an in-flight fault live in [inflight_ws] at the index the slab
      assigned; the flat index table makes the per-fault existence checks
@@ -151,8 +150,9 @@ type t = {
 
 let page_sectors = Storage.Geom.sectors_per_page
 
-(* (guest, gpa) pairs are packed into one int so the per-fault table
-   lookups ([slot_owner], [inflight_idx]) hash and compare an immediate
+(* (guest, gpa) pairs are packed into one int, so a swap slot's owner
+   is an immediate the swap area stores beside its content, and the
+   in-flight lookups ([inflight_idx]) hash and compare an immediate
    instead of allocating a tuple per probe.  40 bits of gpa covers a
    four-petabyte guest; gids are bounded by the guest table. *)
 let owner_gpa_bits = 40
@@ -223,7 +223,6 @@ let create ?(faults = Faults.Plan.none) ?(disk = Storage.Disk.default_config)
     guests = Array.make 8 None;
     nguests = 0;
     holdable = 0;
-    slot_owner = Itbl.create ~capacity:4096 ();
     inflight_idx = Itbl.create ~capacity:64 ();
     inflight_ws = Array.make 64 [];
     inflight_slab = Itbl.Slab.create ();
@@ -403,8 +402,7 @@ let evict_frame t frame =
             (* Swap cache hit: an identical copy already sits in the
                slot; drop the frame without any I/O. *)
             assert (
-              Itbl.find t.slot_owner bslot ~default:(-1)
-              = owner_key ~gid ~gpa);
+              Storage.Swap_area.owner t.swap bslot = owner_key ~gid ~gpa);
             assert (
               Content.equal
                 (Frames.content t.frames frame)
@@ -414,7 +412,10 @@ let evict_frame t frame =
           end
           else begin
             let content = Frames.content t.frames frame in
-            match Storage.Swap_area.alloc t.swap content with
+            match
+              Storage.Swap_area.alloc t.swap content
+                ~owner:(owner_key ~gid ~gpa)
+            with
             | None ->
                 (* Swap area full: this page cannot be evicted.  The
                    caller degrades (skips anon, prefers named discard)
@@ -423,7 +424,6 @@ let evict_frame t frame =
                   t.stats.swap_full_fallbacks + 1;
                 false
             | Some slot ->
-                Itbl.set t.slot_owner slot (owner_key ~gid ~gpa);
                 g.ept.(gpa) <- Ept.in_swap slot;
                 t.stats.host_swapouts <- t.stats.host_swapouts + 1;
                 t.stats.swap_sectors_written <-
@@ -585,9 +585,7 @@ let drop_swap_backing t frame =
   let slot = Frames.backing_slot t.frames frame in
   if slot >= 0 then begin
     Frames.set_backing_slot t.frames frame (-1);
-    Itbl.remove t.slot_owner slot;
-    if Storage.Swap_area.is_allocated t.swap slot then
-      Storage.Swap_area.free t.swap slot
+    Storage.Swap_area.free t.swap slot
   end
 
 (* Drop whatever backs [gpa] — present frame, swap slot, image mapping,
@@ -606,11 +604,8 @@ let discard_backing t g ~gpa =
        Frames.release t.frames frame
    | In_swap ->
        let slot = Ept.arg e in
-       if Itbl.find t.slot_owner slot ~default:(-1) = owner_key ~gid:g.gid ~gpa
-       then begin
-         Itbl.remove t.slot_owner slot;
+       if Storage.Swap_area.owner t.swap slot = owner_key ~gid:g.gid ~gpa then
          Storage.Swap_area.free t.swap slot
-       end
    | In_image -> Mapper.untrack g.mapper ~gpa
    | Not_backed -> ()
    | Ballooned -> invalid_arg "Hostmm.discard_backing: ballooned page");
@@ -621,7 +616,7 @@ let discard_backing t g ~gpa =
 (* ------------------------------------------------------------------ *)
 
 (* Tear one guest down, releasing everything it holds: frames, swap
-   slots, slot-owner entries, Preventer buffers, hypervisor pages.  The
+   slots, Preventer buffers, hypervisor pages.  The
    host's last-resort response to a failing disk or exhausted memory —
    the blast radius is one guest, never the machine. *)
 let kill_guest t gid =
@@ -838,8 +833,7 @@ let handle_read_error t g ~swap_read ~err ~attempt ~retry ~give_up =
 let install_from_swap t ~target slot owner =
   let g = guest t (owner_gid owner) and gpa = owner_gpa owner in
   if
-    Storage.Swap_area.is_allocated t.swap slot
-    && Itbl.find t.slot_owner slot ~default:(-1) = owner
+    Storage.Swap_area.owner t.swap slot = owner
     && g.ept.(gpa) = Ept.in_swap slot
   then begin
     let content = Storage.Swap_area.content t.swap slot in
@@ -860,10 +854,7 @@ let install_from_swap t ~target slot owner =
       (* Only the faulting (mapped) page frees its slot under swap
          pressure; readahead pages sit in the swap cache and always keep
          theirs, so unused prefetch never relocates anything. *)
-      if target && vm_swap_full then begin
-        Storage.Swap_area.free t.swap slot;
-        Itbl.remove t.slot_owner slot
-      end
+      if target && vm_swap_full then Storage.Swap_area.free t.swap slot
       else Frames.set_backing_slot t.frames frame slot;
       t.stats.host_swapins <- t.stats.host_swapins + 1
     end
@@ -1019,7 +1010,7 @@ and swapin_cluster t g ~gpa ~slot ~host_context k =
   let headroom = ref (max 0 (Frames.nfree t.frames - 1)) in
   let ahead = ref [] in
   for s = s0 to s_end - 1 do
-    let owner = Itbl.find t.slot_owner s ~default:(-1) in
+    let owner = Storage.Swap_area.owner t.swap s in
     if
       s <> slot && !headroom > 0 && owner >= 0
       && (not (inflight_mem t owner))
@@ -1625,16 +1616,16 @@ let set_swapin_probe t probe = t.swapin_probe <- probe
 
 (* Move the live page of [slot] to a freshly allocated slot — the
    scrubber's repair action when verify finds latent media damage.  The
-   three views of the slot (swap area, slot-owner table, the owner's
-   EPT entry or swap-cache backing pointer) are updated together, with
-   no intervening event, so no fault can observe a half-moved slot; the
+   two views of the slot (the swap area with its owner, the owner's EPT
+   entry or swap-cache backing pointer) are updated together, with no
+   intervening event, so no fault can observe a half-moved slot; the
    content travels by reference (the surviving copy) and the new slot
    is written out through the ordinary tier write-back path.  Returns
    false — changing nothing — when the slot is not live, its read is in
    flight, its guest is gone, or the area has no free slot. *)
 let relocate_slot t slot =
-  let owner = Itbl.find t.slot_owner slot ~default:(-1) in
-  if owner < 0 || not (Storage.Swap_area.is_allocated t.swap slot) then false
+  let owner = Storage.Swap_area.owner t.swap slot in
+  if owner < 0 then false
   else if inflight_mem t owner then false
   else begin
     let gid = owner_gid owner and gpa = owner_gpa owner in
@@ -1642,7 +1633,7 @@ let relocate_slot t slot =
     if g.killed then false
     else begin
       let content = Storage.Swap_area.content t.swap slot in
-      match Storage.Swap_area.alloc t.swap content with
+      match Storage.Swap_area.alloc t.swap content ~owner with
       | None -> false
       | Some nslot ->
           let e = g.ept.(gpa) in
@@ -1659,14 +1650,13 @@ let relocate_slot t slot =
             | Not_backed | Ballooned | Present | In_swap | In_image -> false
           in
           if not rewired then begin
-            (* Owner table and EPT disagree — the slot is being torn
-               down concurrently; undo the allocation and walk away. *)
+            (* The slot's owner and its EPT disagree — the slot is being
+               torn down concurrently; undo the allocation and walk
+               away. *)
             Storage.Swap_area.free t.swap nslot;
             false
           end
           else begin
-            Itbl.remove t.slot_owner slot;
-            Itbl.set t.slot_owner nslot owner;
             Storage.Swap_area.free t.swap slot;
             Storage.Tiers.swap_out t.tiers ~slot:nslot;
             true
@@ -1697,9 +1687,7 @@ let check_invariants t =
                 if slot >= 0 then begin
                   if not (Storage.Swap_area.is_allocated t.swap slot) then
                     fail "guest %d gpa %d: backing slot %d free" gid gpa slot;
-                  if
-                    Itbl.find t.slot_owner slot ~default:(-1)
-                    <> owner_key ~gid ~gpa
+                  if Storage.Swap_area.owner t.swap slot <> owner_key ~gid ~gpa
                   then
                     fail "guest %d gpa %d: backing slot %d owner" gid gpa slot;
                   if
@@ -1728,9 +1716,7 @@ let check_invariants t =
                 if not (Storage.Swap_area.is_allocated t.swap slot) then
                   fail "guest %d gpa %d: swap slot %d not allocated" gid gpa
                     slot;
-                if
-                  Itbl.find t.slot_owner slot ~default:(-1)
-                  <> owner_key ~gid ~gpa
+                if Storage.Swap_area.owner t.swap slot <> owner_key ~gid ~gpa
                 then
                   fail "guest %d gpa %d: swap slot %d owner mismatch" gid gpa
                     slot

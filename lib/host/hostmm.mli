@@ -82,7 +82,7 @@ val register_guest :
 (** {2 Failure containment} *)
 
 (** [kill_guest t gid] tears the guest down, releasing every resource it
-    holds — frames, swap slots and their slot-owner entries, Mapper
+    holds — frames, swap slots (and with them their owners), Mapper
     trackings, Preventer buffers, hypervisor pages — and leaving every
     page [Not_backed].  Invoked by the host on unrecoverable I/O errors
     (media error, retry budget exhausted) and as the OOM last resort;
@@ -220,9 +220,9 @@ val set_swapin_probe : t -> (gid:guest_id -> us:int -> unit) option -> unit
 (** {2 Scrubber repair} *)
 
 (** [relocate_slot t slot] moves the live page stored in swap [slot] to
-    a freshly allocated slot: the content is carried over, the
-    slot-owner table and the owning guest's EPT entry (or swap-cache
-    backing pointer) are rewired in the same event, the old slot is
+    a freshly allocated slot: the content and the owner are carried
+    over, and the owning guest's EPT entry (or swap-cache backing
+    pointer) is rewired in the same event, the old slot is
     freed, and the new slot is written out through the tier write-back
     path.  Returns [false] — changing nothing — if the slot is not
     live, its read is currently in flight, its guest is gone, or the

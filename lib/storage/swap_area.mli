@@ -19,14 +19,30 @@ val create : base_sector:int -> nslots:int -> t
 
 val cluster_slots : int
 
-(** [alloc t content] claims a free slot storing [content] and returns
-    its index, or [None] if the area is full. *)
-val alloc : t -> Content.t -> int option
+(** [alloc t content ~owner] claims a free slot storing [content] for
+    [owner] and returns its index, or [None] if the area is full.  The
+    owner is a non-negative int the caller packs (the host passes its
+    (guest, gpa) key); the area never decodes it.  Raises
+    [Invalid_argument] when [owner < 0].
+
+    Per-slot state lives in 1,024-slot chunks, each allocated when a
+    slot in it is first taken, so a fresh area costs a few words per
+    256-slot cluster, not per slot. *)
+val alloc : t -> Content.t -> owner:int -> int option
+
+(** [owner t slot] is the owner given to {!alloc} for an allocated
+    slot, or -1 for a free one: an owner of -1 is what "free" means, so
+    allocation and ownership cannot disagree. *)
+val owner : t -> int -> int
 
 (** [free t slot] releases a slot, first invoking the {!set_on_free}
-    hook (if any) with the slot's tier.  Freeing a free slot is an
-    error. *)
+    hook (if any) with the slot's tier; its owner reads -1 again.
+    Freeing a free slot is an error. *)
 val free : t -> int -> unit
+
+(** [iter_allocated t f] calls [f ~slot ~owner] for every allocated
+    slot, in slot order, skipping the chunks never taken. *)
+val iter_allocated : t -> (slot:int -> owner:int -> unit) -> unit
 
 (** {2 Tier metadata}
 
@@ -34,8 +50,9 @@ val free : t -> int -> unit
     disk; the area records which, so swap-in, readahead grouping and
     release all agree without shadow tables. *)
 
-(** [set_tier t slot tier] records the tier holding [slot]'s page (0 the
-    fast tier, 1 the disk).  [alloc] resets a slot's tier to 0 (the
+(** [set_tier t slot tier] records the tier holding the allocated
+    [slot]'s page (0 the fast tier, 1 the disk; anything else, or a
+    free slot, is an error).  [alloc] resets a slot's tier to 0 (the
     fast tier, or the sole disk in passthrough). *)
 val set_tier : t -> int -> int -> unit
 

@@ -1,6 +1,8 @@
 (* Per-block state is kept in chunks of [chunk_blocks] blocks, allocated
    on the chunk's first write; an unwritten chunk is the shared empty
-   array, and every block in it still holds its pristine image data. *)
+   array, and every block in it still holds its pristine image data.
+   Version 0 means pristine, and every write bumps the version, so a
+   block's [overwritten] entry is read only once it has been written. *)
 
 let chunk_bits = 10
 let chunk_blocks = 1 lsl chunk_bits
@@ -10,9 +12,9 @@ type t = {
   base_sector : int;
   nblocks : int;
   versions : int array array;
-  (* [None] means the block still holds its pristine image data, which we
-     represent as [Block {disk; block; version = 0}] without storing it. *)
-  overwritten : Content.t option array array;
+  (* The last content written to each block; [Content.Zero] in a
+     pristine one, whose content is [Block {disk; block; version = 0}]. *)
+  overwritten : Content.t array array;
 }
 
 let create ~id ~base_sector ~nblocks =
@@ -39,13 +41,11 @@ let sector_of_block t b =
 
 let content t b =
   check t b;
-  let chunk = t.overwritten.(b lsr chunk_bits) in
-  match
-    if Array.length chunk = 0 then None
-    else chunk.(b land (chunk_blocks - 1))
-  with
-  | Some c -> c
-  | None -> Content.Block { disk = t.id; block = b; version = 0 }
+  let k = b lsr chunk_bits and i = b land (chunk_blocks - 1) in
+  let versions = t.versions.(k) in
+  if Array.length versions = 0 || versions.(i) = 0 then
+    Content.Block { disk = t.id; block = b; version = 0 }
+  else t.overwritten.(k).(i)
 
 let version t b =
   check t b;
@@ -57,9 +57,9 @@ let write t b c =
   let k = b lsr chunk_bits and i = b land (chunk_blocks - 1) in
   if Array.length t.versions.(k) = 0 then begin
     t.versions.(k) <- Array.make chunk_blocks 0;
-    t.overwritten.(k) <- Array.make chunk_blocks None
+    t.overwritten.(k) <- Array.make chunk_blocks Content.Zero
   end;
-  t.overwritten.(k).(i) <- Some c;
+  t.overwritten.(k).(i) <- c;
   let v = t.versions.(k).(i) + 1 in
   t.versions.(k).(i) <- v;
   v

@@ -218,8 +218,9 @@ let bad_config_fails_loudly () =
 (* The host's metadata follows what its guests can use, not what it is
    configured with: one 42 MB-capped guest with a 278,528-block image
    and 1,152 MB of swap costs the same on a 256 MB host as on a
-   2,304 MB one, and an image holds per-block state only for the
-   chunks written to it. *)
+   2,304 MB one, an image holds per-block state only for the chunks
+   written to it, and a swap area per-slot state only for the chunks
+   it has handed slots out of. *)
 let footprint_follows_use () =
   let words x = Obj.reachable_words (Obj.repr x) in
   let host mem_mb =
@@ -251,7 +252,28 @@ let footprint_follows_use () =
   if one - fresh >= 4_096 then
     Alcotest.failf "one write costs %d words" (one - fresh);
   check Alcotest.int "each written chunk costs the same" (one - fresh)
-    (two - same_chunk)
+    (two - same_chunk);
+  (* Slots are handed out in order from a fresh area, so slot 0 opens
+     its first 1,024-slot chunk and slot 1,024 its second.  A [Zero]
+     content is an immediate: the words counted are the area's own. *)
+  let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:294_912 in
+  let fresh = words sa in
+  if fresh >= 4_096 then Alcotest.failf "a fresh swap area holds %d words" fresh;
+  let take n =
+    for _ = 1 to n do
+      ignore (Storage.Swap_area.alloc sa C.Zero ~owner:0)
+    done
+  in
+  take 1;
+  let one = words sa in
+  take 1_023;
+  check Alcotest.int "the rest of a taken chunk costs nothing" one (words sa);
+  take 1;
+  let two = words sa in
+  check Alcotest.int "each taken chunk costs the same" (one - fresh)
+    (two - one);
+  if one - fresh >= 4_096 then
+    Alcotest.failf "one taken chunk costs %d words" (one - fresh)
 
 (* The frame allocator that [Frames] replaced, kept as the model of
    its allocation order: every frame sits on one stack, frame 0 on top,

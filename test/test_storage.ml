@@ -636,7 +636,7 @@ let swap_cluster_sequential () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:1024 in
   let slots =
     List.init 300 (fun i ->
-        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i)))
+        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
   in
   (* Consecutive allocations fill clusters sequentially. *)
   let consecutive =
@@ -662,12 +662,12 @@ let swap_cluster_rounding () =
   (* Every requested slot is allocatable, and exhaustion happens at
      exactly the requested count, not at a cluster boundary. *)
   let slots =
-    List.init 300 (fun i -> Storage.Swap_area.alloc sa (Storage.Content.Anon i))
+    List.init 300 (fun i -> Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i)
   in
   Alcotest.(check bool) "all 300 allocate" true
     (List.for_all Option.is_some slots);
   Alcotest.(check (option int)) "301st fails" None
-    (Storage.Swap_area.alloc sa Storage.Content.Zero);
+    (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0);
   check Alcotest.int "in use" 300 (Storage.Swap_area.in_use sa);
   (* Freeing the partial cluster's slots makes it wholly free again. *)
   List.iter
@@ -688,20 +688,23 @@ let swap_bad_size_fails_loudly () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:1 in
   check Alcotest.int "one slot" 1 (Storage.Swap_area.nslots sa);
   Alcotest.(check (option int)) "it allocates" (Some 0)
-    (Storage.Swap_area.alloc sa Storage.Content.Zero);
+    (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0);
   Alcotest.(check (option int)) "then the area is full" None
-    (Storage.Swap_area.alloc sa Storage.Content.Zero)
+    (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0)
 
 let swap_roundtrip () =
   let sa = Storage.Swap_area.create ~base_sector:800 ~nslots:256 in
   let c = Storage.Content.Anon 7 in
-  let s = Option.get (Storage.Swap_area.alloc sa c) in
+  let s = Option.get (Storage.Swap_area.alloc sa c ~owner:42) in
   Alcotest.(check bool) "allocated" true (Storage.Swap_area.is_allocated sa s);
+  check Alcotest.int "owner" 42 (Storage.Swap_area.owner sa s);
   Alcotest.(check bool) "content" true
     (Storage.Content.equal c (Storage.Swap_area.content sa s));
   check Alcotest.int "sector" (800 + (s * 8)) (Storage.Swap_area.sector_of_slot sa s);
   Storage.Swap_area.free sa s;
   Alcotest.(check bool) "freed" false (Storage.Swap_area.is_allocated sa s);
+  check Alcotest.int "a free slot has no owner" (-1)
+    (Storage.Swap_area.owner sa s);
   Alcotest.check_raises "double free"
     (Invalid_argument (Printf.sprintf "Swap_area.free: slot %d is free" s))
     (fun () -> Storage.Swap_area.free sa s)
@@ -711,17 +714,17 @@ let swap_fragmentation_fallback () =
   (* Fill both clusters entirely. *)
   let slots =
     List.init 512 (fun i ->
-        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i)))
+        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
   in
   check Alcotest.int "full" 512 (Storage.Swap_area.in_use sa);
   Alcotest.(check (option int)) "exhausted" None
-    (Storage.Swap_area.alloc sa Storage.Content.Zero);
+    (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0);
   (* Free every other slot: no cluster becomes wholly free. *)
   List.iteri (fun i s -> if i mod 2 = 0 then Storage.Swap_area.free sa s) slots;
   check Alcotest.int "half free" 256 (Storage.Swap_area.in_use sa);
   check Alcotest.int "no free clusters" 0 (Storage.Swap_area.free_clusters sa);
   let before = Storage.Swap_area.fragmented_allocs sa in
-  let s = Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero) in
+  let s = Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0) in
   Alcotest.(check bool) "allocated a hole" true (Storage.Swap_area.is_allocated sa s);
   Alcotest.(check bool) "fell back to scanning" true
     (Storage.Swap_area.fragmented_allocs sa > before)
@@ -730,25 +733,27 @@ let swap_free_cluster_reuse () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:512 in
   let slots =
     List.init 512 (fun i ->
-        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i)))
+        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
   in
   (* Free the whole first cluster; it becomes allocatable again. *)
   List.iteri (fun i s -> if i < 256 then Storage.Swap_area.free sa s) slots;
   check Alcotest.int "one free cluster" 1 (Storage.Swap_area.free_clusters sa);
-  let s = Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero) in
+  let s = Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0) in
   Alcotest.(check bool) "reused cluster 0" true (s < 256)
 
-(* Property: over areas of 1 to ~4 clusters, the last often partial,
-   bursts of allocations and scattered frees drive the allocator through
+(* Property: over areas of 1 slot to ~5 chunks of 1,024 slots, the last
+   chunk and cluster often partial, bursts of allocations and scattered
+   frees (bursts scale with the area) drive the allocator through
    whole-cluster allocation, exhaustion and the fragmented scan.  Every
    allocation returns the slot the walk returns, with the same
    fragmented count; after every burst the free-cluster count equals a
-   recount of the wholly-free clusters; the books (in use, contents)
-   hold throughout. *)
+   recount of the wholly-free clusters; the books (in use, each live
+   slot's owner and content, owner -1 on every free slot) hold
+   throughout. *)
 let swap_model =
   QCheck.Test.make ~name:"swap_area: random alloc/free keeps books" ~count:100
     QCheck.(
-      pair (int_range 1 1_100)
+      pair (int_range 1 5_000)
         (list_of_size
            Gen.(int_range 0 200)
            (triple (int_range 0 99) (int_range 1 64) small_nat)))
@@ -756,10 +761,15 @@ let swap_model =
       let sa = Storage.Swap_area.create ~base_sector:0 ~nslots in
       let walk = Walk_alloc.create nslots in
       let tags = Array.make nslots (-1) in (* content tag of a live slot *)
+      let owner_of_tag tag = (3 * tag) + 1 in
       let live = Array.make nslots 0 and nlive = ref 0 in
       let next_tag = ref 0 in
       let alloc () =
-        let got = Storage.Swap_area.alloc sa (Storage.Content.Anon !next_tag) in
+        let got =
+          Storage.Swap_area.alloc sa
+            (Storage.Content.Anon !next_tag)
+            ~owner:(owner_of_tag !next_tag)
+        in
         if got <> Walk_alloc.alloc walk then failwith "slot differs from walk";
         if Storage.Swap_area.fragmented_allocs sa <> walk.fragmented_allocs
         then failwith "fragmented_allocs differs from walk";
@@ -793,9 +803,10 @@ let swap_model =
         done;
         !n
       in
+      let scale = 1 + (nslots / 1_000) in
       List.iter
         (fun (op, burst, pick) ->
-          for i = 1 to burst do
+          for i = 1 to burst * scale do
             if op < 60 || !nlive = 0 then alloc () else free (pick + i)
           done;
           if Storage.Swap_area.free_clusters sa <> recount () then
@@ -804,10 +815,12 @@ let swap_model =
       Storage.Swap_area.in_use sa = !nlive
       && Seq.for_all
            (fun (s, tag) ->
-             tag < 0
-             || Storage.Content.equal
-                  (Storage.Swap_area.content sa s)
-                  (Storage.Content.Anon tag))
+             if tag < 0 then Storage.Swap_area.owner sa s = -1
+             else
+               Storage.Swap_area.owner sa s = owner_of_tag tag
+               && Storage.Content.equal
+                    (Storage.Swap_area.content sa s)
+                    (Storage.Content.Anon tag))
            (Array.to_seqi tags))
 
 let disk_service_monotone =
@@ -994,7 +1007,7 @@ let destage_retry_budget_bounds_livelock () =
 
 let swap_area_tier_metadata () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:16 in
-  let s = Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 1)) in
+  let s = Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 1) ~owner:1) in
   check Alcotest.int "fresh slot on tier 0" 0 (Storage.Swap_area.tier sa s);
   Storage.Swap_area.set_tier sa s 1;
   check Alcotest.int "tier sticks" 1 (Storage.Swap_area.tier sa s);
@@ -1004,7 +1017,7 @@ let swap_area_tier_metadata () =
   Storage.Swap_area.free sa s;
   Alcotest.(check (option (pair int int))) "hook sees slot and tier"
     (Some (s, 1)) !freed;
-  let s2 = Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 2)) in
+  let s2 = Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 2) ~owner:2) in
   check Alcotest.int "tier reset on reuse" 0 (Storage.Swap_area.tier sa s2)
 
 let mk_tiers ?faults cfg =
@@ -1020,7 +1033,7 @@ let mk_tiers ?faults cfg =
 (* ------------------------------------------------------------------ *)
 
 let fresh_slot swap i =
-  Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon i))
+  Option.get (Storage.Swap_area.alloc swap (Storage.Content.Anon i) ~owner:i)
 
 (* Read two fast-tier slots at the same instant, 1 ms from now, once the
    swap-outs' own compress or link time has cleared; returns the two
@@ -1373,7 +1386,7 @@ let tiers_passthrough_differential =
         in
         let swap = Storage.Swap_area.create ~base_sector:0 ~nslots:256 in
         for i = 0 to 199 do
-          ignore (Storage.Swap_area.alloc swap (Storage.Content.Anon i))
+          ignore (Storage.Swap_area.alloc swap (Storage.Content.Anon i) ~owner:i)
         done;
         let t =
           Storage.Tiers.create ~engine ~stats ~disk ~swap
