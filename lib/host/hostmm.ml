@@ -361,6 +361,17 @@ let is_silent_write g content =
       && version = Storage.Vdisk.version g.vdisk block
   | Content.Zero | Content.Anon _ -> false
 
+(* Release the swap-cache slot backing a present frame, if any: called
+   whenever the frame's content is about to change, so the stale copy in
+   the swap area is never resurrected, and when a named frame is
+   dropped. *)
+let drop_swap_backing t frame =
+  let slot = Frames.backing_slot t.frames frame in
+  if slot >= 0 then begin
+    Frames.set_backing_slot t.frames frame (-1);
+    Storage.Swap_area.free t.swap slot
+  end
+
 (* Evict one frame: named guest pages are dropped (the Mapper remembers
    where to find them), hypervisor pages are dropped (refetchable),
    everything else goes to host swap — unconditionally written, because
@@ -390,6 +401,10 @@ let evict_frame t frame =
             assert (
               Storage.Vdisk.version g.vdisk block
               = Mapper.tracked_version g.mapper ~gpa);
+            (* Write-then-map names a present page without touching the
+               swap-cache slot it may have been swapped in from; the
+               slot dies with the frame, or nothing would refer to it. *)
+            drop_swap_backing t frame;
             g.ept.(gpa) <- Ept.in_image block;
             t.stats.mapper_discards <- t.stats.mapper_discards + 1;
             true
@@ -577,16 +592,6 @@ let ensure_frames t g ~need =
   end;
   int_of_float
     (Float.round (float_of_int !scanned_total *. reclaim_page_us))
-
-(* Release the swap-cache slot backing a present frame, if any: called
-   whenever the frame's content is about to change, so the stale copy in
-   the swap area is never resurrected. *)
-let drop_swap_backing t frame =
-  let slot = Frames.backing_slot t.frames frame in
-  if slot >= 0 then begin
-    Frames.set_backing_slot t.frames frame (-1);
-    Storage.Swap_area.free t.swap slot
-  end
 
 (* Drop whatever backs [gpa] — present frame, swap slot, image mapping,
    pending Preventer buffer — leaving the page not backed.  Used when
@@ -1650,9 +1655,9 @@ let relocate_slot t slot =
             | Not_backed | Ballooned | Present | In_swap | In_image -> false
           in
           if not rewired then begin
-            (* The slot's owner and its EPT disagree — the slot is being
-               torn down concurrently; undo the allocation and walk
-               away. *)
+            (* The slot's owner and its EPT disagree, which
+               [check_invariants] rules out: undo the allocation and
+               walk away. *)
             Storage.Swap_area.free t.swap nslot;
             false
           end
@@ -1729,4 +1734,25 @@ let check_invariants t =
                 | Some _ | None ->
                     fail "guest %d gpa %d: in-image but untracked" gid gpa))
           g.ept
-  done
+  done;
+  (* One owner per swap slot, and no slot leaked: every allocated slot
+     is the live swap copy of its owner's page, or the swap-cache copy
+     behind the owner's present frame. *)
+  let owned = ref 0 in
+  Storage.Swap_area.iter_allocated t.swap (fun ~slot ~owner ->
+      incr owned;
+      let gid = owner_gid owner and gpa = owner_gpa owner in
+      match if gid < t.nguests then t.guests.(gid) else None with
+      | None -> fail "slot %d owned by absent guest %d" slot gid
+      | Some g ->
+          if g.killed then fail "slot %d owned by killed guest %d" slot gid;
+          let e = if gpa < Array.length g.ept then g.ept.(gpa) else -1 in
+          let maps_back =
+            e = Ept.in_swap slot
+            || Ept.state e = Present
+               && Frames.backing_slot t.frames (Ept.arg e) = slot
+          in
+          if not maps_back then
+            fail "slot %d owner (%d,%d) does not map back" slot gid gpa);
+  if !owned <> Storage.Swap_area.in_use t.swap then
+    fail "%d owned slots <> %d in use" !owned (Storage.Swap_area.in_use t.swap)
