@@ -621,9 +621,9 @@ let discard_backing t g ~gpa =
 (* ------------------------------------------------------------------ *)
 
 (* Tear one guest down, releasing everything it holds: frames, swap
-   slots, Preventer buffers, hypervisor pages.  The
-   host's last-resort response to a failing disk or exhausted memory —
-   the blast radius is one guest, never the machine. *)
+   slots, Preventer buffers, hypervisor pages.  The host's last-resort
+   response to a failing disk or exhausted memory — the blast radius is
+   one guest, never the machine. *)
 let kill_guest t gid =
   let g = guest t gid in
   if not g.killed then begin
@@ -1641,31 +1641,21 @@ let relocate_slot t slot =
       match Storage.Swap_area.alloc t.swap content ~owner with
       | None -> false
       | Some nslot ->
+          (* An allocated slot's owner maps back to it ([check_invariants]):
+             its EPT entry is [In_swap slot], or its present frame is a
+             swap-cache copy of [slot], and then only the backing pointer
+             moves. *)
           let e = g.ept.(gpa) in
-          let rewired =
-            match Ept.state e with
-            | In_swap when Ept.arg e = slot ->
-                g.ept.(gpa) <- Ept.in_swap nslot;
-                true
-            | Present when Frames.backing_slot t.frames (Ept.arg e) = slot ->
-                (* Swap-cache resident: the frame keeps a clean copy; only
-                   the backing pointer moves. *)
-                Frames.set_backing_slot t.frames (Ept.arg e) nslot;
-                true
-            | Not_backed | Ballooned | Present | In_swap | In_image -> false
-          in
-          if not rewired then begin
-            (* The slot's owner and its EPT disagree, which
-               [check_invariants] rules out: undo the allocation and
-               walk away. *)
-            Storage.Swap_area.free t.swap nslot;
-            false
-          end
+          if e = Ept.in_swap slot then g.ept.(gpa) <- Ept.in_swap nslot
           else begin
-            Storage.Swap_area.free t.swap slot;
-            Storage.Tiers.swap_out t.tiers ~slot:nslot;
-            true
-          end
+            assert (
+              Ept.state e = Present
+              && Frames.backing_slot t.frames (Ept.arg e) = slot);
+            Frames.set_backing_slot t.frames (Ept.arg e) nslot
+          end;
+          Storage.Swap_area.free t.swap slot;
+          Storage.Tiers.swap_out t.tiers ~slot:nslot;
+          true
     end
   end
 
@@ -1746,7 +1736,9 @@ let check_invariants t =
       | None -> fail "slot %d owned by absent guest %d" slot gid
       | Some g ->
           if g.killed then fail "slot %d owned by killed guest %d" slot gid;
-          let e = if gpa < Array.length g.ept then g.ept.(gpa) else -1 in
+          let e =
+            if gpa < Array.length g.ept then g.ept.(gpa) else Ept.not_backed
+          in
           let maps_back =
             e = Ept.in_swap slot
             || Ept.state e = Present

@@ -232,6 +232,10 @@ val relocate_slot : t -> int -> bool
 
 (** [check_invariants t] walks all guests asserting internal consistency
     (EPT <-> frame-owner agreement, Mapper version freshness, swap-slot
-    ownership).  Raises [Failure] with a description on violation; meant
-    for tests. *)
+    ownership), then every allocated swap slot: one owner per slot and
+    no slot leaked, i.e. each slot's owner is a live (registered, not
+    killed) guest whose EPT entry is [In_swap slot] or a present frame
+    whose swap-cache backing is [slot], and the owned slots number
+    {!Storage.Swap_area.in_use}.  Raises [Failure] with a description on
+    violation; meant for tests. *)
 val check_invariants : t -> unit

@@ -80,7 +80,7 @@ let take t slot content owner =
   end;
   t.owners.(k).(i) <- owner;
   t.contents.(k).(i) <- content;
-  Bytes.unsafe_set t.tiers.(k) i '\000';
+  Bytes.set t.tiers.(k) i '\000';
   let c = slot / cluster_slots in
   if t.free_in_cluster.(c) = cluster_capacity t c then
     t.free_clusters <- t.free_clusters - 1;
@@ -147,7 +147,7 @@ let free t slot =
     invalid_arg (Printf.sprintf "Swap_area.free: slot %d is free" slot);
   let k = slot lsr chunk_bits and i = slot land (chunk_slots - 1) in
   (match t.on_free with
-  | Some f -> f ~slot ~tier:(Char.code (Bytes.unsafe_get t.tiers.(k) i))
+  | Some f -> f ~slot ~tier:(Char.code (Bytes.get t.tiers.(k) i))
   | None -> ());
   t.owners.(k).(i) <- -1;
   t.contents.(k).(i) <- Content.Zero;
@@ -161,17 +161,14 @@ let set_tier t slot tier =
   check t slot;
   if owner_of t slot < 0 then
     invalid_arg (Printf.sprintf "Swap_area.set_tier: slot %d is free" slot);
-  if tier <> 0 && tier <> 1 then
-    invalid_arg (Printf.sprintf "Swap_area.set_tier: tier %d" tier);
-  Bytes.unsafe_set t.tiers.(slot lsr chunk_bits)
-    (slot land (chunk_slots - 1))
-    (Char.unsafe_chr tier)
+  Bytes.set t.tiers.(slot lsr chunk_bits) (slot land (chunk_slots - 1))
+    (Char.chr tier)
 
 let tier t slot =
   check t slot;
   let chunk = t.tiers.(slot lsr chunk_bits) in
   if Bytes.length chunk = 0 then 0
-  else Char.code (Bytes.unsafe_get chunk (slot land (chunk_slots - 1)))
+  else Char.code (Bytes.get chunk (slot land (chunk_slots - 1)))
 
 let set_on_free t f = t.on_free <- f
 

@@ -51,9 +51,9 @@ val iter_allocated : t -> (slot:int -> owner:int -> unit) -> unit
     release all agree without shadow tables. *)
 
 (** [set_tier t slot tier] records the tier holding the allocated
-    [slot]'s page (0 the fast tier, 1 the disk; anything else, or a
-    free slot, is an error).  [alloc] resets a slot's tier to 0 (the
-    fast tier, or the sole disk in passthrough). *)
+    [slot]'s page (0 the fast tier, 1 the disk); a free slot is an
+    error.  [alloc] resets a slot's tier to 0 (the fast tier, or the
+    sole disk in passthrough). *)
 val set_tier : t -> int -> int -> unit
 
 (** [tier t slot] is the backend tier recorded for [slot] (0 unless a

@@ -258,7 +258,8 @@ let footprint_follows_use () =
      content is an immediate: the words counted are the area's own. *)
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:294_912 in
   let fresh = words sa in
-  if fresh >= 4_096 then Alcotest.failf "a fresh swap area holds %d words" fresh;
+  if fresh >= 4_096 then
+    Alcotest.failf "a fresh swap area holds %d words" fresh;
   let take n =
     for _ = 1 to n do
       ignore (Storage.Swap_area.alloc sa C.Zero ~owner:0)
@@ -1330,8 +1331,9 @@ let qos_per_guest_isolation () =
 (* ------------------------------------------------------------------ *)
 
 (* Property: relocating random live swap slots never loses or
-   duplicates a page — the host invariants (slot-owner/EPT agreement,
-   no double backing) hold after every move, and each gpa reads back
+   duplicates a page — the host invariants (each slot's owner and its
+   EPT entry agree, no double backing) hold after every move, and each
+   gpa reads back
    exactly the content written before the shuffle. *)
 let scrub_relocation_preserves_pages =
   QCheck.Test.make ~name:"host: slot relocation never loses or duplicates"

@@ -636,7 +636,8 @@ let swap_cluster_sequential () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:1024 in
   let slots =
     List.init 300 (fun i ->
-        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
+        Option.get
+          (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
   in
   (* Consecutive allocations fill clusters sequentially. *)
   let consecutive =
@@ -662,7 +663,8 @@ let swap_cluster_rounding () =
   (* Every requested slot is allocatable, and exhaustion happens at
      exactly the requested count, not at a cluster boundary. *)
   let slots =
-    List.init 300 (fun i -> Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i)
+    List.init 300 (fun i ->
+        Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i)
   in
   Alcotest.(check bool) "all 300 allocate" true
     (List.for_all Option.is_some slots);
@@ -714,7 +716,8 @@ let swap_fragmentation_fallback () =
   (* Fill both clusters entirely. *)
   let slots =
     List.init 512 (fun i ->
-        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
+        Option.get
+          (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
   in
   check Alcotest.int "full" 512 (Storage.Swap_area.in_use sa);
   Alcotest.(check (option int)) "exhausted" None
@@ -724,7 +727,9 @@ let swap_fragmentation_fallback () =
   check Alcotest.int "half free" 256 (Storage.Swap_area.in_use sa);
   check Alcotest.int "no free clusters" 0 (Storage.Swap_area.free_clusters sa);
   let before = Storage.Swap_area.fragmented_allocs sa in
-  let s = Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0) in
+  let s =
+    Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0)
+  in
   Alcotest.(check bool) "allocated a hole" true (Storage.Swap_area.is_allocated sa s);
   Alcotest.(check bool) "fell back to scanning" true
     (Storage.Swap_area.fragmented_allocs sa > before)
@@ -733,12 +738,15 @@ let swap_free_cluster_reuse () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:512 in
   let slots =
     List.init 512 (fun i ->
-        Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
+        Option.get
+          (Storage.Swap_area.alloc sa (Storage.Content.Anon i) ~owner:i))
   in
   (* Free the whole first cluster; it becomes allocatable again. *)
   List.iteri (fun i s -> if i < 256 then Storage.Swap_area.free sa s) slots;
   check Alcotest.int "one free cluster" 1 (Storage.Swap_area.free_clusters sa);
-  let s = Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0) in
+  let s =
+    Option.get (Storage.Swap_area.alloc sa Storage.Content.Zero ~owner:0)
+  in
   Alcotest.(check bool) "reused cluster 0" true (s < 256)
 
 (* Property: over areas of 1 slot to ~5 chunks of 1,024 slots, the last
@@ -1007,7 +1015,9 @@ let destage_retry_budget_bounds_livelock () =
 
 let swap_area_tier_metadata () =
   let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:16 in
-  let s = Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 1) ~owner:1) in
+  let s =
+    Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 1) ~owner:1)
+  in
   check Alcotest.int "fresh slot on tier 0" 0 (Storage.Swap_area.tier sa s);
   Storage.Swap_area.set_tier sa s 1;
   check Alcotest.int "tier sticks" 1 (Storage.Swap_area.tier sa s);
@@ -1017,7 +1027,9 @@ let swap_area_tier_metadata () =
   Storage.Swap_area.free sa s;
   Alcotest.(check (option (pair int int))) "hook sees slot and tier"
     (Some (s, 1)) !freed;
-  let s2 = Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 2) ~owner:2) in
+  let s2 =
+    Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon 2) ~owner:2)
+  in
   check Alcotest.int "tier reset on reuse" 0 (Storage.Swap_area.tier sa s2)
 
 let mk_tiers ?faults cfg =
@@ -1386,7 +1398,8 @@ let tiers_passthrough_differential =
         in
         let swap = Storage.Swap_area.create ~base_sector:0 ~nslots:256 in
         for i = 0 to 199 do
-          ignore (Storage.Swap_area.alloc swap (Storage.Content.Anon i) ~owner:i)
+          ignore
+            (Storage.Swap_area.alloc swap (Storage.Content.Anon i) ~owner:i)
         done;
         let t =
           Storage.Tiers.create ~engine ~stats ~disk ~swap
