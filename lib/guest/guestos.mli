@@ -64,7 +64,10 @@ val fsync_file : t -> file -> (unit -> unit) -> unit
 
 (** {2 Anonymous memory} *)
 
+(** [alloc_region t ~pages] makes a region of [pages] unmapped pages.
+    Raises [Invalid_argument] if [pages >= 2{^30}]. *)
 val alloc_region : t -> pages:int -> region
+
 val region_pages : region -> int
 
 (** [touch t r ~idx ~write k] accesses one page of the region with a load
@@ -111,6 +114,15 @@ val free_pages : t -> int
 val cache_pages : t -> int
 val dirty_cache_pages : t -> int
 
-(** [check_invariants t] asserts internal consistency (free-list/kind
-    agreement, cache maps, LRU residency); for tests. *)
+(** Slots of the guest's own swap partition in use. *)
+val swap_slots_in_use : t -> int
+
+(** [check_invariants t] asserts internal consistency; for tests, at a
+    point where the guest has no eviction in flight.  Every free-list
+    gpa is free, every page-cache entry's gpa caches that block, every
+    anonymous page is mapped by its region's entry, every taken guest
+    swap slot of a live region is that region's entry for the page, the
+    dirty count equals the dirty pages, only cache pages are dirty, and
+    only cache and anonymous pages are on the guest's LRU lists.
+    Raises [Failure] naming the first violation. *)
 val check_invariants : t -> unit

@@ -181,6 +181,132 @@ let memcpy_page_works () =
   G.free_region rig.os r;
   G.check_invariants rig.os
 
+(* Mapping a region's pages and swapping part of them out costs the
+   guest's heap almost nothing per page: page kinds, region entries and
+   guest swap slot owners are ints in arrays sized up front or taken in
+   1,024-slot chunks.  The bounds catch a boxed layout, whose kind and
+   entry blocks cost ~5 words per mapped page and whose slot-to-page
+   map ~9 per swapped one.  The host is subtracted: the guest reaches
+   it. *)
+let footprint_per_page () =
+  let rig = mk_rig ~mem_mb:16 () in
+  let pages = 2_600 in
+  let a = G.alloc_region rig.os ~pages and b = G.alloc_region rig.os ~pages in
+  let words () =
+    Obj.reachable_words (Obj.repr (rig.os, a, b))
+    - Obj.reachable_words (Obj.repr rig.host)
+  in
+  let map r =
+    for idx = 0 to pages - 1 do
+      sync rig (G.overwrite_page rig.os r ~idx)
+    done
+  in
+  let before = words () in
+  map a;
+  let mapped = words () in
+  check Alcotest.int "nothing swapped yet" 0
+    rig.stats.Metrics.Stats.guest_swapouts;
+  if mapped - before >= pages then
+    Alcotest.failf "mapping %d pages grew the guest by %d words" pages
+      (mapped - before);
+  (* [b] does not fit beside [a]: mapping it swaps most of [a] out. *)
+  map b;
+  let swapped = rig.stats.Metrics.Stats.guest_swapouts in
+  if swapped < pages / 2 then Alcotest.failf "only %d pages swapped" swapped;
+  let grown = words () - mapped in
+  if grown >= 2 * swapped then
+    Alcotest.failf "swapping %d pages out grew the guest by %d words" swapped
+      grown;
+  G.check_invariants rig.os
+
+(* Random guest operations, each over a run of consecutive pages or
+   blocks, on a 2 MiB guest whose regions and file outgrow its memory,
+   under a 1 MiB host resident limit, so both the guest and the host
+   swap. *)
+type gop =
+  | Touch of int * int * int * bool  (* region, first page, pages, write *)
+  | Overwrite of int * int * int
+  | Memcpy of int * int * int
+  | Free of int  (* free the region, allocate a fresh one in its place *)
+  | Read of int * int  (* first block, blocks *)
+  | Write of int * int
+
+let nregions = 3
+let gop_pages = 384
+let gop_blocks = 256
+
+let show_gop = function
+  | Touch (r, p, n, w) -> Printf.sprintf "Touch(%d,%d,%d,%b)" r p n w
+  | Overwrite (r, p, n) -> Printf.sprintf "Overwrite(%d,%d,%d)" r p n
+  | Memcpy (r, p, n) -> Printf.sprintf "Memcpy(%d,%d,%d)" r p n
+  | Free r -> Printf.sprintf "Free %d" r
+  | Read (b, n) -> Printf.sprintf "Read(%d,%d)" b n
+  | Write (b, n) -> Printf.sprintf "Write(%d,%d)" b n
+
+let gop_gen =
+  let open QCheck.Gen in
+  let region = int_bound (nregions - 1) and run = int_range 1 64 in
+  let span = triple region (int_bound (gop_pages - 1)) run in
+  let blocks = pair (int_bound (gop_blocks - 1)) run in
+  frequency
+    [
+      (4, map2 (fun (r, p, n) w -> Touch (r, p, n, w)) span bool);
+      (3, map (fun (r, p, n) -> Overwrite (r, p, n)) span);
+      (1, map (fun (r, p, n) -> Memcpy (r, p, n)) span);
+      (1, map (fun r -> Free r) region);
+      (2, map (fun (b, n) -> Read (b, n)) blocks);
+      (1, map (fun (b, n) -> Write (b, n)) blocks);
+    ]
+
+(* Guest and host books hold after every operation; once every region
+   is freed, each page the guest had free after boot is free again or
+   in the page cache, and no guest swap slot is taken. *)
+let random_ops_keep_books =
+  QCheck.Test.make ~name:"guest: random ops keep guest and host books"
+    ~count:40
+    (QCheck.make
+       ~print:(QCheck.Print.list show_gop)
+       QCheck.Gen.(list_size (int_range 1 60) gop_gen))
+    (fun ops ->
+      let rig = mk_rig ~mem_mb:2 ~resident_limit_mb:1 () in
+      let booted_free = G.free_pages rig.os in
+      let f = G.create_file rig.os ~blocks:gop_blocks in
+      let alloc () = G.alloc_region rig.os ~pages:gop_pages in
+      let regions = Array.init nregions (fun _ -> alloc ()) in
+      let each first n limit op =
+        for i = first to min (first + n) limit - 1 do
+          sync rig (op i)
+        done
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Touch (r, p, n, write) ->
+              each p n gop_pages (fun idx ->
+                  G.touch rig.os regions.(r) ~idx ~write)
+          | Overwrite (r, p, n) ->
+              each p n gop_pages (fun idx ->
+                  G.overwrite_page rig.os regions.(r) ~idx)
+          | Memcpy (r, p, n) ->
+              each p n gop_pages (fun idx ->
+                  G.memcpy_page rig.os regions.(r) ~idx)
+          | Free r ->
+              G.free_region rig.os regions.(r);
+              regions.(r) <- alloc ()
+          | Read (b, n) ->
+              each b n gop_blocks (fun idx -> G.read_file rig.os f ~idx)
+          | Write (b, n) ->
+              each b n gop_blocks (fun idx -> G.write_file rig.os f ~idx));
+          G.check_invariants rig.os;
+          H.check_invariants rig.host)
+        ops;
+      Array.iter (G.free_region rig.os) regions;
+      Test_util.drain rig.engine;
+      G.check_invariants rig.os;
+      H.check_invariants rig.host;
+      G.free_pages rig.os + G.cache_pages rig.os = booted_free
+      && G.swap_slots_in_use rig.os = 0)
+
 (* ------------------------------------------------------------------ *)
 (* Balloon driver                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -283,6 +409,8 @@ let tests =
         Alcotest.test_case "guest swap roundtrip" `Quick anon_touch_and_guest_swap_roundtrip;
         Alcotest.test_case "free region" `Quick free_region_releases_pages;
         Alcotest.test_case "memcpy page" `Quick memcpy_page_works;
+        Alcotest.test_case "footprint per page" `Quick footprint_per_page;
+        Test_util.qcheck random_ops_keep_books;
       ] );
     ( "guest:balloon+oom",
       [

@@ -299,6 +299,54 @@ let async_sync_differential =
       in
       run ~async:false = run ~async:true)
 
+(* The benchmark's swapstorm machine at its smoke size (eight 8 MB
+   storms on baseline VSwapper, async faults, an 8-queue disk), run to
+   completion: afterwards the host's books and every guest's still
+   agree with themselves. *)
+let machine_swapstorm_keeps_books () =
+  let guest =
+    {
+      (Vmm.Config.default_guest
+         ~workload:
+           (Workloads.Swapstorm.workload ~threads:4 ~rounds:1 ~compute_us:2
+              ~mb:8 ()))
+      with
+      mem_mb = 24;
+      vcpus = 1;
+      resident_limit_mb = Some 4;
+      data_mb = 64;
+    }
+  in
+  let n = 8 in
+  let cfg =
+    {
+      (Vmm.Config.default ~guests:(List.init n (fun _ -> guest))) with
+      host_mem_mb = n * 24 * 2;
+      host_swap_mb = n * 24;
+      async_faults = true;
+      disk =
+        {
+          Storage.Disk.default_config with
+          num_queues = 8;
+          per_queue_depth = 4;
+        };
+      hbase = { Host.Hconfig.default with max_inflight_faults = 16 };
+    }
+  in
+  let m = Vmm.Machine.build cfg in
+  let result = Vmm.Machine.run m in
+  Array.iter
+    (fun g ->
+      Alcotest.(check bool)
+        "guest finished" true (g.Vmm.Machine.runtime <> None))
+    result.Vmm.Machine.guests;
+  Alcotest.(check bool) "the host swapped" true
+    (result.Vmm.Machine.stats.Metrics.Stats.host_swapouts > 0);
+  Host.Hostmm.check_invariants (Vmm.Machine.host m);
+  for i = 0 to n - 1 do
+    Guest.Guestos.check_invariants (Vmm.Machine.os m i)
+  done
+
 let tests =
   [
     ( "vmm:workload",
@@ -319,5 +367,7 @@ let tests =
         Alcotest.test_case "bad config fails loudly" `Quick
           machine_bad_config_fails_loudly;
         Test_util.qcheck async_sync_differential;
+        Alcotest.test_case "swapstorm keeps books" `Quick
+          machine_swapstorm_keeps_books;
       ] );
   ]
